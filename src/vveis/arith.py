@@ -1,11 +1,11 @@
-"""Quadratic characters, Bernoulli numbers, and exact or certified L-values.
+"""Factorization, quadratic characters, Bernoulli numbers and exact L-values.
 
-The exact path evaluates L(s, chi) for primitive quadratic chi with matching
-parity through the functional equation and generalized Bernoulli numbers,
-carrying pi-powers and square roots symbolically (SymbolicReal) so that the
-final Eisenstein assembly can assert an exactly rational outcome.  The
-certified path returns rational-endpoint intervals from an Euler-Maclaurin
-Hurwitz zeta with a first-omitted-term remainder bound.
+L(s, chi) is evaluated for quadratic chi whose primitive part has the
+parity of s, through the functional equation and generalized Bernoulli
+numbers.  pi-powers and square roots are carried symbolically
+(SymbolicReal), so that the Eisenstein assembly can assert an exactly
+rational outcome.  The Eisenstein series only asks for L-values of that
+parity (see vveis.eisenstein), so no approximate route exists.
 """
 
 from __future__ import annotations
@@ -13,14 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
-from .errors import (
-    AmbiguousInterval,
-    NonPrimitive,
-    ParityMismatch,
-    PreconditionError,
-)
+from .errors import NonPrimitive, ParityMismatch, PreconditionError
 
 
 def factorize(n):
@@ -38,6 +33,20 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def valuation(x, p):
+    """ord_p(x) of an integer or rational x; None for x = 0."""
+    if x == 0:
+        return None
+    v, num, den = 0, abs(x.numerator), x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def divisors(n):
@@ -277,22 +286,6 @@ class SymbolicReal:
             raise PreconditionError(f"not rational: {self}")
         return self.q
 
-    def interval(self, bits=128):
-        """Certified enclosing interval."""
-        out = Interval.point(self.q)
-        if self.d != 1:
-            out = out * sqrt_interval(Fraction(self.d), bits)
-        if self.a != 0:
-            pi = pi_interval(bits + 16)
-            num = self.a.numerator
-            half = self.a.denominator == 2
-            whole = num // 2 if half else num
-            p = pi.power_int(whole)
-            if half:  # num - 2*whole = 1 here (denominator 2, floor division)
-                p = p * sqrt_interval_of(pi, bits)
-            out = out * p
-        return out
-
     def __repr__(self):
         return f"SymbolicReal({self.q}, pi^{self.a}, sqrt({self.d}))"
 
@@ -319,159 +312,6 @@ def gamma_half(z):
         coeff /= zz
         zz += 1
     return SymbolicReal.make(coeff, Fraction(1, 2), 1)
-
-
-# ---------------------------------------------------------------------------
-# Certified interval arithmetic (rational endpoints)
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise PreconditionError("empty interval")
-
-    @staticmethod
-    def point(x):
-        x = Fraction(x)
-        return Interval(x, x)
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    def __add__(self, other):
-        other = _as_interval(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_as_interval(other))
-
-    def __rsub__(self, other):
-        return _as_interval(other) - self
-
-    def __mul__(self, other):
-        other = _as_interval(other)
-        cands = [self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi]
-        return Interval(min(cands), max(cands))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.lo <= 0 <= self.hi:
-            raise PreconditionError("interval straddles zero")
-        return Interval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other):
-        return self * _as_interval(other).inverse()
-
-    def power_int(self, k):
-        if k == 0:
-            return Interval.point(1)
-        if k < 0:
-            return self.power_int(-k).inverse()
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
-    def intersects(self, other):
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def __repr__(self):
-        return f"Interval[{float(self.lo)}, {float(self.hi)}]"
-
-
-def _as_interval(x):
-    if isinstance(x, Interval):
-        return x
-    return Interval.point(Fraction(x))
-
-
-def iroot(n, k):
-    """floor(n^(1/k)) for integers n >= 0, k >= 1, by Newton iteration."""
-    n, k = int(n), int(k)
-    if n < 0 or k < 1:
-        raise PreconditionError("iroot needs n >= 0, k >= 1")
-    if n in (0, 1) or k == 1:
-        return n
-    if k == 2:
-        return isqrt(n)
-    x = 1 << (n.bit_length() // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x ** k > n:
-        x -= 1
-    return x
-
-
-def sqrt_interval(x, bits=128):
-    """Certified enclosure of sqrt(x) for rational x >= 0."""
-    x = Fraction(x)
-    if x < 0:
-        raise PreconditionError("negative radicand")
-    if x == 0:
-        return Interval.point(0)
-    scale = 1 << bits
-    lo_int = isqrt(x.numerator * scale * scale // x.denominator)
-    return Interval(Fraction(lo_int, scale), Fraction(lo_int + 2, scale))
-
-
-def sqrt_interval_of(iv, bits=128):
-    lo = sqrt_interval(iv.lo, bits).lo
-    hi = sqrt_interval(iv.hi, bits).hi
-    return Interval(lo, hi)
-
-
-def pow_interval(y, p, bits=128):
-    """Certified enclosure of y^p for rational y > 0 and rational p."""
-    y = Fraction(y)
-    p = Fraction(p)
-    if y <= 0:
-        raise PreconditionError("pow_interval needs positive base")
-    if p.denominator == 1:
-        return Interval.point(y ** int(p))
-    b = p.denominator
-    scale = 1 << bits
-    t = y.numerator * scale ** b // y.denominator
-    r = iroot(t, b)
-    root_iv = Interval(Fraction(r, scale), Fraction(r + 2, scale))
-    return root_iv.power_int(p.numerator)
-
-
-@lru_cache(maxsize=None)
-def pi_interval(bits=128):
-    """Machin's formula with certified alternating-series tails."""
-    def arctan_inv(x, eps):
-        # arctan(1/x) via the alternating Taylor series; error <= first omitted term
-        total = Fraction(0)
-        k = 0
-        while True:
-            term = Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1))
-            if abs(term) < eps:
-                return Interval(total - abs(term), total + abs(term))
-            total += term
-            k += 1
-
-    eps = Fraction(1, 1 << (bits + 8))
-    a = arctan_inv(5, eps / 32)
-    b = arctan_inv(239, eps / 32)
-    return 16 * a - 4 * b
 
 
 # ---------------------------------------------------------------------------
@@ -516,107 +356,3 @@ def l_value_exact(s, chi):
 def zeta_exact(s):
     """zeta(s) for positive even integer s, as SymbolicReal."""
     return l_value_exact(s, CHI_TRIVIAL)
-
-
-def _hurwitz_interval(s, x, terms, depth, bits):
-    """Certified enclosure of zeta(s, x) = sum_{n>=0} (n+x)^{-s}, s > 1 rational.
-
-    Euler-Maclaurin with remainder bounded by the first omitted term (valid
-    since t -> (t+x)^{-s} is completely monotone).
-    """
-    s = Fraction(s)
-    x = Fraction(x)
-    total = Interval.point(0)
-    for n in range(terms):
-        total = total + pow_interval(n + x, -s, bits)
-    mx = terms + x
-    total = total + pow_interval(mx, 1 - s, bits) / (s - 1)
-    total = total + pow_interval(mx, -s, bits) * Fraction(1, 2)
-    # correction terms B_{2j}/(2j)! * (s)_{2j-1} * (M+x)^{-s-2j+1}
-    poch = s  # (s)_1
-    for j in range(1, depth + 1):
-        coef = bernoulli(2 * j) / _factorial(2 * j)
-        term = pow_interval(mx, -(s + 2 * j - 1), bits) * poch * coef
-        total = total + term
-        poch = poch * (s + 2 * j - 1) * (s + 2 * j)
-    # remainder: same sign and smaller than the next term
-    nxt = pow_interval(mx, -(s + 2 * depth + 1), bits) * poch \
-        * (bernoulli(2 * depth + 2) / _factorial(2 * depth + 2))
-    bound = max(abs(nxt.lo), abs(nxt.hi))
-    return total + Interval(-bound, bound)
-
-
-@lru_cache(maxsize=None)
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def l_value_interval(s, chi, prec_bits=64):
-    """Certified interval for L(s, chi), rational s >= 2 (was: > 1 suffices).
-
-    Sums chi over residues modulo the character's modulus against Hurwitz
-    zetas; width is driven down by doubling the Euler-Maclaurin cutoff.
-    """
-    s = Fraction(s)
-    if s < 2:
-        raise PreconditionError("l_value_interval needs s >= 2")
-    q = chi.modulus
-    target = Fraction(1, 1 << prec_bits)
-    terms, depth = 16, 10
-    bits = prec_bits + 64
-    while True:
-        total = Interval.point(0)
-        qs = pow_interval(q, -s, bits)
-        for r in range(1, q + 1):
-            c = chi(r)
-            if c:
-                total = total + _hurwitz_interval(
-                    s, Fraction(r, q), terms, depth, bits) * c
-        total = total * qs
-        if total.width <= target:
-            return total
-        terms *= 2
-        depth += 4
-        bits += 32
-
-
-def zeta_interval(s, prec_bits=64):
-    return l_value_interval(s, CHI_TRIVIAL, prec_bits)
-
-
-def _simplest_between(lo, hi):
-    """The rational with smallest denominator in [lo, hi], lo <= hi."""
-    fl = lo.numerator // lo.denominator
-    if fl >= lo:  # lo integral
-        return Fraction(fl)
-    if fl + 1 <= hi:
-        return Fraction(fl + 1)
-    inner = _simplest_between(Fraction(1) / (hi - fl), Fraction(1) / (lo - fl))
-    return fl + Fraction(1) / inner
-
-
-def _log2_approx(x):
-    """floor(log2 x) within 1, for positive Fraction x of any size."""
-    return x.numerator.bit_length() - x.denominator.bit_length()
-
-
-def rational_reconstruct(iv, den_bound=1 << 64):
-    """Unique rational with denominator <= den_bound inside iv, or None.
-
-    Requires width < 1/(2 den_bound^2), which makes the candidate unique;
-    wider intervals raise AmbiguousInterval.  Callers re-verify at doubled
-    precision before trusting the result.
-    """
-    if iv.width >= Fraction(1, 2 * den_bound * den_bound):
-        # exact endpoints can have astronomically long digit strings; report
-        # only the magnitude of the width
-        raise AmbiguousInterval(
-            f"width ~ 2^{_log2_approx(iv.width)} too large for "
-            f"denominator bound {den_bound}")
-    cand = _simplest_between(iv.lo, iv.hi)
-    if cand.denominator > den_bound:
-        return None
-    return cand

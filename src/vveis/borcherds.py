@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import factorize
+from .arith import valuation
 from .eisenstein import context as eis_context
 from .eisenstein import eis_coefficient, eis_expansion
 from .errors import (
@@ -38,6 +38,7 @@ from .errors import (
     UnsupportedWeight,
 )
 from .lattice import (
+    bad_primes,
     coset_represents,
     discriminant_form,
     t_max,
@@ -45,23 +46,6 @@ from .lattice import (
 )
 from .qseries import PrincipalPart
 from .weilrep import invariants, weil_matrices
-
-
-def _ord_p(x, p):
-    """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    v, n, d = 0, x.numerator, x.denominator
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
-def _search_primes(lattice):
-    return tuple(sorted(factorize(2 * lattice.level)))
 
 
 @dataclass(frozen=True)
@@ -145,7 +129,7 @@ def check_admissible(lattice, spec, disc=None):
     """
     if disc is None:
         disc = discriminant_form(lattice)
-    primes = _search_primes(lattice)
+    primes = bad_primes(lattice)
     accepted, rejected = [], []
     for m, mu in _candidate_pairs(spec, disc):
         if m <= 0:
@@ -155,7 +139,7 @@ def check_admissible(lattice, spec, disc=None):
             rejected.append(
                 ((m, mu), f"{m} is not congruent to Q({mu}) mod 1"))
             continue
-        bad = next((p for p in primes if _ord_p(m, p) > spec.bound_a), None)
+        bad = next((p for p in primes if valuation(m, p) > spec.bound_a), None)
         if bad is not None:
             rejected.append(
                 ((m, mu),
@@ -641,7 +625,7 @@ def vanish_on(lattice, m, mu, fixture, provider=None, budget=None, pp=None,
         raise NotAdmissible(
             f"({m}, {mu}) representability check returned {res.name}")
     if pp is None:
-        bound = max([1] + [_ord_p(m, p) for p in _search_primes(lattice)])
+        bound = max([1] + [valuation(m, p) for p in bad_primes(lattice)])
         seed = AdmissibleSetSpec(bound_a=bound, members=((m, mu),))
         pp = prescribe(lattice, seed, fixture, budget=budget, disc=disc)
     else:

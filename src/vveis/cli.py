@@ -10,15 +10,17 @@ Exit codes: 0 success, 1 I/O failure (unreadable or unwritable files),
 3 exhausted search budgets, 4 internal-consistency failures (also used
 when the battery finds a failing criterion).
 
-Configuration lives in an optional JSON file (--config), with environment
-overrides VVEIS_LATTICE, VVEIS_CACHE_DIR, VVEIS_NAIVE_CAP, VVEIS_PREC_BITS,
-VVEIS_DENOM_BOUND and VVEIS_CROSSCHECK.  Unknown config keys are rejected.
+Configuration lives in an optional JSON file (--config) with the keys
+lattice, cache_dir, naive_cap and cross_check, and environment overrides
+VVEIS_LATTICE, VVEIS_CACHE_DIR, VVEIS_NAIVE_CAP and VVEIS_CROSSCHECK.
+Unknown config keys are rejected.
 
 When a cache directory is configured, pure computations are content-
 addressed by (operation, gram matrix, parameters); every payload is stored
 with its own digest, and a tampered or unreadable entry is discarded with
-a warning and recomputed.  Outputs are deterministic, so hits are
-byte-identical to misses.
+a warning and recomputed.  Entries are written to a private temporary
+file and renamed into place, so concurrent writers never mix payloads.
+Outputs are deterministic, so hits are byte-identical to misses.
 """
 
 import argparse
@@ -26,6 +28,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -66,22 +69,17 @@ class Config:
     lattice: str = ""
     cache_dir: str = ""
     naive_cap: int = 10 ** 8
-    prec_bits: int = 96
-    denom_bound: int = 1 << 64
     cross_check: bool = False
 
     def __post_init__(self):
-        for name in ("naive_cap", "prec_bits", "denom_bound"):
-            if getattr(self, name) <= 0:
-                raise PreconditionError(f"config {name} must be positive")
+        if self.naive_cap <= 0:
+            raise PreconditionError("config naive_cap must be positive")
 
 
 _ENV_KEYS = {
     "VVEIS_LATTICE": ("lattice", str),
     "VVEIS_CACHE_DIR": ("cache_dir", str),
     "VVEIS_NAIVE_CAP": ("naive_cap", int),
-    "VVEIS_PREC_BITS": ("prec_bits", int),
-    "VVEIS_DENOM_BOUND": ("denom_bound", int),
     "VVEIS_CROSSCHECK": ("cross_check", None),
 }
 
@@ -109,9 +107,8 @@ def load_config(path=None, env=None):
                 values[name] = conv(raw)
             except ValueError as err:
                 raise PreconditionError(f"{var}={raw!r} is not valid") from err
-    for name in ("naive_cap", "prec_bits", "denom_bound"):
-        if name in values and not isinstance(values[name], int):
-            raise PreconditionError(f"config {name} must be an integer")
+    if "naive_cap" in values and not isinstance(values["naive_cap"], int):
+        raise PreconditionError("config naive_cap must be an integer")
     if "cross_check" in values and not isinstance(values["cross_check"], bool):
         raise PreconditionError("config cross_check must be a boolean")
     return Config(**values)
@@ -144,10 +141,16 @@ def cached_text(cfg, key_doc, produce, warn=None):
                 warn(f"warning: discarding corrupt cache entry {path.name}: {err}")
     text = produce()
     root.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(canonical_json(
-        {"sha256": hashlib.sha256(text.encode()).hexdigest(), "text": text}))
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(dir=root, prefix=f"{digest}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(canonical_json(
+                {"sha256": hashlib.sha256(text.encode()).hexdigest(),
+                 "text": text}))
+        os.replace(tmp, path)
+    except OSError:
+        Path(tmp).unlink(missing_ok=True)
+        raise
     return text
 
 
@@ -229,8 +232,7 @@ def _cmd_eis(args, cfg, err):
     trunc = parse_rational(args.max_exp, "--max-exp")
 
     def produce():
-        series = eis_expansion(lat, trunc, prec_bits=cfg.prec_bits,
-                               den_bound=cfg.denom_bound)
+        series = eis_expansion(lat, trunc)
         return canonical_json(qseries_doc(series))
 
     key = {"op": "eis", "gram": lat.gram, "max_exp": rational_str(trunc)}

@@ -1,19 +1,20 @@
 """Exact Fourier coefficients of the weight-(rank/2) Eisenstein series.
 
-Even rank: fully exact assembly in SymbolicReal arithmetic (the pi powers and
-radicals cancel by construction and the result must collapse to a rational).
-Odd rank: the character attached to the extended quadratic space always has
-the parity of the central point s = kappa - 1/2 (the negative signature is
-even, so the Gram determinant is positive), hence the L-value is exact there
-too.  A certified interval route with rational reconstruction and doubled
-precision re-verification is kept as a fallback.  Every returned coefficient
-is an exact Fraction either way.
+Both ranks assemble in SymbolicReal arithmetic: the pi powers and radicals
+cancel by construction and the result must collapse to a rational.  In odd
+rank the L-value is taken at s = kappa - 1/2 for the character of the
+quadratic space extended by <-m>.  That character always has the parity of
+s (the negative signature is even, so the Gram determinant is positive),
+so the Bernoulli closed form applies; Bruinier-Kuss, manuscripta math. 106
+(2001).  A parity mismatch there is a broken invariant and raises
+ConsistencyError.  Every returned coefficient is an exact Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import exp, log
 
 from . import repnums
 from .arith import (
@@ -23,15 +24,13 @@ from .arith import (
     factorize,
     gamma_half,
     l_value_exact,
-    l_value_interval,
     moebius,
-    pow_interval,
-    rational_reconstruct,
     sigma,
+    valuation,
     zeta_exact,
 )
 from .errors import (
-    AmbiguousInterval,
+    ConsistencyError,
     KappaTooSmall,
     NonRationalResidue,
     NotAdmissible,
@@ -39,7 +38,7 @@ from .errors import (
     PositivityViolation,
     PreconditionError,
 )
-from .lattice import RepResult, coset_represents, discriminant_form
+from .lattice import RepResult, bad_primes, coset_represents, discriminant_form
 from .qseries import VVQSeries
 
 
@@ -62,9 +61,8 @@ def context(lattice, disc=None):
     if lattice.sig_neg % 2:
         raise PreconditionError(
             "negative signature must be even for a nonzero series of this weight")
-    primes = tuple(sorted(factorize(2 * lattice.level)))
-    return EisensteinContext(lattice, disc, kappa, lattice.sig_neg, primes,
-                             kappa == 2)
+    return EisensteinContext(lattice, disc, kappa, lattice.sig_neg,
+                             bad_primes(lattice), kappa == 2)
 
 
 def _sym_sqrt(x):
@@ -117,7 +115,7 @@ def _split_square(ctx, n):
     return n // (f * f), f
 
 
-def _eis_odd(ctx, m, mu, prec_bits, den_bound=1 << 64):
+def _eis_odd(ctx, m, mu):
     kappa = ctx.kappa  # half-integer
     j = int(kappa - Fraction(1, 2))  # kappa = j + 1/2
     dmu = ctx.disc.order_of(mu)
@@ -146,43 +144,23 @@ def _eis_odd(ctx, m, mu, prec_bits, den_bound=1 << 64):
     rational_part = mob * _local_product(ctx, m, mu, extra_odd=True)
     if rational_part == 0:
         return Fraction(0)
-    s = j  # kappa - 1/2
     try:
-        lval = l_value_exact(s, chi)
-        total = exact * rational_part * lval
-        if not total.is_rational:
-            raise NonRationalResidue(f"odd-rank exact assembly left {total}")
-        return total.rational_value()
-    except ParityMismatch:
-        pass
-    bits = max(prec_bits, 64)
-    for _ in range(5):
-        try:
-            iv = exact.interval(bits) * l_value_interval(s, chi, bits)
-            iv = iv * rational_part
-            cand = rational_reconstruct(iv, den_bound=den_bound)
-        except AmbiguousInterval:
-            bits *= 2
-            continue
-        if cand is None:
-            bits *= 2
-            continue
-        check = exact.interval(2 * bits) * l_value_interval(s, chi, 2 * bits)
-        check = check * rational_part
-        if check.contains(cand):
-            return cand
-        bits *= 2
-    raise NonRationalResidue(
-        f"interval reconstruction failed for (m={m}, mu={mu}) at {bits} bits")
+        lval = l_value_exact(j, chi)  # s = kappa - 1/2
+    except ParityMismatch as err:
+        raise ConsistencyError(
+            f"odd-rank character has the wrong parity at (m={m}, mu={mu}): "
+            f"{err}") from err
+    total = exact * rational_part * lval
+    if not total.is_rational:
+        raise NonRationalResidue(f"odd-rank exact assembly left {total}")
+    return total.rational_value()
 
 
-def eis_coefficient(lattice, m, mu, disc=None, prec_bits=96, ctx=None,
-                    den_bound=1 << 64):
+def eis_coefficient(lattice, m, mu, disc=None, ctx=None):
     """Coefficient e(m, mu) of the Eisenstein series, as an exact rational.
 
     m = 0 is the documented constant term (1 at mu = 0, else 0), not a
-    formula evaluation.  den_bound caps the denominator accepted by the
-    interval-reconstruction fallback on the half-integer-weight path.
+    formula evaluation.
     """
     if ctx is None:
         ctx = context(lattice, disc)
@@ -196,10 +174,10 @@ def eis_coefficient(lattice, m, mu, disc=None, prec_bits=96, ctx=None,
         return Fraction(1) if mu == ctx.disc.zero() else Fraction(0)
     if ctx.kappa.denominator == 1:
         return _eis_even(ctx, m, mu)
-    return _eis_odd(ctx, m, mu, prec_bits, den_bound)
+    return _eis_odd(ctx, m, mu)
 
 
-def eis_expansion(lattice, trunc, disc=None, prec_bits=96, den_bound=1 << 64):
+def eis_expansion(lattice, trunc, disc=None):
     """Assemble the series up to exponent trunc (exclusive); sign tag +1.
 
     Coefficients are computed once per {mu, -mu} orbit; the kappa = 2
@@ -223,8 +201,7 @@ def eis_expansion(lattice, trunc, disc=None, prec_bits=96, den_bound=1 << 64):
             key = (m, mu) if (mu <= neg) else (m, neg)
             if key not in done:
                 done[key] = eis_coefficient(lattice, m, key[1], disc=ctx.disc,
-                                            prec_bits=prec_bits, ctx=ctx,
-                                            den_bound=den_bound)
+                                            ctx=ctx)
             c = done[key]
             if c:
                 coeffs[(int(m * den), mu)] = c
@@ -254,12 +231,17 @@ class LowerBoundReport:
         return all(r.ratio > 0 for r in self.rows)
 
 
-def lower_bound_report(lattice, pairs, bound_a, eps=Fraction(1, 10), disc=None,
-                       prec_bits=96):
+def _log(x):
+    """Natural logarithm of a positive rational of any size."""
+    return log(x.numerator) - log(x.denominator)
+
+
+def lower_bound_report(lattice, pairs, bound_a, eps=Fraction(1, 10), disc=None):
     """Ratios (-1)^(b-/2) e(m,mu) / m^(kappa-1) with admissibility checks.
 
-    Every pair must be represented by its coset and have ord_p(m) <= bound_a
-    at all p | 2N; strict positivity of every ratio is asserted.
+    Every pair must have m > 0, be represented by its coset and have
+    ord_p(m) <= bound_a at all p | 2N.  Strict positivity of every ratio is
+    decided exactly; the float ratios are advisory.
     """
     ctx = context(lattice, disc)
     exponent = ctx.kappa - 1 - (eps if ctx.hecke_boundary else 0)
@@ -270,32 +252,26 @@ def lower_bound_report(lattice, pairs, bound_a, eps=Fraction(1, 10), disc=None,
     for m, mu in pairs:
         m = Fraction(m)
         mu = ctx.disc.check(mu)
+        if m <= 0:
+            raise NotAdmissible(f"m = {m} is not positive")
         for p in ctx.primes:
-            num, den = m.numerator, m.denominator
-            v = 0
-            while num % p == 0:
-                num //= p
-                v += 1
-            while den % p == 0:
-                den //= p
-                v -= 1
+            v = valuation(m, p)
             if v > bound_a:
                 raise NotAdmissible(f"ord_{p}({m}) = {v} > {bound_a}")
         rep = coset_represents(lattice, m, mu, disc=ctx.disc)
         if rep != RepResult.REPRESENTED:
             raise NotAdmissible(f"({m}, {mu}) not certified represented: {rep.name}")
-        e = eis_coefficient(lattice, m, mu, disc=ctx.disc,
-                            prec_bits=prec_bits, ctx=ctx)
+        e = eis_coefficient(lattice, m, mu, disc=ctx.disc, ctx=ctx)
         num = sign * e
+        if num <= 0:
+            raise PositivityViolation(
+                f"(-1)^(b-/2) e(m, mu) <= 0 at (m={m}, mu={mu})")
         if exponent.denominator == 1:
             ratio_exact = num / m ** int(exponent)
             ratio = float(ratio_exact)
         else:
             ratio_exact = None
-            ratio = float(num) / float(m) ** float(exponent)
-        if ratio <= 0:
-            raise PositivityViolation(
-                f"ratio for (m={m}, mu={mu}) is {ratio} <= 0")
+            ratio = exp(_log(num) - float(exponent) * _log(m))
         cur = ratio if cur is None else min(cur, ratio)
         mins.append(cur)
         rows.append(LowerBoundRow(m, mu, e, ratio, ratio_exact))

@@ -67,12 +67,8 @@ class ParityMismatch(PreconditionError):
     """chi(-1) != (-1)^s, so the Bernoulli closed form does not apply."""
 
 
-class AmbiguousInterval(PreconditionError):
-    """Interval too wide to isolate a unique small-denominator rational."""
-
-
 class NonRationalResidue(ConsistencyError):
-    """A value proved rational failed interval reconstruction/re-verification."""
+    """A value proved rational kept a pi-power, radical or root of unity."""
 
 
 # -- q-series --

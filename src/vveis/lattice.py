@@ -19,6 +19,7 @@ from math import gcd, isqrt, lcm, prod
 import numpy as np
 
 from . import linalg
+from .arith import factorize
 from .errors import (
     BudgetExceeded,
     InconclusiveBoundedSearch,
@@ -99,6 +100,11 @@ def new_lattice(gram):
     return EvenLattice(gram)
 
 
+def bad_primes(lattice):
+    """The primes dividing 2N (N the level), ascending."""
+    return tuple(sorted(factorize(2 * lattice.level)))
+
+
 class DiscriminantForm:
     """The finite quadratic module L'/L with a fixed element encoding.
 
@@ -117,7 +123,9 @@ class DiscriminantForm:
             for i, d in enumerate(diag):
                 if d > 1:
                     orders.append(d)
-                    gens.append(tuple(Fraction(v[r][i], d) for r in range(lattice.rank)))
+                    # only the class mod L matters: keep coordinates in [0, 1)
+                    gens.append(tuple(Fraction(v[r][i] % d, d)
+                                      for r in range(lattice.rank)))
             orders = tuple(orders)
             gens = tuple(gens)
         self.orders = tuple(orders)
@@ -264,26 +272,11 @@ def _box_has_value(lattice, shift, target_m, radius, cap=None):
 def _local_everywhere(lattice, m, mu, disc):
     from . import repnums  # deferred: repnums depends on this module
 
-    for p in sorted(_prime_divisors(2 * lattice.level)):
+    for p in bad_primes(lattice):
         w = repnums.w_p(m, disc.order_of(mu), p)
         if repnums.count(lattice, m, mu, p ** w, disc=disc).count == 0:
             return False
     return True
-
-
-def _prime_divisors(n):
-    n = abs(int(n))
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):

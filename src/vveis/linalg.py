@@ -20,19 +20,6 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def mat_frac(m):
-    return [[Fraction(x) for x in row] for row in m]
-
-
 def det_int(m):
     """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
     n = len(m)
@@ -115,21 +102,6 @@ def kernel(m):
             v[c] = -rows[r][f]
         basis.append(v)
     return basis
-
-
-def solve(a, b):
-    """One rational solution x of a x = b, or None if inconsistent."""
-    if not a:
-        return [] if all(x == 0 for x in b) else None
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    rows, pivots = rref(aug)
-    ncols = len(a[0])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
-    return x
 
 
 def smith_normal_form(a):
@@ -215,6 +187,27 @@ def smith_normal_form(a):
     return diag, u, v
 
 
+def sym_swap(g, c, i, j):
+    """Swap basis vectors i and j of the symmetric matrix g; c tracks the basis."""
+    if i == j:
+        return
+    for row in g:
+        row[i], row[j] = row[j], row[i]
+    g[i], g[j] = g[j], g[i]
+    for row in c:
+        row[i], row[j] = row[j], row[i]
+
+
+def sym_add(g, c, dst, src, f):
+    """Basis vector dst += f * basis vector src: column and row of g, column of c."""
+    for row in g:
+        row[dst] += f * row[src]
+    for k in range(len(g)):
+        g[dst][k] += f * g[src][k]
+    for row in c:
+        row[dst] += f * row[src]
+
+
 def congruent_diagonalize(g):
     """Exact symmetric congruence diagonalization over Q.
 
@@ -225,22 +218,6 @@ def congruent_diagonalize(g):
     n = len(g)
     a = [[Fraction(x) for x in row] for row in g]
     c = identity(n, Fraction(1))
-
-    def add_col(dst, src, f):  # col dst += f * col src, symmetric, tracked in c
-        for row in a:
-            row[dst] += f * row[src]
-        for i in range(n):
-            a[dst][i] += f * a[src][i]
-        for row in c:
-            row[dst] += f * row[src]
-
-    def swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        a[i], a[j] = a[j], a[i]
-        for row in c:
-            row[i], row[j] = row[j], row[i]
-
     for k in range(n):
         best = None
         for i in range(k, n):
@@ -258,11 +235,10 @@ def congruent_diagonalize(g):
             if found is None:
                 break  # remaining block is zero (degenerate input)
             i, j = found
-            add_col(i, j, Fraction(1))  # makes a[i][i] = 2*a[i][j] != 0
+            sym_add(a, c, i, j, Fraction(1))  # makes a[i][i] = 2*a[i][j] != 0
             best = i
-        if best != k:
-            swap(k, best)
+        sym_swap(a, c, k, best)
         for j in range(k + 1, n):
             if a[k][j] != 0:
-                add_col(j, k, -a[k][j] / a[k][k])
+                sym_add(a, c, j, k, -a[k][j] / a[k][k])
     return [a[i][i] for i in range(n)], c

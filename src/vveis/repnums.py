@@ -20,6 +20,7 @@ from math import lcm
 import numpy as np
 
 from . import linalg
+from .arith import factorize, kronecker, valuation
 from .errors import (
     BudgetExceeded,
     ConsistencyError,
@@ -38,13 +39,9 @@ def w_p(m, d_mu, p):
     t = 2 * d_mu * Fraction(m)
     if t == 0:
         raise PreconditionError("w_p needs m != 0")
-    v = 0
-    num, den = abs(t.numerator), t.denominator
-    if den % p == 0:
+    v = valuation(t, p)
+    if v < 0:
         raise NegativeValuation(f"2*{d_mu}*{m} is not {p}-integral")
-    while num % p == 0:
-        num //= p
-        v += 1
     return 1 + 2 * v
 
 
@@ -148,42 +145,6 @@ class JordanDecomposition:
     basechange: tuple  # rational, p-integral, p-unit determinant
 
 
-def _val_frac(x, p):
-    """p-valuation of a Fraction; None for 0."""
-    if x == 0:
-        return None
-    v = 0
-    num = abs(x.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def _sym_swap(g, c, i, j):
-    if i == j:
-        return
-    for row in g:
-        row[i], row[j] = row[j], row[i]
-    g[i], g[j] = g[j], g[i]
-    for row in c:
-        row[i], row[j] = row[j], row[i]
-
-
-def _sym_add(g, c, dst, src, f):
-    """Column dst += f * column src, mirrored on rows (basis change)."""
-    for row in g:
-        row[dst] += f * row[src]
-    for k in range(len(g)):
-        g[dst][k] += f * g[src][k]
-    for row in c:
-        row[dst] += f * row[src]
-
-
 @lru_cache(maxsize=None)
 def _jordan_exact(lattice, p):
     """Exact rational block-diagonalization of the Gram matrix over Z_p.
@@ -201,13 +162,13 @@ def _jordan_exact(lattice, p):
         while True:
             diag_best, diag_val = None, None
             for i in range(k, n):
-                v = _val_frac(g[i][i], p)
+                v = valuation(g[i][i], p)
                 if v is not None and (diag_val is None or v < diag_val):
                     diag_best, diag_val = i, v
             off_best, off_val = None, None
             for i in range(k, n):
                 for j in range(i + 1, n):
-                    v = _val_frac(g[i][j], p)
+                    v = valuation(g[i][j], p)
                     if v is not None and (off_val is None or v < off_val):
                         off_best, off_val = (i, j), v
             if p != 2:
@@ -216,14 +177,14 @@ def _jordan_exact(lattice, p):
                 # every remaining diagonal too deep: fold the minimal
                 # off-diagonal entry onto the diagonal (p odd keeps its value)
                 i, j = off_best
-                _sym_add(g, c, i, j, Fraction(1))
+                linalg.sym_add(g, c, i, j, Fraction(1))
                 continue
             break
         if p == 2 and (diag_val is None or (off_val is not None and off_val < diag_val)):
             i, j = off_best
-            _sym_swap(g, c, k, i)
+            linalg.sym_swap(g, c, k, i)
             j = i if j == k else j
-            _sym_swap(g, c, k + 1, j)
+            linalg.sym_swap(g, c, k + 1, j)
             det2 = g[k][k] * g[k + 1][k + 1] - g[k][k + 1] ** 2
             for l in range(k + 2, n):
                 # solve [g_kl, g_k+1,l] = B x, subtract
@@ -231,23 +192,23 @@ def _jordan_exact(lattice, p):
                 x1 = (g[k + 1][k + 1] * b1 - g[k][k + 1] * b2) / det2
                 x2 = (g[k][k] * b2 - g[k][k + 1] * b1) / det2
                 if x1:
-                    _sym_add(g, c, l, k, -x1)
+                    linalg.sym_add(g, c, l, k, -x1)
                 if x2:
-                    _sym_add(g, c, l, k + 1, -x2)
-            kv = _val_frac(g[k][k + 1], 2)
+                    linalg.sym_add(g, c, l, k + 1, -x2)
+            kv = valuation(g[k][k + 1], 2)
             sc = Fraction(2) ** kv
             blocks.append((kv, 2, (g[k][k] / (2 * sc), g[k][k + 1] / sc,
                                    g[k + 1][k + 1] / (2 * sc))))
             k += 2
             continue
         i = diag_best
-        _sym_swap(g, c, k, i)
+        linalg.sym_swap(g, c, k, i)
         pivot = g[k][k]
         for j in range(k + 1, n):
             if g[k][j]:
-                _sym_add(g, c, j, k, -g[k][j] / pivot)
+                linalg.sym_add(g, c, j, k, -g[k][j] / pivot)
         qc = pivot / 2
-        kv = _val_frac(qc, p)
+        kv = valuation(qc, p)
         blocks.append((kv, 1, (qc / Fraction(p) ** kv,)))
         k += 1
     spans = []
@@ -380,7 +341,6 @@ def _kron2(a):
 
 
 def _legendre_pow(a, p, w):
-    from .arith import kronecker
     return kronecker(a, p) if w % 2 else 1
 
 
@@ -471,7 +431,6 @@ def count_gauss(lattice, m, mu, p, w, disc=None):
         else:
             target[mono.exp] = target.get(mono.exp, Fraction(0)) + mono.coeff
     if rootp:
-        from .arith import kronecker
         shift = -(m_order // 4) if p % 4 == 3 else 0  # sqrt(p) = (-i)^[p=3 mod 4] g_p
         zp = m_order // p
         for ex, cf in rootp.items():
@@ -503,7 +462,6 @@ def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
     if a == 1:
         _scaled_data(lattice, m, mu, disc)  # precondition check
         return RepCount(Fraction(m), disc.check(mu), 1, 1, "naive")
-    from .arith import factorize
     total = 1
     methods = set()
     for p, e in sorted(factorize(a).items()):

@@ -1,10 +1,13 @@
-"""Characters, Bernoulli numbers, L-values, intervals, reconstruction.
+"""Characters, Bernoulli numbers, exact L-values and symbolic reals.
 
 Expected values were frozen from hand derivations (finite sums, functional
-equation instances) before implementation.
+equation instances) before implementation.  Exact L-values are also checked
+against a test-local oracle: a truncated Dirichlet series with an explicit
+tail bound, in rational arithmetic only.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,26 +15,47 @@ from hypothesis import strategies as st
 
 from vveis.arith import (
     CHI_TRIVIAL,
-    Interval,
     QuadraticCharacter,
     SymbolicReal,
     bernoulli,
     bernoulli_gen,
     gamma_half,
-    iroot,
     kronecker,
     l_value_exact,
-    l_value_interval,
     moebius,
-    pi_interval,
-    pow_interval,
-    rational_reconstruct,
     sigma,
-    sqrt_interval,
+    valuation,
     zeta_exact,
-    zeta_interval,
 )
-from vveis.errors import AmbiguousInterval, ParityMismatch, PreconditionError
+from vveis.errors import ParityMismatch, PreconditionError
+
+# pi to 30 decimals, rounded down and up
+PI_LO = Fraction(3141592653589793238462643383279, 10 ** 30)
+PI_HI = PI_LO + Fraction(1, 10 ** 30)
+
+
+def dirichlet_bracket(s, chi, n_terms):
+    """Rationals lo <= L(s, chi) <= hi from sum_{n <= N} chi(n) n^-s, s >= 2.
+
+    The tail is at most sum_{n > N} n^-s <= N^(1-s)/(s-1).  Each term is
+    floored at scale 2^96, so the floored sum lies within N/2^96 below the
+    true partial sum.
+    """
+    scale = 1 << 96
+    floored = sum(chi(n) * scale // n ** s for n in range(1, n_terms + 1))
+    tail = Fraction(1, (s - 1) * n_terms ** (s - 1))
+    return (Fraction(floored, scale) - tail,
+            Fraction(floored + n_terms, scale) + tail)
+
+
+def symbolic_bracket(x):
+    """Rationals lo <= q * pi^a * sqrt(d) <= hi for an integral pi-power a >= 0."""
+    assert x.a.denominator == 1 and x.a >= 0
+    digits = 10 ** 40
+    root = isqrt(x.d * digits * digits)
+    lo = PI_LO ** int(x.a) * Fraction(root, digits)
+    hi = PI_HI ** int(x.a) * Fraction(root + 1, digits)
+    return (x.q * lo, x.q * hi) if x.q > 0 else (x.q * hi, x.q * lo)
 
 
 class TestKronecker:
@@ -134,6 +158,16 @@ class TestBernoulli:
                     assert bernoulli_gen(n, chi) == 0
 
 
+class TestValuation:
+    def test_integers_and_rationals(self):
+        assert valuation(48, 2) == 4
+        assert valuation(-48, 3) == 1
+        assert valuation(Fraction(9, 8), 2) == -3
+        assert valuation(Fraction(9, 8), 3) == 2
+        assert valuation(Fraction(9, 8), 5) == 0
+        assert valuation(0, 7) is None
+
+
 class TestLValues:
     def test_zeta2(self):
         assert zeta_exact(2) == SymbolicReal.make(Fraction(1, 6), 2, 1)
@@ -152,34 +186,34 @@ class TestLValues:
             l_value_exact(1, QuadraticCharacter(5))
 
     def test_interval_zeta2(self):
-        iv = zeta_interval(2, 64)
-        assert iv.width <= Fraction(1, 1 << 64)
-        assert iv.intersects(zeta_exact(2).interval(160))
-
-    def test_interval_catalan(self):
-        # L(2, chi_-4) = Catalan's constant
-        iv = l_value_interval(2, QuadraticCharacter(-4), 64)
-        catalan = Fraction(915965594177219015054603514932384110774)
-        catalan /= 10 ** 39
-        assert iv.lo <= catalan <= iv.hi
-
-    def test_interval_nesting(self):
-        a = l_value_interval(2, QuadraticCharacter(8), 64)
-        b = l_value_interval(2, QuadraticCharacter(8), 128)
-        assert a.lo <= b.lo and b.hi <= a.hi
+        # zeta(2) = pi^2/6 inside a rational enclosure of the Dirichlet series
+        lo, hi = dirichlet_bracket(2, CHI_TRIVIAL, 4000)
+        ex_lo, ex_hi = symbolic_bracket(zeta_exact(2))
+        assert lo <= ex_lo <= ex_hi <= hi
+        assert hi - lo < Fraction(1, 1000)
 
     def test_exact_vs_interval_battery(self):
+        # every (D, s) pair against a rational enclosure of the Dirichlet
+        # series, D = 1 being zeta(s)
         pairs = 0
-        for d in (-4, 5, 8, -8, 12, 13, -20, 24, -24, 40):
+        for d in (1, -4, 5, 8, -8, 12, 13, -20, 24, -24, 40):
             chi = QuadraticCharacter(d)
             for s in range(2, 9):
                 if chi.primitive_part().parity != (-1) ** s:
                     continue
-                exact = l_value_exact(s, chi)
-                iv = l_value_interval(s, chi, 96)
-                assert iv.intersects(exact.interval(192)), (d, s)
+                lo, hi = dirichlet_bracket(s, chi, 4000 if s == 2 else 1000)
+                ex_lo, ex_hi = symbolic_bracket(l_value_exact(s, chi))
+                assert lo <= ex_hi and ex_lo <= hi, (d, s)
                 pairs += 1
         assert pairs >= 30
+
+    def test_dirichlet_catalan(self):
+        # the oracle itself, on a value with no closed form:
+        # L(2, chi_-4) = Catalan's constant
+        lo, hi = dirichlet_bracket(2, QuadraticCharacter(-4), 4000)
+        catalan = Fraction(915965594177219015054603514932384110774, 10 ** 39)
+        assert lo <= catalan <= hi
+        assert hi - lo < Fraction(1, 1000)
 
     def test_imprimitive_reduction(self):
         # chi_48 is chi_12 with the Euler factor at 2 already dead (2 | 12)
@@ -210,60 +244,3 @@ class TestSymbolicReal:
             Fraction(15, 8), Fraction(1, 2), 1)
         assert gamma_half(Fraction(-1, 2)) == SymbolicReal.make(
             -2, Fraction(1, 2), 1)
-
-    def test_half_pi_interval(self):
-        x = SymbolicReal.make(1, Fraction(1, 2), 1)
-        iv = x.interval(96)
-        # sqrt(pi) = 1.77245385090551602...
-        assert iv.lo < Fraction(177245386, 10 ** 8) < iv.hi + 1
-
-
-class TestIntervals:
-    def test_pi(self):
-        iv = pi_interval(96)
-        lo_ref = Fraction(31415926535897932384, 10 ** 19)  # < pi
-        hi_ref = Fraction(31415926535897932385, 10 ** 19)  # > pi
-        assert lo_ref < iv.lo < iv.hi < hi_ref
-        assert iv.width <= Fraction(1, 1 << 90)
-
-    def test_iroot(self):
-        assert iroot(26, 3) == 2
-        assert iroot(27, 3) == 3
-        assert iroot(10 ** 12, 4) == 1000
-        assert iroot(0, 5) == 0
-
-    def test_pow_interval(self):
-        iv = pow_interval(Fraction(2), Fraction(-3, 2), 96)
-        # 2^(-3/2) = 0.35355339...
-        assert iv.lo < Fraction(35355340, 10 ** 8) < iv.hi + Fraction(1, 10 ** 7)
-        assert iv.width < Fraction(1, 1 << 80)
-
-    def test_sqrt_interval(self):
-        iv = sqrt_interval(Fraction(2), 96)
-        assert iv.lo ** 2 <= 2 <= iv.hi ** 2
-
-
-class TestReconstruction:
-    def test_third(self):
-        iv = Interval(Fraction(3333330, 10 ** 7), Fraction(3333337, 10 ** 7))
-        assert rational_reconstruct(iv, 10) == Fraction(1, 3)
-
-    def test_integer(self):
-        tiny = Fraction(1, 10 ** 30)
-        iv = Interval(240 - tiny, 240 + tiny)
-        assert rational_reconstruct(iv, 10 ** 6) == 240
-
-    def test_pi_rejected(self):
-        pi = pi_interval(128)
-        assert rational_reconstruct(pi, 10) is None
-
-    def test_ambiguous(self):
-        with pytest.raises(AmbiguousInterval):
-            rational_reconstruct(Interval(Fraction(0), Fraction(1)), 10)
-
-    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 1000))
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip(self, num, den):
-        x = Fraction(num, den)
-        eps = Fraction(1, 4 * 1000 * 1000 * 3)
-        assert rational_reconstruct(Interval(x - eps, x + eps), 1000) == x

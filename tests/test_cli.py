@@ -74,15 +74,26 @@ class TestConfig:
     def test_defaults(self):
         cfg = cli.load_config(env={})
         assert cfg.naive_cap == 10 ** 8
-        assert cfg.prec_bits == 96
+        assert cfg.cache_dir == ""
         assert not cfg.cross_check
 
     def test_file_and_env_layering(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"prec_bits": 64, "naive_cap": 500}))
-        cfg = cli.load_config(str(p), env={"VVEIS_PREC_BITS": "128"})
-        assert cfg.prec_bits == 128  # env wins
-        assert cfg.naive_cap == 500
+        p.write_text(json.dumps({"naive_cap": 500, "cache_dir": "c"}))
+        cfg = cli.load_config(str(p), env={"VVEIS_NAIVE_CAP": "700"})
+        assert cfg.naive_cap == 700  # env wins
+        assert cfg.cache_dir == "c"
+
+    def test_precision_keys_rejected(self, tmp_path, lat_files):
+        # the L-value is always exact: the old interval-precision keys are
+        # unknown keys now, and a config setting them is a usage error
+        for key in ("prec_bits", "denom_bound"):
+            p = tmp_path / f"{key}.json"
+            p.write_text(json.dumps({key: 96}))
+            with pytest.raises(PreconditionError, match="unknown"):
+                cli.load_config(str(p), env={})
+            code, _, err = run_cli(["--config", str(p), "info", lat_files["e8"]])
+            assert code == 2 and key in err
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -234,6 +245,23 @@ class TestCache:
         code, out2, err = run_cli(self._eis_args(lat_files))
         assert code == 0 and out2 == out1
         assert "corrupt cache entry" in err
+
+
+    def test_stale_temp_directory_does_not_block_write(self, lat_files,
+                                                       tmp_path, monkeypatch):
+        # a leftover "<digest>.tmp" (here a directory, so it cannot be
+        # overwritten) must not break the write: temp names are unique
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("VVEIS_CACHE_DIR", str(cache))
+        _, out1, _ = run_cli(self._eis_args(lat_files))
+        (entry,) = cache.glob("*.json")
+        entry.unlink()
+        (cache / f"{entry.stem}.tmp").mkdir()
+        code, out2, _ = run_cli(self._eis_args(lat_files))
+        assert code == 0 and out2 == out1
+        assert entry.exists()
+        assert sorted(x.name for x in cache.iterdir()) == sorted(
+            [entry.name, f"{entry.stem}.tmp"])
 
 
 class TestBattery:

@@ -20,6 +20,7 @@ from vveis.eisenstein import (
     lower_bound_report,
 )
 from vveis.errors import (
+    ConsistencyError,
     KappaTooSmall,
     NotAdmissible,
     ParityMismatch,
@@ -91,6 +92,7 @@ def direct_sum(*grams):
 
 
 FIXTURE = direct_sum(E8, D4, [[-2]], [[-2]])
+U = [[0, 1], [1, 0]]
 
 
 def sigma3(m):
@@ -191,14 +193,15 @@ class TestOddRank:
         lat = new_lattice(D5)
         assert eis_coefficient(lat, 1, (0,)) == 40
 
-    def test_interval_fallback_agrees(self, monkeypatch):
+    def test_parity_mismatch_is_consistency_error(self, monkeypatch):
+        # the odd-rank character always has the parity of kappa - 1/2, so a
+        # mismatch is a broken invariant (exit 4), not a precondition
         def raise_parity(s, chi):
             raise ParityMismatch("forced")
 
         monkeypatch.setattr(eisenstein, "l_value_exact", raise_parity)
-        lat = new_lattice(D5)
-        assert eis_coefficient(lat, 1, (0,)) == 40
-        assert eis_coefficient(lat, Fraction(5, 8), (1,)) == 16
+        with pytest.raises(ConsistencyError):
+            eis_coefficient(new_lattice(D5), 1, (0,))
 
     def test_moebius_term_with_odd_square_part(self):
         # m = 9 has f = 3 coprime to 2N: the divisor-sum correction is live
@@ -297,6 +300,19 @@ class TestLowerBoundReport:
         assert report.exponent == Fraction(9, 10)
         assert report.rows[0].ratio_exact is None
         assert report.all_positive
+
+    def test_huge_coefficient_does_not_overflow(self):
+        # a 312-digit coefficient: the float ratio is advisory and must not
+        # overflow; positivity is decided on the exact value
+        lat = new_lattice(direct_sum(U, U, [[2]]))
+        report = lower_bound_report(lat, [(3 ** 431, (0,))], bound_a=1)
+        assert report.all_positive
+        assert len(str(report.rows[0].coefficient)) == 312
+        assert report.rows[0].ratio > 0
+
+    def test_nonpositive_m_rejected(self):
+        with pytest.raises(NotAdmissible):
+            lower_bound_report(new_lattice(E8), [(0, ())], bound_a=4)
 
     def test_half_integral_kappa_ratio(self):
         lat = new_lattice(D5)

@@ -26,6 +26,11 @@ from vveis.lattice import (
 
 U = [[0, 1], [1, 0]]
 A1 = [[2]]
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 A1M = [[-2]]
 
 E8 = [
@@ -70,7 +75,7 @@ class TestLinalg:
             d, u, v = linalg.smith_normal_form([list(r) for r in g])
             assert abs(linalg.det_int(u)) == 1
             assert abs(linalg.det_int(v)) == 1
-            prod = linalg.mat_mul(linalg.mat_mul(u, [list(r) for r in g]), v)
+            prod = mat_mul(mat_mul(u, [list(r) for r in g]), v)
             for i in range(len(g)):
                 for j in range(len(g)):
                     assert prod[i][j] == (d[i] if i == j else 0)
@@ -81,7 +86,7 @@ class TestLinalg:
         for g in (U, A1M, E8, D4, direct_sum(U, U, A1M)):
             diag, c = linalg.congruent_diagonalize(g)
             gf = [[Fraction(x) for x in row] for row in g]
-            res = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), gf), c)
+            res = mat_mul(mat_mul(linalg.transpose(c), gf), c)
             for i in range(len(g)):
                 for j in range(len(g)):
                     assert res[i][j] == (diag[i] if i == j else 0)
@@ -93,7 +98,7 @@ class TestLinalg:
         g = [[raw[i][j] + raw[j][i] for j in range(3)] for i in range(3)]
         diag, c = linalg.congruent_diagonalize(g)
         gf = [[Fraction(x) for x in row] for row in g]
-        res = linalg.mat_mul(linalg.mat_mul(linalg.transpose(c), gf), c)
+        res = mat_mul(mat_mul(linalg.transpose(c), gf), c)
         for i in range(3):
             for j in range(3):
                 assert res[i][j] == (diag[i] if i == j else 0)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from vveis import linalg, repnums
+from vveis import acceptance, linalg, repnums
 from vveis.errors import (
     BudgetExceeded,
     NegativeValuation,
@@ -32,6 +32,11 @@ E8 = [
     [0, 0, 0, 0, 0, -1, 2, -1],
     [0, 0, 0, 0, 0, 0, -1, 2],
 ]
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def random_even_lattice(rng, rank, spread=3):
@@ -96,6 +101,36 @@ class TestCountNaive:
         with pytest.raises(BudgetExceeded):
             repnums.count_naive(new_lattice(U), 0, (), 100, cap=100)
 
+    def test_unimodular_conjugate(self):
+        # a GL_n(Z) conjugate U^T G U of the fixture lattice whose raw Smith
+        # normal form columns reach ~10^166: the generators are reduced mod
+        # L, so counts stay on int64 and agree with the base lattice
+        base = new_lattice(acceptance.FIXTURE_GRAM)
+        n = base.rank
+        rng = random.Random(0)
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-1, 1))
+            for row in u:
+                row[i] += c * row[j]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        u = [[row[k] for k in perm] for row in u]
+        conj = new_lattice(mat_mul(linalg.transpose(u), mat_mul(base.gram, u)))
+        dc, db = discriminant_form(conj), discriminant_form(base)
+        assert all(0 <= x < 1 for gen in dc.gens for x in gen)
+        for mu in dc.elements():
+            # x -> U x maps the conjugate isometrically onto the base
+            w = [sum(u[r][k] * x for k, x in enumerate(dc.vector(mu)))
+                 for r in range(n)]
+            (nu,) = [nu for nu in db.elements() if all(
+                (a - b).denominator == 1 for a, b in zip(db.vector(nu), w))]
+            m = dc.q_value(mu) + 1
+            assert db.q_value(nu) == dc.q_value(mu)
+            assert (repnums.count_naive(conj, m, mu, 2).count
+                    == repnums.count_naive(base, m, nu, 2).count)
+
     def test_invariant_bound(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -141,8 +176,8 @@ class TestJordan:
                 e = 6
                 dec = repnums.jordan_decompose(lat, p, e)
                 c = [list(row) for row in dec.basechange]
-                gc = linalg.mat_mul(linalg.mat_frac(lat.gram), c)
-                bd = linalg.mat_mul(linalg.transpose(c), gc)
+                gc = mat_mul([[Fraction(x) for x in row] for row in lat.gram], c)
+                bd = mat_mul(linalg.transpose(c), gc)
                 pe = Fraction(p ** e)
                 pos = 0
                 for b in dec.blocks:
