@@ -13,26 +13,116 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
-from .errors import NonPrimitive, ParityMismatch, PreconditionError
+from .errors import BudgetExceeded, NonPrimitive, ParityMismatch, PreconditionError
+
+
+_TRIAL_BOUND = 1 << 10
+# Miller-Rabin to these bases is deterministic below _MR_LIMIT
+# (Sorenson-Webster, Math. Comp. 86 (2017); OEIS A014233)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+_RHO_STEPS = 1 << 22
 
 
 def factorize(n):
-    """{prime: exponent} for |n|, n != 0."""
+    """{prime: exponent} for |n|, n != 0, in ascending order of primes.
+
+    Trial division up to 2^10, then Miller-Rabin (a proof below 3.3e24) and
+    Pollard rho.  A cofactor that can be neither proved prime nor split
+    within the rho budget raises BudgetExceeded.
+    """
     n = abs(int(n))
     if n == 0:
         raise PreconditionError("cannot factor 0")
     out = {}
-    d = 2
+    e = (n & -n).bit_length() - 1
+    if e:
+        out[2] = e
+        n >>= e
+    d = 3
     while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
+        if d > _TRIAL_BOUND:
+            _factor_large(n, d, out)
+            return dict(sorted(out.items()))
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out[d] = e
+        d += 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
+
+
+def _factor_large(n, d, out):
+    """Add to out the factorization of n, which has no prime factor below d."""
+    stack = [n]
+    while stack:
+        n = stack.pop()
+        if n < d * d or _is_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            f = _rho(n)
+            stack += [f, n // f]
+
+
+def _is_prime(n):
+    """Miller-Rabin to _MR_BASES for n without prime factors up to 41;
+    BudgetExceeded if n passes every base but is too large for that to be
+    a proof."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise BudgetExceeded(f"{n} passes Miller-Rabin but is too large to prove prime")
+    return True
+
+
+def _rho(n):
+    """A proper factor of the odd composite n (Pollard rho, Brent's cycle
+    search); BudgetExceeded after _RHO_STEPS steps."""
+    steps, c = 0, 0
+    while True:
+        c += 1
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            acc, k = 1, 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
+                k += 64
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise BudgetExceeded(f"no factor of {n} within {_RHO_STEPS} rho steps")
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def valuation(x, p):

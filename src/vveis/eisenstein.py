@@ -75,11 +75,8 @@ def _sym_sqrt(x):
 def _local_product(ctx, m, mu, extra_odd=False):
     """prod over p | 2N of N_{m,mu}(p^{w_p}) / p^{(2k-1)w_p}, exact."""
     two_kappa = int(2 * ctx.kappa)
-    dmu = ctx.disc.order_of(mu)
     out = Fraction(1)
-    for p in ctx.primes:
-        wp = repnums.w_p(m, dmu, p)
-        n_p = repnums.count(ctx.lattice, m, mu, p ** wp, disc=ctx.disc).count
+    for p, wp, n_p in repnums.local_counts(ctx.lattice, m, mu, ctx.disc):
         out *= Fraction(n_p, p ** ((two_kappa - 1) * wp))
         if extra_odd:
             out /= 1 - Fraction(p) ** (1 - two_kappa)

@@ -67,6 +67,7 @@ class EvenLattice:
         dens = [Fraction(inv[i][i], 2).denominator for i in range(n)]
         dens += [inv[i][j].denominator for i in range(n) for j in range(n) if i != j]
         self.level = lcm(*dens)
+        self._neg = None
 
     def q_value(self, vec):
         """Q(vec) for a rational vector in basis coordinates."""
@@ -79,7 +80,19 @@ class EvenLattice:
                    for i in range(self.rank) for j in range(self.rank))
 
     def negated(self):
-        return EvenLattice([[-x for x in row] for row in self.gram])
+        """The lattice with Gram matrix -G, derived from this one's invariants
+        (det (-1)^rank, signature swapped, same level); built once, and
+        negating that returns this lattice."""
+        if self._neg is None:
+            neg = object.__new__(EvenLattice)
+            neg.gram = tuple(tuple(-x for x in row) for row in self.gram)
+            neg.rank = self.rank
+            neg.det = self.det * (-1) ** self.rank
+            neg.sig_pos, neg.sig_neg = self.sig_neg, self.sig_pos
+            neg.level = self.level
+            neg._neg = self
+            self._neg = neg
+        return self._neg
 
     @property
     def is_definite(self):
@@ -132,6 +145,8 @@ class DiscriminantForm:
         self.gens = tuple(gens)
         self._elements = None
         self._qcache = {}
+        self._vcache = {}
+        self._neg = None
 
     @property
     def size(self):
@@ -156,11 +171,13 @@ class DiscriminantForm:
     def vector(self, mu):
         """A representative of mu in the dual lattice, in basis coordinates."""
         mu = self.check(mu)
-        v = [Fraction(0)] * self.lattice.rank
-        for a, g in zip(mu, self.gens):
-            for r in range(self.lattice.rank):
-                v[r] += a * g[r]
-        return tuple(v)
+        if mu not in self._vcache:
+            v = [Fraction(0)] * self.lattice.rank
+            for a, g in zip(mu, self.gens):
+                for r in range(self.lattice.rank):
+                    v[r] += a * g[r]
+            self._vcache[mu] = tuple(v)
+        return self._vcache[mu]
 
     def q_value(self, mu):
         """Q(mu) mod 1, in [0, 1)."""
@@ -184,7 +201,12 @@ class DiscriminantForm:
         return tuple((d - a) % d for a, d in zip(mu, self.orders))
 
     def negated(self):
-        return DiscriminantForm(self.lattice.negated(), self.orders, self.gens)
+        """The same generators over the negated lattice; built once, and
+        negating that returns this form."""
+        if self._neg is None:
+            self._neg = DiscriminantForm(self.lattice.negated(), self.orders, self.gens)
+            self._neg._neg = self
+        return self._neg
 
     def __eq__(self, other):
         return (isinstance(other, DiscriminantForm)
@@ -272,11 +294,7 @@ def _box_has_value(lattice, shift, target_m, radius, cap=None):
 def _local_everywhere(lattice, m, mu, disc):
     from . import repnums  # deferred: repnums depends on this module
 
-    for p in bad_primes(lattice):
-        w = repnums.w_p(m, disc.order_of(mu), p)
-        if repnums.count(lattice, m, mu, p ** w, disc=disc).count == 0:
-            return False
-    return True
+    return all(n for _, _, n in repnums.local_counts(lattice, m, mu, disc))
 
 
 def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):

@@ -1,11 +1,17 @@
 """Congruence representation numbers N_{m,mu}(a) with two independent paths.
 
-count_naive enumerates residues; count_gauss evaluates the finite character
-sum N = p^{-w} sum_t e(t(Q(r+mu)-m)/p^w) through closed-form quadratic Gauss
-sums per p-adic Jordan block, in exact cyclotomic arithmetic.  The two paths
-share no code beyond the lattice type, which is the point: equality on random
-instances is the package's central correctness check (env VVEIS_CROSSCHECK=1
-forces both paths on every count() call).
+count_naive enumerates the a^rank residues.  count_gauss evaluates the
+character sum N = p^-w sum_{t mod p^w} sum_r e(t (Q(r + mu) - m) / p^w)
+by valuation class t = p^v u (u a unit): per class the sum over r factors
+into quadratic Gauss sums of the p-adic Jordan blocks, which depend on u
+only through (u|p) (odd p) or u mod 8 (p = 2) and a phase linear in u, so
+the sum over u is a Ramanujan sum, a Legendre-twisted Ramanujan sum, or
+four residues mod 8 times a geometric sum.  That is O(w * rank) exact
+terms for any p^w (compare T. Yang's explicit local densities, J. Number
+Theory 72 (1998)).  The two paths share no code beyond the lattice type,
+which is the point: equality on random instances is the package's central
+correctness check (env VVEIS_CROSSCHECK=1 forces both paths on every
+count() and local_counts() count).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .errors import (
     PrecisionTooLow,
     PreconditionError,
 )
-from .lattice import discriminant_form
+from .lattice import bad_primes, discriminant_form
 
 _NAIVE_CHUNK = 1 << 18
 
@@ -262,187 +268,212 @@ def _reduce_mod(x, p, e):
 # Gauss-sum path
 
 
-class _Mono:
-    """coeff * zeta_M^exp * sqrt(2)^f2 * sqrt(p)^fp, flags in {0,1}."""
+@lru_cache(maxsize=None)
+def _gauss_frame(lattice, vec, p):
+    """The congruence Q(r + vec) = m in the Jordan frame of ``_jordan_exact``.
 
-    __slots__ = ("coeff", "exp", "f2", "fp")
-
-    def __init__(self, coeff, exp=0, f2=0, fp=0):
-        self.coeff = Fraction(coeff)
-        self.exp = exp
-        self.f2 = f2
-        self.fp = fp
-
-    def mul(self, other, m_order, p):
-        coeff = self.coeff * other.coeff
-        f2 = self.f2 + other.f2
-        if f2 == 2:
-            coeff *= 2
-            f2 = 0
-        fp = self.fp + other.fp
-        if fp == 2:
-            coeff *= p
-            fp = 0
-        return _Mono(coeff, (self.exp + other.exp) % m_order, f2, fp)
-
-
-def _gauss1(a, b, p, w, m_order):
-    """Sum_{y mod p^w} e((a y^2 + b y)/p^w) as a _Mono, or None for zero.
-
-    a, b are integers (a reduced mod at least p^(w+2)).
+    There it reads sum_i f_i(y_i) + Q(vec) - m = 0 with f_i = p^k form_i +
+    lin_i . y_i.  Returns (Q(vec), blocks), one (k, dim, vl, unit, phi) per
+    block: vl = ord_p(lin_i) (inf for lin_i = 0); unit = (u|p) for a line
+    p^k u y^2 at odd p, u mod 8 for a dyadic line, and +1 / -1 for a
+    hyperbolic / anisotropic dyadic plane; phi = -p^k form_i(s) is the
+    p-integral constant left by completing the square, f_i(y) =
+    p^k form_i(y + s) + phi with p^k B_i s = lin_i (B_i the Gram matrix of
+    form_i), or None where s is not p-integral (the block's sum then
+    vanishes whenever the form is not zero mod the modulus).
     """
-    if w == 0:
-        return _Mono(1)
-    q = p ** w
-    if a % q == 0:
-        return _Mono(q) if b % q == 0 else None
-    alpha = 0
-    aa = a
-    while aa % p == 0:
-        aa //= p
-        alpha += 1
-    if alpha > 0:
-        if b % p ** alpha:
-            return None
-        sub = _gauss1(a // p ** alpha, b // p ** alpha, p, w - alpha, m_order)
-        if sub is None:
-            return None
-        return _Mono(p ** alpha).mul(sub, m_order, p)
-    if p != 2:
-        inv4a = pow(4 * a, -1, q)
-        phase = (-b * b * inv4a) % q
-        mono = _Mono(p ** (w // 2), phase * (m_order // q) % m_order)
-        sign = _legendre_pow(a, p, w)
-        mono.coeff *= sign
-        if w % 2:
-            mono.fp = 1
-            if p % 4 == 3:  # eps_{p^w} = i
-                mono.exp = (mono.exp + m_order // 4) % m_order
-        return mono
-    # p = 2, a odd
-    if w == 1:
-        return _Mono(2) if b % 2 else None
-    if b % 2:
-        return None
-    bh = b // 2
-    cc = (bh * pow(a, -1, q // 2)) % (q // 2)
-    phase = (-a * cc * cc) % q
-    mono = _Mono(2 ** ((w + 1) // 2), phase * (m_order // q) % m_order,
-                 f2=(w + 1) % 2)
-    if w % 2 == 1 and _kron2(a) == -1:  # (2|a)^w, trivial for even w
-        mono.coeff = -mono.coeff
-    z8 = m_order // 8
-    mono.exp = (mono.exp + (z8 if a % 4 == 1 else -z8)) % m_order
-    return mono
+    n = lattice.rank
+    jordan, cmat = _jordan_exact(lattice, p)
+    ell = [sum(lattice.gram[i][j] * vec[j] for j in range(n)) for i in range(n)]
+    assert all(x.denominator == 1 for x in ell), "mu is not a dual vector"
+    lin = [sum(cmat[j][i] * ell[j] for j in range(n)) for i in range(n)]
+    blocks = []
+    pos = 0
+    for k, dim, data in jordan:
+        lb = lin[pos:pos + dim]
+        pos += dim
+        vl = min((valuation(x, p) for x in lb if x), default=inf)
+        if dim == 2:
+            a, b, c = data
+            unit = 1 if (a * c).numerator % 2 == 0 else -1
+            phi = (-(c * lb[0] ** 2 - b * lb[0] * lb[1] + a * lb[1] ** 2)
+                   / (2 ** k * (4 * a * c - b * b)) if vl >= k else None)
+        else:
+            (a,) = data
+            if p == 2:
+                unit = a.numerator * pow(a.denominator, -1, 8) % 8
+            else:
+                unit = kronecker(a.numerator * a.denominator, p)
+            phi = -lb[0] ** 2 / (4 * a * p ** k) if vl >= k + (p == 2) else None
+        blocks.append((k, dim, vl, unit, phi))
+    return lattice.q_value(vec), tuple(blocks)
 
 
-def _kron2(a):
-    return 1 if a % 8 in (1, 7) else -1
+def _odd_class(blocks, phis, p, W, c):
+    """Sum over units u mod p^W of sum_y e(u (f(y) + c) / p^W), p odd.
 
-
-def _legendre_pow(a, p, w):
-    return kronecker(a, p) if w % 2 else 1
-
-
-def _gauss2(t, k, abc, lin, w, m_order):
-    """2x2 dyadic block contribution for parameter t, or None for zero.
-
-    Quadratic part t * 2^k (a y1^2 + b y1 y2 + c y2^2) with b odd; linear
-    part t*(l1 y1 + l2 y2).  Type by det of the bilinear block mod 8.
+    A line with V = W - k > 0 gives p^k times the Gauss sum
+    (ua|p)^V eps_{p^V} p^(V/2) e(u phi / p^W); the odd-V lines leave the
+    character (u|p)^odd, so the u-sum is a Ramanujan sum or p^(W-1) times
+    a Legendre-twisted one.  Every g_p = eps_p sqrt(p) pairs up into
+    g_p^2 = (-1|p) p, so the value is an integer.
     """
-    q = 1 << w
-    a, b, c = abc
-    l1, l2 = lin
-    tl1, tl2 = t * l1, t * l2
-    if t == 0:
-        vt = w + k + 1  # effectively infinite
+    mag, odd = 1, 0
+    for (k, _, vl, unit, _), phi in zip(blocks, phis):
+        if W <= k:
+            if vl < W:
+                return 0
+            mag *= p ** W
+            continue
+        if vl < k:
+            return 0
+        mag *= p ** (k + (W - k) // 2)
+        if (W - k) % 2:
+            mag *= unit
+            odd += 1
+        c += phi
+    if W == 0:
+        return mag
+    q1 = p ** (W - 1)
+    c %= q1 * p
+    g2 = p if p % 4 == 1 else -p
+    if odd % 2 == 0:
+        ram = q1 * (p - 1) if c == 0 else -q1 if c % q1 == 0 else 0
+        return mag * g2 ** (odd // 2) * ram
+    if c % q1:
+        return 0
+    return mag * g2 ** ((odd + 1) // 2) * q1 * kronecker(c // q1, p)
+
+
+def _dyadic_class(blocks, phis, W, c):
+    """Sum over units u mod 2^W of sum_y e(u (f(y) + c) / 2^W) in Z[zeta_8].
+
+    Returned as coefficients of 1, zeta, zeta^2, zeta^3 (zeta = e(1/8)).
+    A line with V = W - k >= 2 gives 2^k (1 + i^(ua)) (2|ua)^V 2^(V/2)
+    e(u phi / 2^W), which depends on u mod 8 besides the phase; so u runs
+    over the odd residues mod 8 and the rest of u mod 2^W is a geometric
+    sum, 2^(W-3) when 2^(W-3) divides the phase and 0 otherwise.
+    """
+    mag, roots, chars = 1, 0, []
+    for (k, dim, vl, unit, _), phi in zip(blocks, phis):
+        if W <= k:
+            if vl < W:
+                return (0, 0, 0, 0)
+            mag <<= dim * W
+            continue
+        v = W - k
+        if dim == 2:  # (+-2)^V: hyperbolic or anisotropic plane
+            if vl < k:
+                return (0, 0, 0, 0)
+            mag *= unit ** v << (2 * k + v)
+            c += phi
+        elif v == 1:  # sum_y e(u (a y^2 + l y) / 2) is 2 for l odd, else 0
+            if vl != k:
+                return (0, 0, 0, 0)
+            mag <<= k + 1
+        else:
+            if vl <= k:
+                return (0, 0, 0, 0)
+            mag <<= k + v // 2
+            roots += v % 2
+            chars.append((unit, v % 2 == 1))
+            c += phi
+    c %= 1 << W
+    if W >= 3:
+        if c % (1 << (W - 3)):
+            return (0, 0, 0, 0)
+        mag <<= W - 3
+        step, residues = c >> (W - 3), (1, 3, 5, 7)
     else:
-        vt = (t & -t).bit_length() - 1
-    s = min(k + vt, w)
-    if tl1 % (1 << s) or tl2 % (1 << s):
-        return None
-    det = 4 * a * c - b * b
-    if s >= w:
-        return _Mono(Fraction(2) ** (2 * w))
-    inv_det = pow(det, -1, q)
-    # sigma = -B^{-1} (l / 2^k) mod 2^w
-    h1, h2 = l1 >> k, l2 >> k
-    s1 = (-(inv_det * (2 * c * h1 - b * h2))) % q
-    s2 = (-(inv_det * (2 * a * h2 - b * h1))) % q
-    qs = a * s1 * s1 + b * s1 * s2 + c * s2 * s2
-    f0 = (t * ((1 << k) * qs + l1 * s1 + l2 * s2)) % q
-    base = 2 if det % 8 == 7 else -2
-    val = Fraction(2) ** (2 * s) * Fraction(base) ** (w - s)
-    return _Mono(val, f0 * (m_order // q) % m_order)
+        step, residues = c << (3 - W), (1,) if W < 2 else (1, 3)
+    z = [0, 0, 0, 0]
+    for r in residues:
+        ex, sign = r * step, 1
+        for a, odd_v in chars:  # 1 + i^(ra) = sqrt(2) zeta^(+-1)
+            ra = r * a % 8
+            ex += 1 if ra % 4 == 1 else -1
+            if odd_v and ra in (3, 5):
+                sign = -sign
+        ex %= 8
+        z[ex % 4] += sign if ex < 4 else -sign
+    roots += len(chars)
+    mag <<= roots // 2
+    if roots % 2:  # times sqrt(2) = zeta - zeta^3
+        z = [z[1] - z[3], z[0] + z[2], z[1] + z[3], z[2] - z[0]]
+    return tuple(mag * x for x in z)
 
 
 def count_gauss(lattice, m, mu, p, w, disc=None):
-    """N_{m,mu}(p^w) via the character sum over Jordan blocks.
+    """N_{m,mu}(p^w) = p^-w sum_t sum_y e(t (Q(y + mu) - m) / p^w), in O(w * rank).
 
-    Independent of count_naive by construction; asserts the final cyclotomic
-    value is a non-negative integer (NonIntegralResult otherwise: that is
-    always an implementation bug, never a data problem).
+    The sum over t mod p^w is taken by valuation class t = p^v u: the class
+    contributes p^(v rank) times a closed form at level W = w - v (see
+    ``_odd_class`` and ``_dyadic_class``), so the cost is w + 1 classes of
+    one term per Jordan block, whatever the size of p^w.  Independent of
+    count_naive by construction; the total must be a non-negative integer
+    (NonIntegralResult otherwise: that is always an implementation bug,
+    never a data problem).
     """
     w = int(w)
     if w < 1:
         raise PreconditionError("w must be >= 1")
-    disc, mu, m, vec, den, s, t0 = _scaled_data(lattice, m, mu, disc)
-    q = p ** w
-    c0 = disc.lattice.q_value(vec) - m
+    if disc is None:
+        disc = discriminant_form(lattice)
+    mu = disc.check(mu)
+    m = Fraction(m)
+    if (m - disc.q_value(mu)).denominator != 1:
+        raise PreconditionError("m must be congruent to Q(mu) mod 1")
+    qv, blocks = _gauss_frame(lattice, disc.vector(mu), p)
+    c0 = qv - m
     assert c0.denominator == 1, "precondition checked above"
     c0 = int(c0)
-    ell = [sum(lattice.gram[i][j] * vec[j] for j in range(lattice.rank))
-           for i in range(lattice.rank)]
-    assert all(x.denominator == 1 for x in ell), "mu is not a dual vector"
-    blocks, cmat = _jordan_exact(lattice, p)
-    ct = linalg.transpose([list(r) for r in cmat])
-    lin = [sum(ct[i][j] * ell[j] for j in range(lattice.rank))
-           for i in range(lattice.rank)]
-    e_hi = w + 3 + max((b[0] for b in blocks), default=0)
-    lin_int = [_reduce_mod(Fraction(x), p, e_hi) for x in lin]
-    blk_int = []
-    pos = 0
-    for kv, dim, data in blocks:
-        ints = tuple(_reduce_mod(x, p, e_hi) for x in data)
-        blk_int.append((kv, dim, ints, lin_int[pos:pos + dim]))
-        pos += dim
-    m_order = lcm(8, q)
-    plain = {}
-    rootp = {}
-    for t in range(q):
-        mono = _Mono(1, (t * c0 % q) * (m_order // q) % m_order)
-        dead = False
-        for kv, dim, ints, lin_part in blk_int:
-            if dim == 1:
-                f = _gauss1(t * p ** kv * ints[0], t * lin_part[0], p, w, m_order)
-            else:
-                f = _gauss2(t, kv, ints, lin_part, w, m_order)
-            if f is None:
-                dead = True
-                break
-            mono = mono.mul(f, m_order, p)
-        if dead:
-            continue
-        target = rootp if mono.fp else plain
-        if mono.f2:
-            z8 = m_order // 8
-            for ex in ((mono.exp + z8) % m_order, (mono.exp - z8) % m_order):
-                target[ex] = target.get(ex, Fraction(0)) + mono.coeff
-        else:
-            target[mono.exp] = target.get(mono.exp, Fraction(0)) + mono.coeff
-    if rootp:
-        shift = -(m_order // 4) if p % 4 == 3 else 0  # sqrt(p) = (-i)^[p=3 mod 4] g_p
-        zp = m_order // p
-        for ex, cf in rootp.items():
-            for x in range(1, p):
-                j = (ex + x * zp + shift) % m_order
-                plain[j] = plain.get(j, Fraction(0)) + cf * kronecker(x, p)
-    from .weilrep import Cyclotomic
-    total = Cyclotomic(m_order, plain).rational_value()
-    n_val = total / q
-    if n_val.denominator != 1 or n_val < 0:
-        raise NonIntegralResult(f"gauss path produced {n_val}")
-    return RepCount(m, mu, q, int(n_val), "gauss")
+    q = p ** w
+    phis = [None if b[4] is None else b[4].numerator * pow(b[4].denominator, -1, q) % q
+            for b in blocks]
+    n = lattice.rank
+    if p == 2:
+        total = [0, 0, 0, 0]
+        for v in range(w + 1):
+            for i, x in enumerate(_dyadic_class(blocks, phis, w - v, c0)):
+                total[i] += x << v * n
+        if any(total[1:]):
+            raise NonIntegralResult(f"gauss path left an irrational part {total}")
+        total = total[0]
+    else:
+        total = sum(_odd_class(blocks, phis, p, w - v, c0) * p ** (v * n)
+                    for v in range(w + 1))
+    n_val, rem = divmod(total, q)
+    if rem or n_val < 0:
+        raise NonIntegralResult(f"gauss path produced {Fraction(total, q)}")
+    return RepCount(m, mu, q, n_val, "gauss")
+
+
+def _crosscheck_env():
+    return os.environ.get("VVEIS_CROSSCHECK", "") not in ("", "0")
+
+
+def _agree(r, other, p, e):
+    if other.count != r.count:
+        raise ConsistencyError(f"count mismatch at {p}^{e}: {r.method} {r.count} "
+                               f"vs {other.method} {other.count}")
+
+
+def local_counts(lattice, m, mu, disc):
+    """Yield (p, w, N_{m,mu}(p^w)) at the Hensel depth w = w_p, for p | 2N.
+
+    The local factors of the Eisenstein coefficients and the local
+    representation test need one prime power per prime and no CRT, so this
+    calls count_gauss directly; env VVEIS_CROSSCHECK=1 compares every count
+    with count_naive and raises ConsistencyError on disagreement.
+    """
+    crosscheck = _crosscheck_env()
+    d_mu = disc.order_of(mu)
+    for p in bad_primes(lattice):
+        w = w_p(m, d_mu, p)
+        r = count_gauss(lattice, m, mu, p, w, disc=disc)
+        if crosscheck:
+            _agree(r, count_naive(lattice, m, mu, p ** w, disc=disc), p, w)
+        yield p, w, r.count
 
 
 def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
@@ -458,7 +489,7 @@ def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
     if disc is None:
         disc = discriminant_form(lattice)
     if crosscheck is None:
-        crosscheck = os.environ.get("VVEIS_CROSSCHECK", "") not in ("", "0")
+        crosscheck = _crosscheck_env()
     if a == 1:
         _scaled_data(lattice, m, mu, disc)  # precondition check
         return RepCount(Fraction(m), disc.check(mu), 1, 1, "naive")
@@ -472,11 +503,8 @@ def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
         else:
             r = count_gauss(lattice, m, mu, p, e, disc=disc)
         if crosscheck:
-            other = (count_gauss(lattice, m, mu, p, e, disc=disc) if use_naive
-                     else count_naive(lattice, m, mu, pe, cap=cap, disc=disc))
-            if other.count != r.count:
-                raise ConsistencyError(
-                    f"count mismatch at {p}^{e}: naive/gauss {r.count} vs {other.count}")
+            _agree(r, count_gauss(lattice, m, mu, p, e, disc=disc) if use_naive
+                   else count_naive(lattice, m, mu, pe, cap=cap, disc=disc), p, e)
         total *= r.count
         methods.add(r.method)
     method = methods.pop() if len(methods) == 1 else "mixed"

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vveis import arith
 from vveis.arith import (
     CHI_TRIVIAL,
     QuadraticCharacter,
     SymbolicReal,
     bernoulli,
     bernoulli_gen,
+    factorize,
     gamma_half,
     kronecker,
     l_value_exact,
@@ -27,7 +29,7 @@ from vveis.arith import (
     valuation,
     zeta_exact,
 )
-from vveis.errors import ParityMismatch, PreconditionError
+from vveis.errors import BudgetExceeded, ParityMismatch, PreconditionError
 
 # pi to 30 decimals, rounded down and up
 PI_LO = Fraction(3141592653589793238462643383279, 10 ** 30)
@@ -56,6 +58,48 @@ def symbolic_bracket(x):
     lo = PI_LO ** int(x.a) * Fraction(root, digits)
     hi = PI_HI ** int(x.a) * Fraction(root + 1, digits)
     return (x.q * lo, x.q * hi) if x.q > 0 else (x.q * hi, x.q * lo)
+
+
+R23 = (10 ** 23 - 1) // 9  # the repunit 11...1 (23 ones), a prime
+
+
+class TestFactorize:
+    def test_frozen(self):
+        assert factorize(-12) == {2: 2, 3: 1}
+        assert factorize(1) == {}
+        assert factorize(600851475143) == {71: 1, 839: 1, 1471: 1, 6857: 1}
+        with pytest.raises(PreconditionError):
+            factorize(0)
+
+    @given(st.integers(1, 10 ** 7))
+    @settings(max_examples=300, deadline=None)
+    def test_product_of_ascending_primes(self, n):
+        facs = factorize(n)
+        assert list(facs) == sorted(facs)
+        assert all(all(p % d for d in range(2, isqrt(p) + 1)) for p in facs)
+        prod = 1
+        for p, e in facs.items():
+            prod *= p ** e
+        assert prod == n
+
+    def test_large_prime_cofactor(self):
+        # trial division to sqrt(R23) ~ 3e11 would not finish
+        assert factorize(10 ** 23 - 1) == {3: 2, R23: 1}
+
+    def test_rho_splits_large_factors(self):
+        m31, m61 = 2 ** 31 - 1, 2 ** 61 - 1
+        assert factorize(m31 * m61) == {m31: 1, m61: 1}
+        assert factorize(1000003 ** 2 * 1000033) == {1000003: 2, 1000033: 1}
+
+    def test_unprovable_prime_is_budget(self):
+        # 2^89 - 1 is prime, above the bound where the bases are a proof
+        with pytest.raises(BudgetExceeded):
+            factorize(2 ** 89 - 1)
+
+    def test_rho_budget(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_STEPS", 8)
+        with pytest.raises(BudgetExceeded):
+            factorize(1000003 * 1000033)
 
 
 class TestKronecker:

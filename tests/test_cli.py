@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vveis
 from vveis import acceptance, cli
 from vveis.errors import PreconditionError
 
@@ -63,6 +68,22 @@ class TestExitCodes:
                                 "-a", "343", "--method", "naive"])
         assert code == 3
         assert "budget" in err
+
+    def test_huge_modulus_terminates(self, tmp_path):
+        # 10^23 - 1 = 3^2 * R23 with R23 prime: trial division to sqrt(R23)
+        # used to hang.  Q = x^2 + xy + y^2 takes only the values 0, 1 mod 3,
+        # so m = 2 has no solution mod 9.
+        lat = tmp_path / "a2.json"
+        lat.write_text(json.dumps({"gram": [[2, 1], [1, 2]]}))
+        env = {k: v for k, v in os.environ.items() if not k.startswith("VVEIS_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(vveis.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "vveis.cli", "repnum", str(lat), "-m", "2",
+             "-a", "9" * 23], capture_output=True, text=True, timeout=10, env=env)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["count"] == 0
 
     def test_no_lattice_anywhere(self):
         code, _, err = run_cli(["info"])

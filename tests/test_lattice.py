@@ -195,6 +195,21 @@ class TestDiscriminantForm:
             lat = new_lattice(g)
             assert discriminant_form(lat).size == abs(lat.det)
 
+    def test_negated_built_once(self):
+        for g in (D4, direct_sum(A1M, [[4]]), direct_sum(U, [[6]]),
+                  [[2, 1, 0], [1, 2, 0], [0, 0, 4]]):
+            lat = new_lattice(g)
+            neg = lat.negated()
+            fresh = new_lattice([[-x for x in row] for row in g])
+            assert neg == fresh
+            assert (neg.rank, neg.det, neg.sig_pos, neg.sig_neg, neg.level) == \
+                (fresh.rank, fresh.det, fresh.sig_pos, fresh.sig_neg, fresh.level)
+            assert lat.negated() is neg and neg.negated() is lat
+            disc = discriminant_form(lat)
+            dneg = disc.negated()
+            assert dneg.lattice == fresh
+            assert disc.negated() is dneg and dneg.negated() is disc
+
     def test_negated_shares_encoding(self):
         disc = discriminant_form(new_lattice(direct_sum(A1M, [[4]])))
         neg = disc.negated()

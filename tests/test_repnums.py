@@ -6,6 +6,7 @@ hand (tiny moduli) or pinned from the naive path before the Gauss path ran.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,13 @@ import pytest
 from vveis import acceptance, linalg, repnums
 from vveis.errors import (
     BudgetExceeded,
+    ConsistencyError,
     NegativeValuation,
     PrecisionTooLow,
     PreconditionError,
 )
-from vveis.lattice import discriminant_form, new_lattice
+from vveis.eisenstein import eis_coefficient
+from vveis.lattice import RepResult, coset_represents, discriminant_form, new_lattice
 
 U = [[0, 1], [1, 0]]
 A1 = [[2]]
@@ -302,6 +305,78 @@ class TestCountGauss:
             assert nv == gv, (lat.gram, m, mu, w, nv, gv)
 
 
+    def test_deep_odd_battery(self):
+        # p | det, so every lattice has a scaled Jordan block at p; m runs
+        # over several p-adic valuations so the phases reach deep classes
+        rng = random.Random(31)
+        depth = {3: 6, 5: 4, 7: 3}
+        checked = 0
+        while checked < 60:
+            rank = rng.randint(1, 2)
+            p = rng.choice(sorted(depth))
+            lat = random_even_lattice(rng, rank)
+            if lat.det % p:
+                continue
+            disc = discriminant_form(lat)
+            mu = rng.choice(disc.elements())
+            w = rng.randint(max(1, depth[p] - 2), depth[p])
+            m = disc.q_value(mu) + rng.randint(-3, 3) * p ** rng.randint(0, 3)
+            nv = repnums.count_naive(lat, m, mu, p ** w, disc=disc).count
+            gv = repnums.count_gauss(lat, m, mu, p, w, disc=disc).count
+            assert nv == gv, (lat.gram, m, mu, p, w, nv, gv)
+            checked += 1
+
+    def test_fixture_hensel_lift(self):
+        # past w_p every step of w multiplies the count by 2^(rank - 1) = 2^13
+        start = time.process_time()
+        lat = new_lattice(acceptance.FIXTURE_GRAM)
+        disc = discriminant_form(lat)
+        lift = 2 ** (lat.rank - 1)
+        for mu, k in (((0, 0, 0, 0), 3), ((0, 0, 0, 1), 2), ((0, 0, 1, 1), 5)):
+            m = disc.q_value(mu) + 2 ** k * 3
+            wp = repnums.w_p(m, disc.order_of(mu), 2)
+            counts = {w: repnums.count_gauss(lat, m, mu, 2, w, disc=disc).count
+                      for w in range(wp, 16)}
+            assert counts[wp] > 0
+            for w in range(wp, 15):
+                assert counts[w + 1] == lift * counts[w], (mu, m, w)
+            t = time.process_time()
+            repnums.count_gauss(lat, m, mu, 2, 15, disc=disc)
+            assert time.process_time() - t < 0.05
+        assert time.process_time() - start < 5
+
+    @staticmethod
+    def _timed_count(lat, m, mu, p, w, disc):
+        t = time.process_time()
+        n = repnums.count_gauss(lat, m, mu, p, w, disc=disc).count
+        assert time.process_time() - t < 1
+        return n
+
+    def test_large_prime_finite_field_oracle(self):
+        # p does not divide 2 det: over F_p the coset is a translate of L, and
+        # #{Q(x) = b} = p^2 + p eta(-b Delta) for a ternary form of
+        # determinant Delta = det(G / 2) (Lidl-Niederreiter, Thm 6.27); the
+        # t-sum over p^3 ~ 10^12 residues is out of reach, four classes are not
+        p = 10007
+        lat = new_lattice([[2, 1, 0], [1, 4, 1], [0, 1, -6]])
+        assert (2 * lat.det) % p
+        disc = discriminant_form(lat)
+
+        def eta(x):  # quadratic character of F_p by Euler's criterion
+            x %= p
+            return 0 if x == 0 else 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+
+        delta = lat.det * pow(8, -1, p)
+        for mu in disc.elements()[:3]:
+            for k in (1, 2, 5):
+                m = disc.q_value(mu) + k
+                b = m.numerator * pow(m.denominator, -1, p) % p
+                assert b
+                n1, n3 = (self._timed_count(lat, m, mu, p, w, disc) for w in (1, 3))
+                assert n1 == p ** 2 + p * eta(-b * delta)
+                assert n3 == p ** (2 * (lat.rank - 1)) * n1
+
+
 class TestCount:
     def test_modulus_one(self):
         assert repnums.count(new_lattice(U), 0, (), 1).count == 1
@@ -372,3 +447,39 @@ class TestCount:
         got = repnums.count(lat, 1, (), 8, naive_cutoff=1000)
         assert got.count == 1966080
         assert got.method == "gauss"
+
+
+class TestLocalCounts:
+    """The internal one-prime-power counts keep the naive cross-check."""
+
+    @staticmethod
+    def _wrong_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
+        # more solutions than residues: never a correct count
+        return repnums.RepCount(Fraction(m), tuple(mu), a, a ** lattice.rank + 1, "naive")
+
+    def test_matches_count(self):
+        lat = new_lattice(acceptance.direct_sum(U, [[-4]], [[6]]))
+        disc = discriminant_form(lat)
+        for mu in disc.elements()[:6]:
+            m = disc.q_value(mu) + 2
+            primes = [p for p, _, _ in repnums.local_counts(lat, m, mu, disc)]
+            assert primes == [2, 3]  # level 24
+            for p, w, n in repnums.local_counts(lat, m, mu, disc):
+                assert w == repnums.w_p(m, disc.order_of(mu), p)
+                assert n == repnums.count_naive(lat, m, mu, p ** w, disc=disc).count
+
+    def test_crosscheck_through_eis_coefficient(self, monkeypatch):
+        lat = new_lattice(E8)
+        assert eis_coefficient(lat, 1, ()) == 240
+        monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
+        monkeypatch.setattr(repnums, "count_naive", self._wrong_naive)
+        with pytest.raises(ConsistencyError):
+            eis_coefficient(lat, 1, ())
+
+    def test_crosscheck_through_coset_represents(self, monkeypatch):
+        lat = new_lattice(acceptance.direct_sum(U, U))  # indefinite, rank 4
+        assert coset_represents(lat, 3, ()) is RepResult.REPRESENTED
+        monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
+        monkeypatch.setattr(repnums, "count_naive", self._wrong_naive)
+        with pytest.raises(ConsistencyError):
+            coset_represents(lat, 3, ())
