@@ -241,18 +241,21 @@ def _cmd_eis(args, cfg, err):
 
 def _cmd_weil(args, cfg, err):
     lat, _ = _load_lattice(args, cfg)
-    disc = discriminant_form(lat)
-    w = weil_matrices(disc)
-    want_relations = args.relations or not args.invariants
-    want_invariants = args.invariants or not args.relations
-    doc = {}
-    if want_relations:
-        doc["relations"] = verify_relations(w)
-        doc["unitary"] = is_unitary(w)
-    if want_invariants:
-        doc["invariants"] = [[rational_str(x) for x in vec]
-                             for vec in invariants(w)]
-    return canonical_json(doc), 0
+
+    def produce():
+        w = weil_matrices(discriminant_form(lat))
+        doc = {}
+        if args.relations or not args.invariants:
+            doc["relations"] = verify_relations(w)
+            doc["unitary"] = is_unitary(w)
+        if args.invariants or not args.relations:
+            doc["invariants"] = [[rational_str(x) for x in vec]
+                                 for vec in invariants(w)]
+        return canonical_json(doc)
+
+    key = {"op": "weil", "gram": lat.gram, "relations": args.relations,
+           "invariants": args.invariants}
+    return cached_text(cfg, key, produce, err), 0
 
 
 def _cmd_h_series(args, cfg, err):

@@ -3,8 +3,11 @@
 An even lattice is held as an integer Gram matrix of its bilinear form
 (so the quadratic form is Q(x) = x^T G x / 2 and the diagonal must be even).
 All derived invariants (signature, determinant, level, discriminant group)
-are computed in exact arithmetic; the only numerics here are int64 box
-enumerations, which are exact integer computations as well.
+are computed in exact arithmetic.  Vector searches (coset representation,
+theta counts, Witt witnesses) share one enumeration walk in Python ints:
+Fincke-Pohst intervals on a scaled LDL^T frame for definite lattices, a
+sup-norm box for indefinite ones (U. Fincke and M. Pohst, Math. Comp. 44
+(1985); H. Cohen, GTM 138, 2.7).
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
-
-import numpy as np
+from operator import mul
 
 from . import linalg
 from .arith import factorize
@@ -28,9 +30,6 @@ from .errors import (
     PreconditionError,
     Singular,
 )
-
-_BOX_CHUNK = 1 << 19  # rows per vectorized block in box enumerations
-
 
 class EvenLattice:
     """Non-degenerate even lattice given by an integer Gram matrix.
@@ -247,11 +246,136 @@ def _frac_sqrt_floor(x):
     return k
 
 
-def _box_has_value(lattice, shift, target_m, radius, cap=None):
-    """Search x in [-radius, radius]^n for Q(x + shift) == target_m.
+@lru_cache(maxsize=None)
+def _frame(lattice):
+    """Integer data for the enumeration walk ``_walk``: (sign, scale, levels).
 
-    Exact integer arithmetic on scaled vectors z = d*(x + shift); vectorized
-    in blocks.  Returns True on first hit.
+    Coordinates z are scaled, z = den * (x + shift).  With C_k =
+    sum_{j>k} row_k[j-k-1] * z_j, the walk's value splits by coordinate,
+
+        scale * sign * z^T G z = sum_k alpha_k z_k^2 + beta_k C_k z_k + gamma_k C_k^2,
+
+    where sign = -1 on negative definite lattices and +1 otherwise.  On a
+    definite lattice the terms are the exact LDL^T decomposition of
+    sign * G, cleared of denominators: a pivot P_k times (lden z_k + C_k)^2,
+    so every partial sum bounds the whole (Fincke-Pohst).  On an indefinite
+    lattice they are the Gram rows themselves (g_kk z_k^2 + 2 C_k z_k,
+    scale 1), which bound nothing: the walk then covers its box.
+    """
+    n = lattice.rank
+    sign = -1 if lattice.sig_pos == 0 else 1
+    g = [[sign * x for x in row] for row in lattice.gram]
+    if not lattice.is_definite:
+        return sign, 1, tuple((tuple(g[k][k + 1:]), g[k][k], 2, 0) for k in range(n))
+    # z^T g z = sum_k d[k] (z_k + sum_{j>k} l[k][j-k-1] z_j)^2
+    a = [[Fraction(x) for x in row] for row in g]
+    d, l = [], []
+    for i in range(n):
+        d.append(a[i][i])
+        l.append([a[i][j] / a[i][i] for j in range(i + 1, n)])
+        for r in range(i + 1, n):
+            for s in range(i + 1, n):
+                a[r][s] -= a[i][r] * a[i][s] / a[i][i]
+    lden = lcm(1, *(x.denominator for row in l for x in row))
+    dden = lcm(*(x.denominator for x in d))
+    levels = []
+    for k in range(n):
+        p = int(d[k] * dden)
+        row = tuple(int(x * lden) for x in l[k])
+        levels.append((row, p * lden * lden, 2 * p * lden, p))
+    return sign, dden * lden * lden, tuple(levels)
+
+
+def _walk(lattice, s, den, radius, limit, exact, visit):
+    """The one lattice enumeration: call visit(z, v) on every scaled point.
+
+    The points are z = den * x + s for integer x with |x_i| <= radius
+    (radius None: no box, definite lattices only), and v is their value in
+    the frame of ``_frame``.  Coordinates run from the last to the first.
+    On a definite lattice each runs over the exact Fincke-Pohst interval of
+    the partial value, v <= limit, cut to the box; on an indefinite one over
+    the box.  With ``exact`` only v == limit is visited, and the first
+    coordinate is then solved in closed form: an integer root of a
+    quadratic, or of a linear equation where its diagonal entry is 0, kept
+    when it is congruent to its shift mod den.  All arithmetic is on Python
+    ints.  visit returning True stops the walk, and _walk returns True.
+    """
+    _, _, levels = _frame(lattice)
+    definite = lattice.is_definite
+    row0, a0, b0, g0 = levels[0]
+    s0 = s[0]
+
+    def last(c, v, zs):  # the z_0 completing zs to limit; c = C_0, v = value - limit
+        b = b0 * c
+        rest = g0 * c * c + v
+        if a0:
+            disc = b * b - 4 * a0 * rest
+            if disc < 0:
+                return False
+            sq = isqrt(disc)
+            if sq * sq != disc:
+                return False
+            nums = (-b - sq, sq - b) if sq else (-b,)
+            roots = [num // (2 * a0) for num in nums if num % (2 * a0) == 0]
+        elif b:
+            roots = [-rest // b] if rest % b == 0 else []
+        elif rest:
+            return False
+        else:  # the value does not depend on z_0
+            roots = range(s0 - den * radius, s0 + den * radius + 1, den)
+        for z0 in roots:
+            x0, off = divmod(z0 - s0, den)
+            if not off and (radius is None or -radius <= x0 <= radius) \
+                    and visit((z0,) + zs, limit):
+                return True
+        return False
+
+    def rec(k, used, zs):
+        row, alpha, beta, gamma = levels[k]
+        c = sum(map(mul, row, zs))
+        b = beta * c
+        rest = gamma * c * c + used - limit
+        sk = s[k]
+        if definite:  # alpha z^2 + b z + rest <= 0
+            disc = b * b - 4 * alpha * rest
+            if disc < 0:
+                return False
+            sq = isqrt(disc)
+            lo = -((sk + (b + sq) // (2 * alpha)) // den)
+            hi = ((sq - b) // (2 * alpha) - sk) // den
+            if radius is not None:
+                lo, hi = max(lo, -radius), min(hi, radius)
+        else:
+            lo, hi = -radius, radius
+        if exact and k == 1:
+            r0, c0 = row0[0], sum(map(mul, row0[1:], zs))
+            for xk in range(lo, hi + 1):
+                zk = den * xk + sk
+                if last(r0 * zk + c0, (alpha * zk + b) * zk + rest, (zk,) + zs):
+                    return True
+            return False
+        for xk in range(lo, hi + 1):
+            zk = den * xk + sk
+            v = (alpha * zk + b) * zk + rest + limit
+            if k == 0:
+                if visit((zk,) + zs, v):
+                    return True
+            elif rec(k - 1, v, (zk,) + zs):
+                return True
+        return False
+
+    if exact and lattice.rank == 1:
+        return last(0, -limit, ())
+    return rec(lattice.rank - 1, 0, ())
+
+
+def _box_search(lattice, shift, target_m, radius, cap=None, visit=None):
+    """Call visit(x) on each x in [-radius, radius]^n with Q(x + shift) = target_m.
+
+    One exact ``_walk`` with the value as its target.  visit returning True
+    stops the search, which then returns True; without visit the first such
+    x stops it, so the result says whether the box holds one.  The cap rule
+    counts the box, (2 radius + 1)^n points, not the points the walk visits.
     """
     n = lattice.rank
     den = lcm(*[Fraction(s).denominator for s in shift], 1)
@@ -259,36 +383,15 @@ def _box_has_value(lattice, shift, target_m, radius, cap=None):
     target = Fraction(target_m) * 2 * den * den
     if target.denominator != 1:
         return False
-    target = int(target)
     side = 2 * radius + 1
     if cap is not None and side ** n > cap:
         raise BudgetExceeded(f"box of size {side}^{n} exceeds cap {cap}")
-    g = np.array(lattice.gram, dtype=np.int64)
-    # cap the magnitude so int64 stays exact
-    zmax = den * (radius + 1) + max(abs(v) for v in s_int)
-    bound = n * n * int(np.abs(g).max()) * zmax * zmax
-    dtype = np.int64 if bound < 2 ** 62 else object
-    kv = 0
-    while kv < n and side ** (kv + 1) <= _BOX_CHUNK:
-        kv += 1
-    kf = n - kv
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    inner = np.array(list(itertools.product(rng.tolist(), repeat=kv)), dtype=dtype)
-    zv = inner * den + np.array(s_int[kf:], dtype=dtype)
-    gvv = g[kf:, kf:].astype(dtype)
-    gfv = g[:kf, kf:].astype(dtype)
-    qv = (zv @ gvv * zv).sum(axis=1)
-    for xf in itertools.product(rng.tolist(), repeat=kf):
-        zf = np.array(xf, dtype=dtype) * den + np.array(s_int[:kf], dtype=dtype)
-        if kf:
-            c0 = int(zf @ g[:kf, :kf].astype(dtype) @ zf)
-            lin = 2 * (zv @ (gfv.T @ zf))
-            vals = qv + lin + c0
-        else:
-            vals = qv
-        if np.any(vals == target):
-            return True
-    return False
+    sign, scale, _ = _frame(lattice)
+
+    def found(z, v):
+        return visit is None or visit(tuple((a - b) // den for a, b in zip(z, s_int)))
+
+    return _walk(lattice, s_int, den, radius, sign * scale * int(target), True, found)
 
 
 def _local_everywhere(lattice, m, mu, disc):
@@ -302,9 +405,16 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
 
     Indefinite lattices of rank >= 4 are decided purely locally (counts at
     the primes dividing 2N plus the real sign condition).  Definite lattices
-    and indefinite rank-3 lattices use a sup-norm box search: definite gives
-    NOT_WITHIN_RADIUS on failure (definitive once the radius reaches the
-    printed certified radius), rank 3 gives INCONCLUSIVE.
+    and indefinite lattices of rank <= 3 search the sup-norm box
+    [-radius, radius]^rank around the coset representative for a witness.
+    The search is one exact integer walk: on a definite lattice each
+    coordinate runs over its Fincke-Pohst interval cut to the box, on an
+    indefinite one over the box, and the last coordinate is solved in
+    closed form.  Definite gives NOT_WITHIN_RADIUS on failure (definitive
+    once the radius reaches the certified radius; without a radius the box
+    doubles from 1 up to it), the indefinite box gives INCONCLUSIVE.  A box
+    of more than ``cap`` points raises BudgetExceeded, and the doubling
+    stops with NOT_WITHIN_RADIUS before it would reach one.
 
     ``disc`` fixes the element encoding; it defaults to the lattice's own
     discriminant form and must describe the same lattice when supplied.
@@ -326,7 +436,7 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
         if (m > 0) != (sign > 0):
             return RepResult.NOT_REPRESENTED
         if radius is not None:
-            if _box_has_value(lattice, shift, m, radius, cap=cap):
+            if _box_search(lattice, shift, m, radius, cap=cap):
                 return RepResult.REPRESENTED
             return RepResult.NOT_WITHIN_RADIUS
         # a witness needs no certificate: grow the box and only insist on
@@ -337,7 +447,7 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
             r_eff = min(r, cert)
             if (2 * r_eff + 1) ** lattice.rank > cap:
                 return RepResult.NOT_WITHIN_RADIUS
-            if _box_has_value(lattice, shift, m, r_eff, cap=cap):
+            if _box_search(lattice, shift, m, r_eff, cap=cap):
                 return RepResult.REPRESENTED
             if r_eff == cert:
                 return RepResult.NOT_WITHIN_RADIUS
@@ -355,7 +465,7 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
 
     if radius is None:
         radius = 10
-    if _box_has_value(lattice, shift, m, radius, cap=cap):
+    if _box_search(lattice, shift, m, radius, cap=cap):
         return RepResult.REPRESENTED
     return RepResult.INCONCLUSIVE
 
@@ -421,6 +531,10 @@ class WittReport:
 def witt_rank_bounded(lattice, radius=2, cap=2 * 10 ** 6):
     """Certified lower bound for the Witt rank from a bounded vector search.
 
+    The isotropic vectors of the box [-radius, radius]^rank come from one
+    exact ``_box_search`` with target 0, the first coordinate solved in
+    closed form; it runs only when the box has at most ``cap`` points.  One
+    of them certifies Witt rank >= 1, an orthogonal independent pair >= 2.
     The bound is flagged exact when it reaches min(sig) or rank arguments
     force the answer (definite lattices; indefinite rank >= 5 has an
     isotropic vector, so min(sig) = 1 is decided without a witness).
@@ -429,17 +543,20 @@ def witt_rank_bounded(lattice, radius=2, cap=2 * 10 ** 6):
     if cap_wr == 0:
         return WittReport(0, True)
     lb = 1 if lattice.rank >= 5 else 0  # indefinite rank >= 5: isotropic vector exists
-    side = 2 * radius + 1
-    isotropic = []
-    if side ** lattice.rank <= cap:
-        rng = range(-radius, radius + 1)
-        for x in itertools.product(rng, repeat=lattice.rank):
-            if any(x) and lattice.q_value(x) == 0:
+    n = lattice.rank
+    if (2 * radius + 1) ** n <= cap:
+        isotropic = []
+
+        def keep(x):
+            if any(x):
                 isotropic.append(x)
+
+        _box_search(lattice, [0] * n, 0, radius, visit=keep)
         if isotropic:
             lb = max(lb, 1)
-        for v, w in itertools.combinations(isotropic, 2):
-            if lattice.bilinear(v, w) == 0 and _independent(v, w):
+        images = [[sum(map(mul, row, v)) for row in lattice.gram] for v in isotropic]
+        for (v, gv), (w, _) in itertools.combinations(zip(isotropic, images), 2):
+            if sum(map(mul, gv, w)) == 0 and _independent(v, w):
                 lb = max(lb, 2)
                 break
     return WittReport(lb, lb == cap_wr)
@@ -456,48 +573,21 @@ def _independent(v, w):
 def theta_counts(lattice, max_q):
     """Exact vector counts {m: #{x in L : Q(x) = m}} for 0 < m <= max_q.
 
-    Positive definite lattices only.  Independent branch-and-bound walk of
-    the exact Cholesky decomposition of Q; used as the enumeration oracle
-    against the analytic machinery.
+    Positive definite lattices only.  One exact ``_walk`` without a box:
+    every coordinate runs over its Fincke-Pohst interval of the scaled
+    LDL^T frame, in integers.  Independent of the analytic machinery, which
+    it is the enumeration oracle for.
     """
     if lattice.sig_neg != 0:
         raise PreconditionError("theta_counts needs a positive definite lattice")
-    n = lattice.rank
-    half = [[Fraction(x, 2) for x in row] for row in lattice.gram]
-    # q[i], c[i][j]: Q(x) = sum_i q[i] * (x_i + sum_{j>i} c[i][j] x_j)^2
-    q = [Fraction(0)] * n
-    c = [[Fraction(0)] * n for _ in range(n)]
-    a = [row[:] for row in half]
-    for i in range(n):
-        q[i] = a[i][i]
-        for j in range(i + 1, n):
-            c[i][j] = a[i][j] / a[i][i]
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                a[r][s] -= a[i][r] * a[i][s] / a[i][i]
+    _, scale, _ = _frame(lattice)
+    den = 2 * scale  # the walk's value is 2 * scale * Q
     counts = {}
-    budget = Fraction(max_q)
-    x = [0] * n
 
-    def rec(i, used):
-        if i < 0:
-            if used > 0:
-                counts[used] = counts.get(used, 0) + 1
-            return
-        center = sum(c[i][j] * x[j] for j in range(i + 1, n))
-        room = (budget - used) / q[i]
-        hi = _frac_sqrt_floor(room)
-        lo = -hi
-        # exact integer window for x_i + center in [-sqrt(room), sqrt(room)]
-        start = int(-center) - hi - 2
-        stop = int(-center) + hi + 2
-        for xi in range(start, stop + 1):
-            t = xi + center
-            val = q[i] * t * t
-            if val <= budget - used:
-                x[i] = xi
-                rec(i - 1, used + val)
-        x[i] = 0
+    def visit(z, v):
+        counts[v] = counts.get(v, 0) + 1
 
-    rec(n - 1, Fraction(0))
-    return counts
+    bound = Fraction(max_q) * den
+    _walk(lattice, [0] * lattice.rank, 1, None, bound.numerator // bound.denominator,
+          False, visit)
+    return {Fraction(v, den): k for v, k in counts.items() if v}

@@ -10,8 +10,9 @@ four residues mod 8 times a geometric sum.  That is O(w * rank) exact
 terms for any p^w (compare T. Yang's explicit local densities, J. Number
 Theory 72 (1998)).  The two paths share no code beyond the lattice type,
 which is the point: equality on random instances is the package's central
-correctness check (env VVEIS_CROSSCHECK=1 forces both paths on every
-count() and local_counts() count).
+correctness check (env VVEIS_CROSSCHECK=1 compares both paths on every
+prime power of count() and local_counts(), at the deepest level whose
+residues count_naive can afford).
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
-
-import numpy as np
 
 from . import linalg
 from .arith import factorize, kronecker, valuation
@@ -95,8 +94,11 @@ def count_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
     """Exhaustive count of {r in L/aL : Q(r+mu) = m mod a}.
 
     Loops (2 d^2)-scaled integer values in vectorized blocks, so the modular
-    congruence is exact integer arithmetic throughout.
+    congruence is exact integer arithmetic throughout.  This is the
+    package's only numpy use, imported here so that nothing else loads it.
     """
+    import numpy as np
+
     a = int(a)
     if a < 1:
         raise PreconditionError("modulus a must be >= 1")
@@ -452,10 +454,22 @@ def _crosscheck_env():
     return os.environ.get("VVEIS_CROSSCHECK", "") not in ("", "0")
 
 
-def _agree(r, other, p, e):
-    if other.count != r.count:
-        raise ConsistencyError(f"count mismatch at {p}^{e}: {r.method} {r.count} "
-                               f"vs {other.method} {other.count}")
+def _crosscheck(lattice, m, mu, p, w, disc, cap=10 ** 8):
+    """Compare count_gauss with count_naive at p^w', raising ConsistencyError.
+
+    w' <= w is the deepest level whose p^(w' rank) residues fit under the
+    naive path's cap, so a lattice of large rank is still checked, at a
+    shallower level; only when not even p^rank fits does the check raise
+    BudgetExceeded.
+    """
+    level = w
+    while level > 1 and p ** (level * lattice.rank) > cap:
+        level -= 1
+    naive = count_naive(lattice, m, mu, p ** level, cap=cap, disc=disc)
+    gauss = count_gauss(lattice, m, mu, p, level, disc=disc)
+    if naive.count != gauss.count:
+        raise ConsistencyError(f"count mismatch at {p}^{level}: gauss {gauss.count} "
+                               f"vs naive {naive.count}")
 
 
 def local_counts(lattice, m, mu, disc):
@@ -463,25 +477,28 @@ def local_counts(lattice, m, mu, disc):
 
     The local factors of the Eisenstein coefficients and the local
     representation test need one prime power per prime and no CRT, so this
-    calls count_gauss directly; env VVEIS_CROSSCHECK=1 compares every count
-    with count_naive and raises ConsistencyError on disagreement.
+    calls count_gauss directly.  Env VVEIS_CROSSCHECK=1 compares the two
+    paths at p^w', the deepest level w' <= w_p whose p^(w' rank) residues
+    fit under count_naive's default cap (``_crosscheck``), and raises
+    ConsistencyError on disagreement.
     """
     crosscheck = _crosscheck_env()
     d_mu = disc.order_of(mu)
     for p in bad_primes(lattice):
         w = w_p(m, d_mu, p)
-        r = count_gauss(lattice, m, mu, p, w, disc=disc)
         if crosscheck:
-            _agree(r, count_naive(lattice, m, mu, p ** w, disc=disc), p, w)
-        yield p, w, r.count
+            _crosscheck(lattice, m, mu, p, w, disc)
+        yield p, w, count_gauss(lattice, m, mu, p, w, disc=disc).count
 
 
 def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
           crosscheck=None):
     """N_{m,mu}(a) by CRT over prime powers, dispatching naive vs gauss.
 
-    crosscheck (or env VVEIS_CROSSCHECK=1) runs both paths on every prime
-    power and raises ConsistencyError on disagreement.
+    crosscheck (or env VVEIS_CROSSCHECK=1) compares the two paths for every
+    prime power p^e of a, at p^e', the deepest level e' <= e whose
+    p^(e' rank) residues fit under ``cap`` (``_crosscheck``), and raises
+    ConsistencyError on disagreement.
     """
     a = int(a)
     if a < 1:
@@ -503,8 +520,7 @@ def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
         else:
             r = count_gauss(lattice, m, mu, p, e, disc=disc)
         if crosscheck:
-            _agree(r, count_gauss(lattice, m, mu, p, e, disc=disc) if use_naive
-                   else count_naive(lattice, m, mu, pe, cap=cap, disc=disc), p, e)
+            _crosscheck(lattice, m, mu, p, e, disc, cap=cap)
         total *= r.count
         methods.add(r.method)
     method = methods.pop() if len(methods) == 1 else "mixed"

@@ -91,6 +91,33 @@ class TestExitCodes:
         assert "no lattice file" in err
 
 
+class TestImports:
+    def test_numpy_not_loaded(self, lat_files):
+        # numpy is imported only by count_naive: the CLI, lattice set-up and
+        # the enumerations never load it
+        script = "\n".join([
+            "import sys",
+            "import vveis.cli",
+            "assert 'numpy' not in sys.modules, 'import vveis.cli'",
+            "assert vveis.cli.run(['info', sys.argv[1]]) == 0",
+            "assert 'numpy' not in sys.modules, 'vveis info'",
+            "from vveis import acceptance, lattice",
+            "e8 = lattice.new_lattice(acceptance.E8)",
+            "assert lattice.theta_counts(e8, 1) == {1: 240}",
+            "assert lattice.coset_represents(e8, 2, ()).is_yes",
+            "assert lattice.witt_rank_bounded(",
+            "    lattice.new_lattice(acceptance.direct_sum(*[[[0, 1], [1, 0]]] * 2))",
+            ").lower_bound == 2",
+            "assert 'numpy' not in sys.modules, 'enumerations'",
+        ])
+        env = {k: v for k, v in os.environ.items() if not k.startswith("VVEIS_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(vveis.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script, lat_files["e8"]],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = cli.load_config(env={})
@@ -267,6 +294,21 @@ class TestCache:
         assert code == 0 and out2 == out1
         assert "corrupt cache entry" in err
 
+    def test_weil_hit_skips_computation(self, lat_files, tmp_path, monkeypatch):
+        monkeypatch.setenv("VVEIS_CACHE_DIR", str(tmp_path / "cache"))
+        args = ["weil", lat_files["zn4"], "--invariants"]
+        code1, out1, _ = run_cli(args)
+        assert code1 == 0
+
+        def no_weil(disc):
+            raise AssertionError("weil_matrices called on a cache hit")
+
+        monkeypatch.setattr(cli, "weil_matrices", no_weil)
+        code2, out2, _ = run_cli(args)
+        assert code2 == 0 and out2 == out1
+        # the flags are part of the key: another selection is a miss
+        with pytest.raises(AssertionError, match="cache hit"):
+            run_cli(["weil", lat_files["zn4"]])
 
     def test_stale_temp_directory_does_not_block_write(self, lat_files,
                                                        tmp_path, monkeypatch):

@@ -4,14 +4,23 @@ Frozen values below were derived by hand (small diagonalizations, dual
 denominators) or by classical facts (E8 root count) before the code ran.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vveis import lattice as lattice_mod
 from vveis import linalg
-from vveis.errors import NotEven, NotSymmetric, PreconditionError, Singular
+from vveis.errors import (
+    BudgetExceeded,
+    NotEven,
+    NotSymmetric,
+    PreconditionError,
+    Singular,
+)
 from vveis.lattice import (
     EvenLattice,
     RepResult,
@@ -321,3 +330,164 @@ class TestWittRank:
         rep = witt_rank_bounded(lat, 2)
         assert rep.lower_bound == 0
         assert not rep.exact
+
+
+def random_conjugate(rng, g, moves=None):
+    """U^T G U for a random U in GL_n(Z), a product of elementary column
+    moves (3n of them unless ``moves`` says otherwise)."""
+    n = len(g)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if moves is None else moves):
+        i, j = rng.sample(range(n), 2)
+        f = rng.choice((-1, 1))
+        for row in u:
+            row[j] += f * row[i]
+    return mat_mul(mat_mul(linalg.transpose(u), g), u)
+
+
+def box(n, radius):
+    return itertools.product(range(-radius, radius + 1), repeat=n)
+
+
+def frac_isqrt(x):
+    """floor(sqrt(x)) for a non-negative Fraction."""
+    k = 0
+    while (k + 1) ** 2 <= x:
+        k += 1
+    return k
+
+
+def box_values(lat, shift, radius):
+    """{Q(x + shift): smallest sup-norm of such an x} over the box, by q_value."""
+    best = {}
+    for x in box(lat.rank, radius):
+        q = lat.q_value([a + s for a, s in zip(x, shift)])
+        norm = max(map(abs, x), default=0)
+        best[q] = min(best.get(q, norm), norm)
+    return best
+
+
+def box_isotropic(lat, radius):
+    """Witt lower bound from the box by brute force: 1 for an isotropic
+    vector, 2 for an orthogonal independent pair of them."""
+    iso = [x for x in box(lat.rank, radius) if any(x) and lat.q_value(x) == 0]
+    for v, w in itertools.combinations(iso, 2):
+        if lat.bilinear(v, w) == 0 and any(
+                v[i] * w[j] != v[j] * w[i] for i in range(len(v)) for j in range(i)):
+            return 2
+    return 1 if iso else 0
+
+
+A2 = [[2, -1], [-1, 2]]
+
+
+class TestEnumerator:
+    """The one exact walk behind coset_represents, theta_counts and
+    witt_rank_bounded, against test-local brute force over the box."""
+
+    @pytest.mark.parametrize("gram", [
+        direct_sum(U, A1), direct_sum(A1, A1, A1M), direct_sum(U, [[-4]]), U,
+        direct_sum(U, U), [[2, 1, 0], [1, -2, 1], [0, 1, 4]],
+        random_conjugate(random.Random(7), D4), random_conjugate(random.Random(8), A2),
+    ])
+    def test_every_solution_visited(self, gram):
+        # the full solution set of the box, not just its existence: each
+        # point the walk hands out has the value, and none is missed
+        lat = new_lattice(gram)
+        disc = discriminant_form(lat)
+        radius = 2
+        for mu in disc.elements():
+            shift = disc.vector(mu)
+            values = {}
+            for x in box(lat.rank, radius):
+                q = lat.q_value([a + s for a, s in zip(x, shift)])
+                values.setdefault(q, set()).add(x)
+            for k in range(-2, 3):
+                m = disc.q_value(mu) + k
+                seen = []
+                lattice_mod._box_search(lat, shift, m, radius, visit=seen.append)
+                assert len(seen) == len(set(seen))
+                assert set(seen) == values.get(m, set()), (mu, m)
+
+    def test_definite_cosets_against_box(self):
+        rng = random.Random(20261019)
+        cases = [(A2, 2, 3), ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 2, 3),
+                 (D4, 1, 2), (direct_sum(A2, A2), 1, 2)]
+        checked = 0
+        for base, copies, rmax in cases:
+            for _ in range(copies):
+                lat = new_lattice(random_conjugate(rng, base))
+                disc = discriminant_form(lat)
+                for mu in disc.elements():
+                    best = box_values(lat, disc.vector(mu), rmax)
+                    for k in range(4):
+                        m = disc.q_value(mu) + k
+                        if m == 0:
+                            continue
+                        for r in range(1, rmax + 1):
+                            want = (RepResult.REPRESENTED if best.get(m, r + 1) <= r
+                                    else RepResult.NOT_WITHIN_RADIUS)
+                            assert coset_represents(lat, m, mu, radius=r) is want, \
+                                (lat.gram, mu, m, r)
+                            checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("gram", [
+        direct_sum(A1, A1, A1M),  # <2> + <2> + <-2>
+        direct_sum(U, A1),  # zero diagonal: the last coordinate is linear
+    ])
+    def test_indefinite_rank3_box(self, gram):
+        lat = new_lattice(gram)
+        disc = discriminant_form(lat)
+        for mu in disc.elements():
+            best = box_values(lat, disc.vector(mu), 3)
+            for k in range(-3, 4):
+                m = disc.q_value(mu) + k
+                for r in (1, 2, 3):
+                    want = (RepResult.REPRESENTED if best.get(m, r + 1) <= r
+                            else RepResult.INCONCLUSIVE)
+                    assert coset_represents(lat, m, mu, radius=r) is want, (mu, m, r)
+
+    def test_theta_counts_conjugate(self):
+        # four moves keep the brute-force box small (radius 3 here)
+        lat = new_lattice(random_conjugate(random.Random(1), D4, moves=4))
+        inv = linalg.inverse(lat.gram)
+        # Q(x) <= 2 forces x_i^2 <= 4 (G^-1)_ii
+        radius = max(frac_isqrt(4 * inv[i][i]) for i in range(4))
+        want = {}
+        for x in box(4, radius):
+            q = lat.q_value(x)
+            if 0 < q <= 2:
+                want[q] = want.get(q, 0) + 1
+        assert theta_counts(lat, 2) == want == {1: 24, 2: 24}
+
+    @pytest.mark.parametrize("gram", [U, direct_sum(U, U), E8, direct_sum(U, A1, A1M)])
+    def test_witt_against_box(self, gram):
+        lat = new_lattice(gram)
+        for r in (1, 2):
+            rep = witt_rank_bounded(lat, r)
+            if lat.is_definite:
+                assert (rep.lower_bound, rep.exact) == (0, True)
+                continue
+            assert rep.lower_bound == box_isotropic(lat, r)
+            assert rep.exact == (rep.lower_bound == min(lat.sig_pos, lat.sig_neg))
+
+    def test_cap_boundary(self):
+        # the cap counts the (2r + 1)^n points of the box, whatever the walk visits
+        lat = new_lattice([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+        zero = disc_zero(lat)
+        # Q = 4 needs sup-norm 2: (2, 0, 0)
+        assert coset_represents(lat, 4, zero, radius=2, cap=125) is RepResult.REPRESENTED
+        with pytest.raises(BudgetExceeded):
+            coset_represents(lat, 4, zero, radius=2, cap=124)
+        # the doubling stops before a box above the cap
+        assert coset_represents(lat, 4, zero, cap=125) is RepResult.REPRESENTED
+        assert coset_represents(lat, 4, zero, cap=124) is RepResult.NOT_WITHIN_RADIUS
+        ind = new_lattice(direct_sum(U, A1M))
+        assert coset_represents(ind, 1, disc_zero(ind), cap=21 ** 3) \
+            is RepResult.REPRESENTED
+        with pytest.raises(BudgetExceeded):
+            coset_represents(ind, 1, disc_zero(ind), cap=21 ** 3 - 1)
+        uu = new_lattice(direct_sum(U, U))
+        assert witt_rank_bounded(uu, 2, cap=5 ** 4).lower_bound == 2
+        assert witt_rank_bounded(uu, 2, cap=5 ** 4 - 1).lower_bound == 0

@@ -483,3 +483,24 @@ class TestLocalCounts:
         monkeypatch.setattr(repnums, "count_naive", self._wrong_naive)
         with pytest.raises(ConsistencyError):
             coset_represents(lat, 3, ())
+
+    def test_crosscheck_fixture_at_affordable_level(self, monkeypatch):
+        # rank 14: 8^14 residues at w_2 = 3 exceed the cap, so the two paths
+        # are compared at 2^1 (2^14 residues) instead of raising
+        lat = new_lattice(acceptance.FIXTURE_GRAM)
+        zero = discriminant_form(lat).zero()
+        want = eis_coefficient(lat, 1, zero)
+        monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
+        assert eis_coefficient(lat, 1, zero) == want
+        assert repnums.count(lat, 1, zero, 8).count == \
+            repnums.count_gauss(lat, 1, zero, 2, 3).count
+        monkeypatch.setattr(repnums, "count_naive", self._wrong_naive)
+        with pytest.raises(ConsistencyError):
+            eis_coefficient(lat, 1, zero)
+
+    def test_crosscheck_budget_when_no_level_fits(self):
+        lat = new_lattice(E8)
+        # gauss answers, but not even 2^8 residues fit under cap = 100
+        assert repnums.count(lat, 1, (), 8, cap=100, naive_cutoff=10).count == 1966080
+        with pytest.raises(BudgetExceeded):
+            repnums.count(lat, 1, (), 8, cap=100, naive_cutoff=10, crosscheck=True)
