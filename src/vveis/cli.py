@@ -311,6 +311,10 @@ def _cmd_obstruct(args, cfg, err):
     }), 0
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_spec_doc(doc):
     if not isinstance(doc, dict):
         raise PreconditionError("spec must be a JSON object")
@@ -319,6 +323,9 @@ def _parse_spec_doc(doc):
         raise PreconditionError(f"spec document has unknown keys {unknown}")
     if "bound_a" not in doc:
         raise PreconditionError("spec document needs bound_a")
+    if not _is_int(doc["bound_a"]):
+        raise PreconditionError(
+            f"spec bound_a must be an integer, got {doc['bound_a']!r}")
     members = None
     if "members" in doc:
         rows = doc["members"]
@@ -328,8 +335,11 @@ def _parse_spec_doc(doc):
         for row in rows:
             if not isinstance(row, list) or len(row) != 2:
                 raise PreconditionError("each member must be [m, mu]")
-            members.append((parse_rational(row[0], "member index"),
-                            tuple(row[1])))
+            mu = row[1]
+            if not isinstance(mu, list) or not all(map(_is_int, mu)):
+                raise PreconditionError(
+                    f"member mu must be a list of integers, got {mu!r}")
+            members.append((parse_rational(row[0], "member index"), tuple(mu)))
         members = tuple(members)
     ceiling = parse_rational(doc["ceiling"], "ceiling") \
         if "ceiling" in doc else None

@@ -187,8 +187,10 @@ class DiscriminantForm:
         return self._qcache[mu]
 
     def bilinear(self, mu, nu):
-        """(mu, nu) mod 1, in [0, 1)."""
-        b = self.lattice.bilinear(self.vector(mu), self.vector(nu))
+        """(mu, nu) mod 1, in [0, 1): the polarization Q(mu+nu) - Q(mu) - Q(nu)."""
+        mu, nu = self.check(mu), self.check(nu)
+        total = tuple((a + b) % d for a, b, d in zip(mu, nu, self.orders))
+        b = self.q_value(total) - self.q_value(mu) - self.q_value(nu)
         return b - (b.numerator // b.denominator)
 
     def order_of(self, mu):

@@ -17,6 +17,14 @@ E8 = acceptance.E8
 U = [[0, 1], [1, 0]]
 
 
+def child_env():
+    """The environment for a vveis subprocess: this package, no VVEIS_ overrides."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("VVEIS_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(vveis.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    return env
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(argv, stdout=out, stderr=err)
@@ -75,12 +83,10 @@ class TestExitCodes:
         # so m = 2 has no solution mod 9.
         lat = tmp_path / "a2.json"
         lat.write_text(json.dumps({"gram": [[2, 1], [1, 2]]}))
-        env = {k: v for k, v in os.environ.items() if not k.startswith("VVEIS_")}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(vveis.__file__).parents[1]), env.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-m", "vveis.cli", "repnum", str(lat), "-m", "2",
-             "-a", "9" * 23], capture_output=True, text=True, timeout=10, env=env)
+             "-a", "9" * 23], capture_output=True, text=True, timeout=10,
+            env=child_env())
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["count"] == 0
@@ -110,11 +116,9 @@ class TestImports:
             ").lower_bound == 2",
             "assert 'numpy' not in sys.modules, 'enumerations'",
         ])
-        env = {k: v for k, v in os.environ.items() if not k.startswith("VVEIS_")}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(vveis.__file__).parents[1]), env.get("PYTHONPATH", "")])
         proc = subprocess.run([sys.executable, "-c", script, lat_files["e8"]],
-                              capture_output=True, text=True, timeout=60, env=env)
+                              capture_output=True, text=True, timeout=60,
+                              env=child_env())
         assert proc.returncode == 0, proc.stderr
 
 
@@ -251,6 +255,36 @@ class TestSubcommands:
                                 "--fixture", str(fixture)])
         assert code == 2
         assert "unknown keys" in err
+
+    @pytest.mark.parametrize("doc,code", [
+        ({"bound_a": 1, "members": [["1", [0, 0, 0, 0]]]}, 0),
+        ({"bound_a": 1, "members": [["1", "abcd"]]}, 2),
+        ({"bound_a": 1, "members": [["1", 5]]}, 2),
+        ({"bound_a": "x", "members": [["1", [0, 0, 0, 0]]]}, 2),
+        ({"bound_a": None, "members": [["1", [0, 0, 0, 0]]]}, 2),
+        ({"bound_a": [1], "members": [["1", [0, 0, 0, 0]]]}, 2),
+        ({"bound_a": 1.5, "members": [["1", [0, 0, 0, 0]]]}, 2),
+        ({"bound_a": 1, "members": [["1", [0.5, 0, 0, 0]]]}, 2),
+    ])
+    def test_spec_types_rejected(self, tmp_path, doc, code):
+        # the well-typed spec runs on the fixture with an empty basis; each
+        # mistyped one is a precondition error, not a traceback or a
+        # silently truncated number
+        lattice = tmp_path / "fixture.json"
+        lattice.write_text(json.dumps({"gram": acceptance.direct_sum(
+            E8, acceptance.D4, [[-2]], [[-2]])}))
+        basis = tmp_path / "empty.json"
+        basis.write_text(json.dumps({"weight": "7", "elements": []}))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vveis.cli", "prescribe", str(lattice),
+             "--spec", str(spec), "--fixture", str(basis)],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code:
+            assert proc.stderr.startswith("error (precondition):")
 
 
 class TestCache:

@@ -190,14 +190,21 @@ class TestDiscriminantForm:
         assert all(disc.order_of(mu) in (1, 2) for mu in disc.elements())
 
     def test_cocycle(self):
-        # Q(mu+nu) - Q(mu) - Q(nu) = (mu,nu) mod 1
-        disc = discriminant_form(new_lattice(direct_sum(A1M, [[4]])))
-        els = disc.elements()
-        for mu in els:
-            for nu in els:
-                s = tuple((a + b) % d for a, b, d in zip(mu, nu, disc.orders))
-                lhs = disc.q_value(s) - disc.q_value(mu) - disc.q_value(nu)
-                assert (lhs - disc.bilinear(mu, nu)).denominator == 1
+        # the form's polarization against the lattice's own bilinear form on
+        # dual representatives, for every pair, on L and on its negation
+        grams = (direct_sum(A1M, [[4]]), D4,
+                 random_conjugate(random.Random(3), direct_sum(A2, A2)),
+                 direct_sum(E8, D4, A1M, A1M))
+        for g in grams:
+            form = discriminant_form(new_lattice(g))
+            for disc in (form, form.negated()):
+                lat, els = disc.lattice, disc.elements()
+                for mu in els:
+                    for nu in els:
+                        b = disc.bilinear(mu, nu)
+                        assert 0 <= b < 1
+                        want = lat.bilinear(disc.vector(mu), disc.vector(nu))
+                        assert (want - b).denominator == 1, (g, mu, nu)
 
     def test_size_matches_det(self):
         for g in (D4, A1, direct_sum(A1, A1M), direct_sum(U, [[6]])):

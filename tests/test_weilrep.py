@@ -1,9 +1,12 @@
 """Cyclotomic arithmetic and Weil representation matrices."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
+from vveis import weilrep
 from vveis.errors import PreconditionError
 from vveis.lattice import discriminant_form, new_lattice
 from vveis.weilrep import (
@@ -42,6 +45,69 @@ def direct_sum(*grams):
                 out[off + i][off + j] = x
         off += len(g)
     return out
+
+
+def reference_relations(w):
+    """The relations by eight dense products: S^4 = (-1)^(b^- - b^+) I,
+    (ST)^3 = S^2, S^2 a phase times the flip, and S^2 commuting with S and T."""
+    els = w.disc.elements()
+    n = len(els)
+    zero = Cyclotomic(w.order)
+    mul = weilrep._mat_mul_cyc
+
+    def equal(a, b):
+        return all((a[i][j] - b[i][j]).is_zero() for i in range(n) for j in range(n))
+
+    s2 = mul(w.s_mat, w.s_mat)
+    sign = (-1) ** ((w.sig_neg - w.sig_pos) % 2)
+    scalar = tuple(tuple(zero + (sign if i == j else 0) for j in range(n))
+                   for i in range(n))
+    if not equal(mul(s2, s2), scalar):
+        return False
+    st = tuple(tuple(w.s_mat[i][j] * w.t_mat[j] for j in range(n)) for i in range(n))
+    if not equal(mul(mul(st, st), st), s2):
+        return False
+    idx = {mu: i for i, mu in enumerate(els)}
+    phase = s2[0][0]
+    for i in range(n):
+        for j, nu in enumerate(els):
+            want = phase if idx[w.disc.neg(nu)] == i else zero
+            if not (s2[i][j] - want).is_zero():
+                return False
+    t = tuple(tuple(w.t_mat[i] if i == j else zero for j in range(n)) for i in range(n))
+    return all(equal(mul(s2, g), mul(g, s2)) for g in (w.s_mat, t))
+
+
+def perturbations(w, rng):
+    """(name, WeilMatrices) pairs: w itself and eight kinds of damage."""
+    n, order = len(w.t_mat), w.order
+    i, j = rng.randrange(n), rng.randrange(n)
+    zeta = Cyclotomic.root(order, rng.randrange(1, order))
+    s = [list(row) for row in w.s_mat]
+    s[i][j] = s[i][j] * zeta
+    swapped = list(w.s_mat)
+    k = rng.randrange(n)
+    swapped[i], swapped[k] = swapped[k], swapped[i]
+    t = list(w.t_mat)
+    t[i] = t[i] * zeta
+    one, zero = Cyclotomic.from_rational(1, order), Cyclotomic(order)
+    # T = I and S the projection onto the zero element: (ST)^3 = S^2 and
+    # (S^2)[0][0]^2 = 1, but S^2 is no phase times the flip
+    projection = tuple(tuple(one if a == b == 0 else zero for b in range(n))
+                       for a in range(n))
+    return [
+        ("none", w),
+        ("t_entry", dataclasses.replace(w, t_mat=tuple(t))),
+        ("s_entry", dataclasses.replace(w, s_mat=tuple(map(tuple, s)))),
+        ("s_conj", dataclasses.replace(
+            w, s_mat=tuple(tuple(x.conj() for x in row) for row in w.s_mat))),
+        ("s_scaled", dataclasses.replace(
+            w, s_mat=tuple(tuple(x * zeta for x in row) for row in w.s_mat))),
+        ("s_rows_swapped", dataclasses.replace(w, s_mat=tuple(swapped))),
+        ("t_conj", dataclasses.replace(w, t_mat=tuple(x.conj() for x in w.t_mat))),
+        ("sig_neg", dataclasses.replace(w, sig_neg=w.sig_neg + 1)),
+        ("projection", dataclasses.replace(w, s_mat=projection, t_mat=(one,) * n)),
+    ]
 
 
 class TestCyclotomic:
@@ -118,12 +184,10 @@ class TestWeilMatrices:
             direct_sum(D4, [[2]]),
             [[8]], [[-8]], [[12]], [[2, 1], [1, -2]],
             direct_sum([[2]], [[6]]),
+            direct_sum(*[[[2]]] * 5),  # |L'/L| = 32
         ]
         for g in grams:
-            lat = new_lattice(g)
-            if abs(lat.det) > 16:
-                continue
-            w = weil_matrices(discriminant_form(lat))
+            w = weil_matrices(discriminant_form(new_lattice(g)))
             assert verify_relations(w), g
             assert is_unitary(w), g
 
@@ -132,6 +196,42 @@ class TestWeilMatrices:
         bad_t = (w.t_mat[0], w.t_mat[1] * Cyclotomic.root(w.order, 1))
         bad = WeilMatrices(w.disc, w.sig_pos, w.sig_neg, w.order, bad_t, w.s_mat)
         assert not verify_relations(bad)
+
+    def test_matches_eight_product_reference(self):
+        grams = [
+            [[2]], [[-2]], [[4]], [[6]], [[-8]], [[2, -1], [-1, 2]], D4,
+            [[2, 1], [1, -2]], direct_sum([[2]], [[-2]]),
+            direct_sum([[-2]], [[-2]], [[2]], [[2]]),
+        ]
+        rng = random.Random(11)
+        seen = {}
+        for g in grams:
+            w = weil_matrices(discriminant_form(new_lattice(g)))
+            for name, bad in perturbations(w, rng):
+                got = verify_relations(bad)
+                assert got == reference_relations(bad), (g, name)
+                seen.setdefault(got, set()).add(name)
+        # the undamaged inputs hold, and so does some damage that keeps the
+        # relations (a conjugation or a row swap on small forms)
+        assert "none" in seen[True] and len(seen[True]) > 1, seen
+        assert len(seen[False]) == 8, seen
+
+    def test_product_counts(self, monkeypatch):
+        calls = []
+        inner = weilrep._mat_mul_cyc
+
+        def counting(a, b):
+            calls.append(len(a))
+            return inner(a, b)
+
+        monkeypatch.setattr(weilrep, "_mat_mul_cyc", counting)
+        lat = new_lattice(direct_sum([[2]], [[-2]], [[2]]))
+        w = weil_matrices(discriminant_form(lat))
+        assert verify_relations(w)
+        assert calls == [8, 8]
+        calls.clear()
+        assert is_unitary(w)
+        assert calls == [8]
 
 
 class TestInvariants:
