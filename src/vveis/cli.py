@@ -107,7 +107,7 @@ def load_config(path=None, env=None):
                 values[name] = conv(raw)
             except ValueError as err:
                 raise PreconditionError(f"{var}={raw!r} is not valid") from err
-    if "naive_cap" in values and not isinstance(values["naive_cap"], int):
+    if "naive_cap" in values and not _is_int(values["naive_cap"]):
         raise PreconditionError("config naive_cap must be an integer")
     if "cross_check" in values and not isinstance(values["cross_check"], bool):
         raise PreconditionError("config cross_check must be a boolean")

@@ -165,6 +165,16 @@ class TestConfig:
         with pytest.raises(PreconditionError, match="boolean"):
             cli.load_config(str(p), env={})
 
+    def test_boolean_cap_rejected(self, tmp_path, lat_files):
+        # JSON true is a Python bool, and bool is an int subclass: it must not
+        # pass as a cap of 1
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"naive_cap": True}))
+        with pytest.raises(PreconditionError, match="naive_cap must be an integer"):
+            cli.load_config(str(p), env={})
+        code, _, err = run_cli(["--config", str(p), "info", lat_files["e8"]])
+        assert code == 2 and "naive_cap" in err
+
     def test_crosscheck_env_parsing(self):
         assert cli.load_config(env={"VVEIS_CROSSCHECK": "1"}).cross_check
         assert not cli.load_config(env={"VVEIS_CROSSCHECK": "0"}).cross_check

@@ -3,10 +3,11 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from vveis import weilrep
+from vveis import acceptance, linalg, weilrep
 from vveis.errors import PreconditionError
 from vveis.lattice import discriminant_form, new_lattice
 from vveis.weilrep import (
@@ -108,6 +109,95 @@ def perturbations(w, rng):
         ("sig_neg", dataclasses.replace(w, sig_neg=w.sig_neg + 1)),
         ("projection", dataclasses.replace(w, s_mat=projection, t_mat=(one,) * n)),
     ]
+
+
+def reference_unitary(w):
+    """S * conj(S)^T = I by one dense product."""
+    n = len(w.s_mat)
+    sc = tuple(tuple(w.s_mat[j][i].conj() for j in range(n)) for i in range(n))
+    prod = weilrep._mat_mul_cyc(w.s_mat, sc)
+    return all((prod[i][j] - (1 if i == j else 0)).is_zero()
+               for i in range(n) for j in range(n))
+
+
+def reference_invariants(w):
+    """The invariant basis from the full system: every T row and every
+    S - I row, over all |L'/L| coordinates."""
+    n = len(w.t_mat)
+    one, zero = Cyclotomic.from_rational(1, w.order), Cyclotomic(w.order)
+    rows = []
+    eqs = [[(w.t_mat[i] - one) if j == i else zero for j in range(n)]
+           for i in range(n)]
+    eqs += [[w.s_mat[i][j] - (one if i == j else zero) for j in range(n)]
+            for i in range(n)]
+    for eq in eqs:
+        canons = [e.canonical() for e in eq]
+        for key in sorted(set().union(*canons)):
+            rows.append([c.get(key, Fraction(0)) for c in canons])
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    out = []
+    for vec in linalg.kernel(rows):
+        den = lcm(*[f.denominator for f in vec])
+        ints = [int(f * den) for f in vec]
+        g = gcd(*ints)
+        if next(x for x in ints if x) < 0:
+            g = -g
+        out.append(tuple(Fraction(x, g) for x in ints))
+    return out
+
+
+def weil_shaped(w, t):
+    """w with T = diag(zeta^t) and S = c * zeta^-(t[mu+nu] - t[mu] - t[nu]),
+    c = S[0][0]: the Weil shape built from any exponents t."""
+    els, order = w.disc.elements(), w.order
+    idx = {mu: i for i, mu in enumerate(els)}
+    c = w.s_mat[0][0]
+    s_mat = tuple(
+        tuple(c * Cyclotomic.root(order, t[i] + t[j] - t[idx[tuple(
+            (a + b) % d for a, b, d in zip(mu, nu, w.disc.orders))]])
+              for j, nu in enumerate(els))
+        for i, mu in enumerate(els))
+    return dataclasses.replace(
+        w, t_mat=tuple(Cyclotomic.root(order, x) for x in t), s_mat=s_mat)
+
+
+def module_damages(w):
+    """(name, WeilMatrices) pairs beyond ``perturbations``, each aimed at one
+    step of ``weilrep._module`` or of the checks after it."""
+    n, order = len(w.t_mat), w.order
+    disc = w.disc
+    els = disc.elements()
+    idx = {mu: i for i, mu in enumerate(els)}
+    t = [next(iter(x.coeffs)) for x in w.t_mat]
+    # the Weil shape, S scaled off unitarity
+    out = [("s_doubled", dataclasses.replace(
+        w, s_mat=tuple(tuple(x * 2 for x in row) for row in w.s_mat)))]
+    if n > 1:
+        # the Weil shape of the zero form, which is degenerate
+        out.append(("zero_form", weil_shaped(w, [0] * n)))
+        # t changed at one pair +-mu, S rebuilt from it: B is not bilinear
+        bent = list(t)
+        for k in {1, idx[disc.neg(els[1])]}:
+            bent[k] += 1
+        out.append(("t_not_bilinear", weil_shaped(w, bent)))
+    for k, d in enumerate(disc.orders):
+        if d > 2:
+            # t plus a character of order d: B is unchanged, t_-mu != t_mu
+            out.append(("t_plus_character", weil_shaped(
+                w, [x + mu[k] * (order // d) for x, mu in zip(t, els)])))
+            break
+    for i, mu in enumerate(els):
+        if i and disc.neg(mu) == mu and disc.q_value(mu):
+            # relabel 0 <-> mu: every relation holds, but t_0 != 0
+            perm = list(range(n))
+            perm[0], perm[i] = i, 0
+            out.append(("relabelled", dataclasses.replace(
+                w, t_mat=tuple(w.t_mat[perm[a]] for a in range(n)),
+                s_mat=tuple(tuple(w.s_mat[perm[a]][perm[b]] for b in range(n))
+                            for a in range(n)))))
+            break
+    return out
 
 
 class TestCyclotomic:
@@ -216,6 +306,42 @@ class TestWeilMatrices:
         assert "none" in seen[True] and len(seen[True]) > 1, seen
         assert len(seen[False]) == 8, seen
 
+    def test_module_path_matches_dense_references(self, monkeypatch):
+        grams = [
+            [[2]], [[-2]], [[6]], [[2, -1], [-1, 2]], D4, [[-8]],
+            direct_sum([[4]], [[-2]]),
+        ]
+        paths = []
+        inner = weilrep._module
+
+        def spy(w):
+            mod = inner(w)
+            paths.append("module" if mod is not None else "fallback")
+            return mod
+
+        monkeypatch.setattr(weilrep, "_module", spy)
+        rng = random.Random(13)
+        seen = {"relations": set(), "unitary": set()}
+        for g in grams:
+            w = weil_matrices(discriminant_form(new_lattice(g)))
+            damaged = perturbations(w, rng) + module_damages(w)
+            for name, bad in damaged:
+                relations, unitary = verify_relations(bad), is_unitary(bad)
+                assert relations == reference_relations(bad), (g, name)
+                assert unitary == reference_unitary(bad), (g, name)
+                path = paths.pop()
+                assert paths.pop() == path
+                seen["relations"].add((path, relations))
+                seen["unitary"].add((path, unitary))
+                if name in ("s_doubled", "zero_form"):
+                    assert path == "module" and not unitary, (g, name)
+                elif name in ("t_not_bilinear", "t_plus_character", "relabelled"):
+                    assert path == "fallback", (g, name)
+                    assert relations == (name == "relabelled"), (g, name)
+        both = {(p, r) for p in ("module", "fallback") for r in (True, False)}
+        assert seen["relations"] == both, seen
+        assert seen["unitary"] == both, seen
+
     def test_product_counts(self, monkeypatch):
         calls = []
         inner = weilrep._mat_mul_cyc
@@ -228,10 +354,54 @@ class TestWeilMatrices:
         lat = new_lattice(direct_sum([[2]], [[-2]], [[2]]))
         w = weil_matrices(discriminant_form(lat))
         assert verify_relations(w)
-        assert calls == [8, 8]
-        calls.clear()
         assert is_unitary(w)
+        assert invariants(w) == reference_invariants(w)
+        assert calls == []
+        # input without the Weil shape takes the dense route: the projection
+        # fails at S^2, the relabelled matrices need S(TS) as well
+        (_, projection), = [p for p in perturbations(w, random.Random(0))
+                            if p[0] == "projection"]
+        assert not verify_relations(projection)
         assert calls == [8]
+        calls.clear()
+        assert not is_unitary(projection)
+        assert calls == [8]
+        calls.clear()
+        (_, relabelled), = [p for p in module_damages(w) if p[0] == "relabelled"]
+        assert verify_relations(relabelled)
+        assert calls == [8, 8]
+
+    def test_milgram(self):
+        # sum_gamma e(Q(gamma)) = sqrt|L'/L| e((b^+ - b^-)/8)
+        grams = [[[6]], [[2, -1], [-1, 2]], [[10]],
+                 direct_sum([[2]], [[2]], [[2]], [[6]]), acceptance.FIXTURE_GRAM]
+        for g in grams:
+            lat = new_lattice(g)
+            disc = discriminant_form(lat)
+            order = weil_matrices(disc).order
+            gauss = sum((Cyclotomic.e(disc.q_value(mu), order) for mu in disc.elements()),
+                        Cyclotomic(order))
+            want = (sqrt_int(disc.size, order)
+                    * Cyclotomic.e(Fraction(lat.sig_pos - lat.sig_neg, 8) % 1, order))
+            assert (gauss - want).is_zero(), g
+
+    def test_large_disc(self, monkeypatch):
+        # |L'/L| = 256: the module path decides without a matrix product
+        monkeypatch.setattr(weilrep, "_mat_mul_cyc", None)
+        lat = new_lattice(direct_sum(*[[[2]]] * 6, [[-2]], [[-2]]))
+        w = weil_matrices(discriminant_form(lat))
+        assert verify_relations(w)
+        assert is_unitary(w)
+        basis = invariants(w)
+        assert basis
+        n = len(w.t_mat)
+        for vec in basis:
+            support = [j for j in range(n) if vec[j]]
+            for i in range(n):
+                if vec[i]:
+                    assert (w.t_mat[i] - 1).is_zero()
+                sv = sum((w.s_mat[i][j] * vec[j] for j in support), Cyclotomic(w.order))
+                assert (sv - vec[i]).is_zero()
 
 
 class TestInvariants:
@@ -256,6 +426,23 @@ class TestInvariants:
         lat = new_lattice(direct_sum([[-2]], [[-2]]))
         w = weil_matrices(discriminant_form(lat))
         assert invariants(w) == []
+
+    def test_matches_full_system(self):
+        grams = [
+            [[2]], [[-2]], [[4]], [[-8]], E8, D4, direct_sum(U, U),
+            direct_sum([[2]], [[-2]]), direct_sum([[4]], [[-4]]),
+            direct_sum([[2]], [[2]], [[-2]], [[-2]]),  # kernel of dimension 2
+            direct_sum([[2]], [[6]]), direct_sum([[2]], [[2]], [[2]], [[6]]),
+            direct_sum(*[[[2]]] * 5), direct_sum([[-2]], [[-2]], [[2]], [[2]], [[2]]),
+            direct_sum([[8]], [[-8]]),  # |L'/L| = 64, kernel of dimension 3
+        ]
+        dims = []
+        for g in grams:
+            w = weil_matrices(discriminant_form(new_lattice(g)))
+            got = invariants(w)
+            assert got == reference_invariants(w), g
+            dims.append(len(got))
+        assert dims[9] == 2 and dims[-1] == 3, dims
 
     def test_invariants_are_fixed(self):
         for g in (direct_sum([[2]], [[-2]]), direct_sum(U, U), D4):
