@@ -219,12 +219,10 @@ class FunctionalRow:
     against the Eisenstein series.  pivot is the leading nonzero position.
     """
 
-    pair: tuple
     vector: tuple
     combination: tuple
     eis_value: Fraction
     pivot: int
-    origin: str = "candidate"
 
 
 class EisensteinProvider:
@@ -550,8 +548,7 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
         if any(vec):
             pivot = next(i for i, x in enumerate(vec) if x)
             rows.append(FunctionalRow(
-                (m, mu), tuple(vec), tuple(sorted(combo.items())),
-                ev, pivot))
+                tuple(vec), tuple(sorted(combo.items())), ev, pivot))
             if len(rows) > len(gs):
                 raise FixtureNotABasis(
                     "more independent projections than cusp elements")

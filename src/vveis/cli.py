@@ -13,7 +13,12 @@ when the battery finds a failing criterion).
 Configuration lives in an optional JSON file (--config) with the keys
 lattice, cache_dir, naive_cap and cross_check, and environment overrides
 VVEIS_LATTICE, VVEIS_CACHE_DIR, VVEIS_NAIVE_CAP and VVEIS_CROSSCHECK.
-Unknown config keys are rejected.
+Unknown config keys are rejected; lattice and cache_dir must be strings.
+The cross_check key reaches only `repnum --method auto`, whose count()
+then compares the naive and Gauss-sum paths on every prime power.  The
+variable VVEIS_CROSSCHECK sets that key and is also read by
+repnums.local_counts, so it cross-checks every local count behind the
+Eisenstein coefficients as well.
 
 When a cache directory is configured, pure computations are content-
 addressed by (operation, gram matrix, parameters); every payload is stored
@@ -107,6 +112,9 @@ def load_config(path=None, env=None):
                 values[name] = conv(raw)
             except ValueError as err:
                 raise PreconditionError(f"{var}={raw!r} is not valid") from err
+    for name in ("lattice", "cache_dir"):
+        if name in values and not isinstance(values[name], str):
+            raise PreconditionError(f"config {name} must be a string")
     if "naive_cap" in values and not _is_int(values["naive_cap"]):
         raise PreconditionError("config naive_cap must be an integer")
     if "cross_check" in values and not isinstance(values["cross_check"], bool):

@@ -2,12 +2,16 @@
 
 An even lattice is held as an integer Gram matrix of its bilinear form
 (so the quadratic form is Q(x) = x^T G x / 2 and the diagonal must be even).
-All derived invariants (signature, determinant, level, discriminant group)
-are computed in exact arithmetic.  Vector searches (coset representation,
-theta counts, Witt witnesses) share one enumeration walk in Python ints:
-Fincke-Pohst intervals on a scaled LDL^T frame for definite lattices, a
+All derived invariants are computed in exact arithmetic.  One symmetric
+Bareiss pass in Python ints (``linalg.sym_eliminate``) gives the
+determinant, the signature, the level, the diagonal of G^-1 behind the
+certified search radius, and the LDL^T frame of the enumeration walk; the
+discriminant group comes from the Smith normal form.  Vector searches
+(coset representation, theta counts, Witt witnesses) share that one walk:
+Fincke-Pohst intervals on the scaled LDL^T frame for definite lattices, a
 sup-norm box for indefinite ones (U. Fincke and M. Pohst, Math. Comp. 44
-(1985); H. Cohen, GTM 138, 2.7).
+(1985); H. Cohen, GTM 138, 2.7).  A definite coset query without a radius
+is one walk, to the certified radius or to the widest box under its cap.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .errors import (
     NotEven,
     NotSymmetric,
     PreconditionError,
-    Singular,
 )
 
 class EvenLattice:
@@ -36,7 +39,11 @@ class EvenLattice:
 
     Attributes: ``gram`` (tuple of tuples), ``rank``, ``sig_pos``/``sig_neg``
     (real signature), ``det`` (determinant of the Gram matrix, sign included)
-    and ``level`` (smallest N with N*Q integral on the dual lattice).
+    and ``level`` (smallest N with N*Q integral on the dual lattice).  All
+    of them, the diagonal of G^-1 and the walk's LDL^T frame come from one
+    fraction-free elimination (``linalg.sym_eliminate``): det = D_n, the
+    signs of D_k D_{k+1} give the signature, and G^-1 = c diag(1 / (D_k
+    D_{k+1})) c^T gives the level.
     """
 
     def __init__(self, gram):
@@ -56,16 +63,20 @@ class EvenLattice:
                     raise PreconditionError("gram entries must be integers")
         self.gram = tuple(rows)
         self.rank = n
-        self.det = linalg.det_int(rows)
-        if self.det == 0:
-            raise Singular("gram matrix is singular")
-        diag, _ = linalg.congruent_diagonalize(rows)
-        self.sig_pos = sum(1 for d in diag if d > 0)
-        self.sig_neg = sum(1 for d in diag if d < 0)
-        inv = linalg.inverse(rows)
-        dens = [Fraction(inv[i][i], 2).denominator for i in range(n)]
-        dens += [inv[i][j].denominator for i in range(n) for j in range(n) if i != j]
-        self.level = lcm(*dens)
+        # one Bareiss pass: c^T G c = diag(D_k D_{k+1}), G^-1 = c diag(1/steps) c^T
+        minors, _, c = self._elim = linalg.sym_eliminate(rows)
+        self.det = minors[-1]
+        steps = [a * b for a, b in zip(minors, minors[1:])]
+        self.sig_pos = sum(1 for s in steps if s > 0)
+        self.sig_neg = n - self.sig_pos
+        den = lcm(*steps)
+        w = [den // s for s in steps]
+        inv = [[sum(map(mul, ci, map(mul, cj, w))) for cj in c[:i + 1]]
+               for i, ci in enumerate(c)]  # den * G^-1, lower triangle
+        self._inv_diag = tuple(Fraction(row[i], den) for i, row in enumerate(inv))
+        # level: lcm of the denominators of (G^-1)_ii / 2 and (G^-1)_ij, i != j
+        self.level = 2 * den // gcd(2 * den, *(row[-1] for row in inv),
+                                    *(2 * x for row in inv for x in row[:-1]))
         self._neg = None
 
     def q_value(self, vec):
@@ -89,6 +100,8 @@ class EvenLattice:
             neg.det = self.det * (-1) ** self.rank
             neg.sig_pos, neg.sig_neg = self.sig_neg, self.sig_pos
             neg.level = self.level
+            neg._inv_diag = tuple(-x for x in self._inv_diag)
+            neg._elim = self._elim  # _frame reads only l and |d|, the same for -G
             neg._neg = self
             self._neg = neg
         return self._neg
@@ -260,24 +273,23 @@ def _frame(lattice):
     where sign = -1 on negative definite lattices and +1 otherwise.  On a
     definite lattice the terms are the exact LDL^T decomposition of
     sign * G, cleared of denominators: a pivot P_k times (lden z_k + C_k)^2,
-    so every partial sum bounds the whole (Fincke-Pohst).  On an indefinite
-    lattice they are the Gram rows themselves (g_kk z_k^2 + 2 C_k z_k,
-    scale 1), which bound nothing: the walk then covers its box.
+    so every partial sum bounds the whole (Fincke-Pohst).  The decomposition
+    is read off the lattice's Bareiss pass: l_kj = R_kj / R_kk and pivots
+    |D_{k+1} / D_k|.  On an indefinite lattice the terms are the Gram rows
+    themselves (g_kk z_k^2 + 2 C_k z_k, scale 1), which bound nothing: the
+    walk then covers its box.
     """
     n = lattice.rank
     sign = -1 if lattice.sig_pos == 0 else 1
-    g = [[sign * x for x in row] for row in lattice.gram]
     if not lattice.is_definite:
-        return sign, 1, tuple((tuple(g[k][k + 1:]), g[k][k], 2, 0) for k in range(n))
-    # z^T g z = sum_k d[k] (z_k + sum_{j>k} l[k][j-k-1] z_j)^2
-    a = [[Fraction(x) for x in row] for row in g]
-    d, l = [], []
-    for i in range(n):
-        d.append(a[i][i])
-        l.append([a[i][j] / a[i][i] for j in range(i + 1, n)])
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                a[r][s] -= a[i][r] * a[i][s] / a[i][i]
+        return sign, 1, tuple((row[k + 1:], row[k], 2, 0)
+                              for k, row in enumerate(lattice.gram))
+    # sign * z^T G z = sum_k d[k] (z_k + sum_{j>k} l[k][j-k-1] z_j)^2.  No
+    # pivot moves on a definite matrix, and a negated lattice shares the pass
+    # of G: the same l, pivots of the opposite sign, hence |d|
+    minors, rows, _ = lattice._elim
+    d = [abs(Fraction(b, a)) for a, b in zip(minors, minors[1:])]
+    l = [[Fraction(x, row[k]) for x in row[k + 1:]] for k, row in enumerate(rows)]
     lden = lcm(1, *(x.denominator for row in l for x in row))
     dden = lcm(*(x.denominator for x in d))
     levels = []
@@ -413,10 +425,11 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
     coordinate runs over its Fincke-Pohst interval cut to the box, on an
     indefinite one over the box, and the last coordinate is solved in
     closed form.  Definite gives NOT_WITHIN_RADIUS on failure (definitive
-    once the radius reaches the certified radius; without a radius the box
-    doubles from 1 up to it), the indefinite box gives INCONCLUSIVE.  A box
-    of more than ``cap`` points raises BudgetExceeded, and the doubling
-    stops with NOT_WITHIN_RADIUS before it would reach one.
+    once the radius reaches the certified radius), the indefinite box gives
+    INCONCLUSIVE.  A given radius whose box holds more than ``cap`` points
+    raises BudgetExceeded.  Without a radius a definite lattice is walked
+    once, at the certified radius, or at the largest r with (2r + 1)^rank
+    <= cap where that box would exceed the cap.
 
     ``disc`` fixes the element encoding; it defaults to the lattice's own
     discriminant form and must describe the same lattice when supplied.
@@ -441,19 +454,13 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
             if _box_search(lattice, shift, m, radius, cap=cap):
                 return RepResult.REPRESENTED
             return RepResult.NOT_WITHIN_RADIUS
-        # a witness needs no certificate: grow the box and only insist on
-        # the certified radius to conclude absence
-        cert = certified_radius(lattice, m, shift)
-        r = 1
-        while True:
-            r_eff = min(r, cert)
-            if (2 * r_eff + 1) ** lattice.rank > cap:
-                return RepResult.NOT_WITHIN_RADIUS
-            if _box_search(lattice, shift, m, r_eff, cap=cap):
-                return RepResult.REPRESENTED
-            if r_eff == cert:
-                return RepResult.NOT_WITHIN_RADIUS
-            r *= 2
+        # one walk, to the certified radius or to the widest box under the cap
+        r = certified_radius(lattice, m, shift)
+        if (2 * r + 1) ** lattice.rank > cap:
+            r = _widest_radius(cap, lattice.rank, r)
+        if r >= 0 and _box_search(lattice, shift, m, r):
+            return RepResult.REPRESENTED
+        return RepResult.NOT_WITHIN_RADIUS
 
     if lattice.rank >= 4:
         if m == 0:
@@ -472,14 +479,25 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
     return RepResult.INCONCLUSIVE
 
 
+def _widest_radius(cap, n, hi):
+    """Largest r < hi with (2r + 1)^n <= cap, by bisection; -1 if none."""
+    lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (2 * mid + 1) ** n <= cap:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def certified_radius(lattice, m, shift=None):
     """Sup-norm radius certainly covering all Q = m vectors of a definite coset.
 
     For definite G, any x with Q(x) = m has x_i^2 <= 2|m| * |(G^-1)_ii|; the
     shift widens the box by the size of the coset representative.
     """
-    inv = linalg.inverse(lattice.gram)
-    bound = max(abs(2 * Fraction(m) * inv[i][i]) for i in range(lattice.rank))
+    bound = max(abs(2 * Fraction(m) * x) for x in lattice._inv_diag)
     radius = _frac_sqrt_floor(bound) + 1
     if shift is not None:
         extra = max((abs(Fraction(s)) for s in shift), default=Fraction(0))

@@ -1,8 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here works on plain lists of ints/Fractions; no floats anywhere.
-These are the primitives behind signatures, discriminant groups, dual bases,
-kernel computations and the linear solves of the prescription pipeline.
+These are the primitives behind discriminant groups, kernel computations
+and the linear solves of the prescription pipeline.  ``sym_eliminate`` is
+the one symmetric elimination over the integers: a single fraction-free
+(Bareiss) pass from which a lattice reads its determinant, signature,
+level, the diagonal of G^-1 and the LDL^T frame of its enumeration walk.
+The p-adic Jordan splitting works on the same ``sym_swap``/``sym_add``
+moves.
 """
 
 from __future__ import annotations
@@ -12,54 +17,8 @@ from fractions import Fraction
 from .errors import Singular
 
 
-def identity(n, one=1):
-    return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
-def det_int(m):
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def inverse(m):
-    """Inverse of a square matrix as Fractions.  Raises Singular."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise Singular("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def rref(m):
@@ -208,37 +167,40 @@ def sym_add(g, c, dst, src, f):
         row[dst] += f * row[src]
 
 
-def congruent_diagonalize(g):
-    """Exact symmetric congruence diagonalization over Q.
+def sym_eliminate(g):
+    """Symmetric fraction-free (Bareiss) elimination of an integer matrix.
 
-    Returns (diag, c) with c^T g c = diag(diag).  Pivot choice: largest
-    absolute diagonal value, ties broken by lowest index; a zero diagonal is
-    repaired by a row+column addition from a nonzero off-diagonal entry.
+    Returns (minors, rows, c), all Python ints.  The pivot of step k is the
+    first nonzero diagonal entry of the trailing block, swapped to k; with
+    none, e_i += e_j folds a nonzero off-diagonal entry onto the diagonal
+    (a_ii = 2 a_ij), and an all-zero trailing block raises Singular.  For the
+    matrix in the basis these moves leave, minors[k] is the leading k x k
+    minor D_k (D_0 = 1, D_n = det g) and rows[k] is the Bareiss row R_k:
+    zero before column k, R_kk = D_{k+1}.  The columns of c satisfy
+    c^T g c = diag(D_k D_{k+1}), so g^-1 = c diag(1 / (D_k D_{k+1})) c^T,
+    and where no pivot moved, g = L D L^T with l_jk = R_kj / R_kk and
+    d_k = D_{k+1} / D_k.  Each division by the previous pivot is exact
+    (E. H. Bareiss, Math. Comp. 22 (1968)).
     """
     n = len(g)
-    a = [[Fraction(x) for x in row] for row in g]
-    c = identity(n, Fraction(1))
+    a = [list(map(int, row)) for row in g]
+    c = identity(n)
+    minors = [1]
     for k in range(n):
-        best = None
-        for i in range(k, n):
-            if a[i][i] != 0 and (best is None or abs(a[i][i]) > abs(a[best][best])):
-                best = i
-        if best is None:
-            found = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                break  # remaining block is zero (degenerate input)
-            i, j = found
-            sym_add(a, c, i, j, Fraction(1))  # makes a[i][i] = 2*a[i][j] != 0
-            best = i
-        sym_swap(a, c, k, best)
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                sym_add(a, c, j, k, -a[k][j] / a[k][k])
-    return [a[i][i] for i in range(n)], c
+        piv = next((i for i in range(k, n) if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                         if a[i][j]), None)
+            if pair is None:
+                raise Singular("gram matrix is singular")
+            piv = pair[0]
+            sym_add(a, c, piv, pair[1], 1)
+        sym_swap(a, c, k, piv)
+        p, prev = a[k][k], minors[-1]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+            for row in c:
+                row[i] = (p * row[i] - f * row[k]) // prev
+        minors.append(p)
+    return minors, a, c

@@ -175,6 +175,27 @@ class TestConfig:
         code, _, err = run_cli(["--config", str(p), "info", lat_files["e8"]])
         assert code == 2 and "naive_cap" in err
 
+    def test_lattice_must_be_string(self, tmp_path):
+        # a number here used to reach Path() and escape as a TypeError
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"lattice": 5}))
+        with pytest.raises(PreconditionError, match="lattice must be a string"):
+            cli.load_config(str(p), env={})
+        code, out, err = run_cli(["--config", str(p), "info"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "lattice must be a string" in err
+
+    def test_cache_dir_must_be_string(self, tmp_path, lat_files):
+        for bad in (7, ["x"]):
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps({"cache_dir": bad}))
+            with pytest.raises(PreconditionError, match="cache_dir must be a string"):
+                cli.load_config(str(p), env={})
+            code, out, err = run_cli(["--config", str(p), "eis", lat_files["e8"],
+                                      "--max-exp", "1"])
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and "cache_dir must be a string" in err
+
     def test_crosscheck_env_parsing(self):
         assert cli.load_config(env={"VVEIS_CROSSCHECK": "1"}).cross_check
         assert not cli.load_config(env={"VVEIS_CROSSCHECK": "0"}).cross_check

@@ -4,12 +4,15 @@ Frozen values below were derived by hand (small diagonalizations, dual
 denominators) or by classical facts (E8 root count) before the code ran.
 """
 
+import importlib.util
 import itertools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vveis import lattice as lattice_mod
@@ -33,13 +36,22 @@ from vveis.lattice import (
     witt_rank_bounded,
 )
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 U = [[0, 1], [1, 0]]
 A1 = [[2]]
+A2 = [[2, -1], [-1, 2]]
 
 
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
 A1M = [[-2]]
 
 E8 = [
@@ -73,17 +85,121 @@ def direct_sum(*grams):
     return out
 
 
+# References over Q for the one integer elimination: Gauss-Jordan inversion,
+# a congruence diagonalization with largest-pivot choice, a determinant, and
+# the LDL^T decomposition, none of them sharing code with linalg.
+
+
+def ref_det(m):
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for i in range(n):
+        piv = next((r for r in range(i, n) if a[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, n):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return det
+
+
+def ref_inverse(m):
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise Singular("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def ref_congruent_diagonal(g):
+    """The diagonal of a congruence diagonalization over Q (sign pattern =
+    signature): largest diagonal pivot, a zero diagonal repaired by adding
+    a basis vector with a nonzero off-diagonal entry."""
+    n = len(g)
+    a = [[Fraction(x) for x in row] for row in g]
+    for k in range(n):
+        best = max((i for i in range(k, n) if a[i][i]), default=None,
+                   key=lambda i: abs(a[i][i]))
+        if best is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                         if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            for row in a:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            best = i
+        for row in a:
+            row[k], row[best] = row[best], row[k]
+        a[k], a[best] = a[best], a[k]
+        for j in range(k + 1, n):
+            f = a[k][j] / a[k][k]
+            if f:
+                for row in a:
+                    row[j] -= f * row[k]
+                a[j] = [x - f * y for x, y in zip(a[j], a[k])]
+    return [a[i][i] for i in range(n)]
+
+
+def ref_ldl(g):
+    """(d, l) with g = sum_k d[k] (e_k + sum_{j>k} l[k][j-k-1] e_j)^2."""
+    n = len(g)
+    a = [[Fraction(x) for x in row] for row in g]
+    d, l = [], []
+    for i in range(n):
+        d.append(a[i][i])
+        l.append([a[i][j] / a[i][i] for j in range(i + 1, n)])
+        for r in range(i + 1, n):
+            for s in range(i + 1, n):
+                a[r][s] -= a[i][r] * a[i][s] / a[i][i]
+    return d, l
+
+
+def ref_level(inv):
+    n = len(inv)
+    return math.lcm(*[Fraction(inv[i][i], 2).denominator for i in range(n)],
+                    *[inv[i][j].denominator for i in range(n) for j in range(n)])
+
+
+def even_symmetric(raw, diag):
+    n = len(diag)
+    return [[2 * diag[i] if i == j else raw[min(i, j)][max(i, j)]
+             for j in range(n)] for i in range(n)]
+
+
+even_matrices = st.integers(1, 6).flatmap(lambda n: st.builds(
+    even_symmetric,
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.sampled_from([0, 0, -2, -1, 1, 2]), min_size=n, max_size=n)))
+
+
 class TestLinalg:
     def test_det(self):
-        assert linalg.det_int(U) == -1
-        assert linalg.det_int(E8) == 1
-        assert linalg.det_int(D4) == 4
+        assert ref_det(U) == -1
+        assert ref_det(E8) == 1
+        assert ref_det(D4) == 4
 
     def test_smith_invariants(self):
         for g in (U, A1, E8, D4, direct_sum(U, A1M)):
             d, u, v = linalg.smith_normal_form([list(r) for r in g])
-            assert abs(linalg.det_int(u)) == 1
-            assert abs(linalg.det_int(v)) == 1
+            assert abs(ref_det(u)) == 1
+            assert abs(ref_det(v)) == 1
             prod = mat_mul(mat_mul(u, [list(r) for r in g]), v)
             for i in range(len(g)):
                 for j in range(len(g)):
@@ -91,26 +207,105 @@ class TestLinalg:
             for i in range(len(d) - 1):
                 assert d[i + 1] % d[i] == 0
 
-    def test_congruent_diagonalize(self):
-        for g in (U, A1M, E8, D4, direct_sum(U, U, A1M)):
-            diag, c = linalg.congruent_diagonalize(g)
-            gf = [[Fraction(x) for x in row] for row in g]
-            res = mat_mul(mat_mul(linalg.transpose(c), gf), c)
-            for i in range(len(g)):
-                for j in range(len(g)):
-                    assert res[i][j] == (diag[i] if i == j else 0)
+    @staticmethod
+    def check_elimination(g):
+        n = len(g)
+        minors, rows, c = linalg.sym_eliminate(g)
+        assert len(minors) == n + 1 and minors[0] == 1
+        res = mat_mul(mat_mul(transpose(c), g), c)
+        for i in range(n):
+            assert rows[i][:i] == [0] * i and rows[i][i] == minors[i + 1]
+            for j in range(n):
+                assert res[i][j] == (minors[i] * minors[i + 1] if i == j else 0)
+        assert minors[-1] == ref_det(g)
 
-    @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-                    min_size=3, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_congruence_random(self, raw):
-        g = [[raw[i][j] + raw[j][i] for j in range(3)] for i in range(3)]
-        diag, c = linalg.congruent_diagonalize(g)
-        gf = [[Fraction(x) for x in row] for row in g]
-        res = mat_mul(mat_mul(linalg.transpose(c), gf), c)
-        for i in range(3):
-            for j in range(3):
-                assert res[i][j] == (diag[i] if i == j else 0)
+    def test_sym_eliminate_diagonalizes(self):
+        # c^T G c = diag(D_k D_{k+1}); U and U + U + <-2> fold a zero diagonal
+        for g in (U, A1M, E8, D4, direct_sum(U, U, A1M), [[0, 1, 1], [1, 0, 2], [1, 2, 0]]):
+            self.check_elimination(g)
+
+    @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                    min_size=4, max_size=4), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_sym_eliminate_random(self, raw, n):
+        g = [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)]
+        if ref_det(g) == 0:
+            with pytest.raises(Singular):
+                linalg.sym_eliminate(g)
+        else:
+            self.check_elimination(g)
+
+    def test_sym_eliminate_singular(self):
+        for g in ([[0]], [[0, 0], [0, 0]], [[2, 2], [2, 2]], direct_sum(U, [[0]]),
+                  [[0, 1, 1], [1, 0, 1], [1, 1, 2]]):
+            assert ref_det(g) == 0
+            with pytest.raises(Singular):
+                linalg.sym_eliminate(g)
+
+
+class TestOneElimination:
+    """EvenLattice, _frame and certified_radius read one Bareiss pass; the
+    references above redo each over Q."""
+
+    @given(even_matrices)
+    @example([[0, 1], [1, 0]])
+    @example(direct_sum(U, U, A1M))
+    @example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    @settings(max_examples=150, deadline=None)
+    def test_invariants_match_references(self, g):
+        det = ref_det(g)
+        if det == 0:
+            with pytest.raises(Singular):
+                new_lattice(g)
+            return
+        lat = new_lattice(g)
+        diag = ref_congruent_diagonal(g)
+        inv = ref_inverse(g)
+        assert lat.det == det
+        assert (lat.sig_pos, lat.sig_neg) == (sum(d > 0 for d in diag),
+                                              sum(d < 0 for d in diag))
+        assert lat.level == ref_level(inv)
+        assert lat._inv_diag == tuple(inv[i][i] for i in range(len(g)))
+        neg = lat.negated()
+        assert neg._inv_diag == tuple(-inv[i][i] for i in range(len(g)))
+
+    @pytest.mark.parametrize("base", [E8, D4, A2, direct_sum(A2, A1, [[4]])])
+    def test_frame_matches_ldl(self, base):
+        rng = random.Random(41)
+        for sign in (1, -1):
+            for _ in range(10):
+                g = [[sign * x for x in row] for row in random_conjugate(rng, base)]
+                lat = new_lattice(g)
+                d, l = ref_ldl([[sign * x for x in row] for row in g])
+                lden = math.lcm(1, *(x.denominator for row in l for x in row))
+                dden = math.lcm(*(x.denominator for x in d))
+                want = tuple(
+                    (tuple(int(x * lden) for x in l[k]),
+                     int(d[k] * dden) * lden * lden, 2 * int(d[k] * dden) * lden,
+                     int(d[k] * dden))
+                    for k in range(len(g)))
+                assert lattice_mod._frame(lat) == (sign, dden * lden * lden, want)
+                # the negation shares the pass: same frame, opposite sign
+                assert lattice_mod._frame(lat.negated()) == (-sign,) + \
+                    lattice_mod._frame(lat)[1:]
+
+    def test_info_invariants_of_conjugates(self):
+        # perfbench's own GL_n(Z) conjugates of its 13 bases
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py")
+        wl = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(wl)
+        rng = random.Random("one elimination")
+        for name, base in sorted(wl.BASES.items()):
+            want = new_lattice(base)
+            orders = discriminant_form(want).orders
+            for _ in range(3):
+                lat = new_lattice(wl.conjugate(base, wl.random_unimodular(rng, len(base))))
+                assert (lat.det, lat.sig_pos, lat.sig_neg, lat.level) == \
+                    (want.det, want.sig_pos, want.sig_neg, want.level), name
+                inv = ref_inverse(lat.gram)
+                assert lat._inv_diag == tuple(inv[i][i] for i in range(len(base)))
+                assert discriminant_form(lat).orders == orders, name
 
 
 class TestEvenLattice:
@@ -349,7 +544,7 @@ def random_conjugate(rng, g, moves=None):
         f = rng.choice((-1, 1))
         for row in u:
             row[j] += f * row[i]
-    return mat_mul(mat_mul(linalg.transpose(u), g), u)
+    return mat_mul(mat_mul(transpose(u), g), u)
 
 
 def box(n, radius):
@@ -383,9 +578,6 @@ def box_isotropic(lat, radius):
                 v[i] * w[j] != v[j] * w[i] for i in range(len(v)) for j in range(i)):
             return 2
     return 1 if iso else 0
-
-
-A2 = [[2, -1], [-1, 2]]
 
 
 class TestEnumerator:
@@ -458,7 +650,7 @@ class TestEnumerator:
     def test_theta_counts_conjugate(self):
         # four moves keep the brute-force box small (radius 3 here)
         lat = new_lattice(random_conjugate(random.Random(1), D4, moves=4))
-        inv = linalg.inverse(lat.gram)
+        inv = ref_inverse(lat.gram)
         # Q(x) <= 2 forces x_i^2 <= 4 (G^-1)_ii
         radius = max(frac_isqrt(4 * inv[i][i]) for i in range(4))
         want = {}
@@ -498,3 +690,16 @@ class TestEnumerator:
         uu = new_lattice(direct_sum(U, U))
         assert witt_rank_bounded(uu, 2, cap=5 ** 4).lower_bound == 2
         assert witt_rank_bounded(uu, 2, cap=5 ** 4 - 1).lower_bound == 0
+
+    def test_one_walk_to_the_widest_box(self):
+        # without a radius the search is one walk at the largest r with
+        # (2r + 1)^rank <= cap: on A1 the cap 7 allows r = 3, where x = 3
+        # has Q = 9 (radii 1, 2, 4, ... would stop at 2)
+        lat = new_lattice(A1)
+        zero = disc_zero(lat)
+        assert coset_represents(lat, 9, zero, cap=7) is RepResult.REPRESENTED
+        assert coset_represents(lat, 9, zero, cap=6) is RepResult.NOT_WITHIN_RADIUS
+        assert coset_represents(lat, 16, zero, cap=9) is RepResult.REPRESENTED
+        # a cap below one point walks nothing
+        assert coset_represents(lat, 1, zero, cap=0) is RepResult.NOT_WITHIN_RADIUS
+        assert coset_represents(lat, 1, zero, cap=1) is RepResult.NOT_WITHIN_RADIUS
