@@ -44,6 +44,7 @@ from .lattice import (
     t_max,
     witt_rank_bounded,
 )
+from .linalg import Echelon
 from .qseries import PrincipalPart
 from .weilrep import invariants, weil_matrices
 
@@ -209,22 +210,6 @@ class ModularBasisFixture:
         return [g for g, f in zip(self.elements, self.cusp_flags) if f]
 
 
-@dataclass(frozen=True)
-class FunctionalRow:
-    """One row of the coefficient-extraction elimination state.
-
-    vector holds the row's pairing values against the cusp basis after
-    reduction; combination expands the row over the raw symmetrized
-    coefficient functionals it was built from; eis_value is the row paired
-    against the Eisenstein series.  pivot is the leading nonzero position.
-    """
-
-    vector: tuple
-    combination: tuple
-    eis_value: Fraction
-    pivot: int
-
-
 class EisensteinProvider:
     """Auxiliary-series source backed by the exact Eisenstein pipeline.
 
@@ -251,6 +236,9 @@ class FixtureProvider:
     name = "fixture"
 
     def __init__(self, fixture, index=0):
+        if not 0 <= index < len(fixture.elements):
+            raise FixtureNotABasis(
+                f"no element {index} among {len(fixture.elements)}")
         self.fixture = fixture
         self.element = fixture.elements[index]
         self.weight = fixture.weight
@@ -491,9 +479,10 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     """Principal part supported on the spec, orthogonal to every cusp element.
 
     Candidates stream in the declared order; each symmetrized coefficient
-    functional is reduced against the rows accumulated so far (exact
-    Gaussian elimination on the cusp-pairing vectors).  A candidate whose
-    reduced vector vanishes is a kernel combination; the first one whose
+    functional is reduced against the rows accumulated so far (fraction-free
+    elimination over Z on the cusp-pairing vectors, ``linalg.Echelon``).  A
+    candidate whose reduced vector vanishes is a kernel combination, unique
+    up to scale in the earlier independent rows; the first one whose
     pairing against the Eisenstein series is nonzero becomes the output,
     scaled to integral entries, with the constant slot set to minus that
     pairing.  When n = 2 and the lattice certifiably splits two hyperbolic
@@ -524,53 +513,44 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     limit = len(folded) if budget is None else min(int(budget), len(folded))
     witt2 = lattice.sig_pos == 2 and witt_rank_bounded(lattice).lower_bound >= 2
     gs = fixture.cusp_elements()
-    rows = []
+    # one row per candidate: its cusp pairings, then its Eisenstein pairing
+    # and its combination over the candidates, carried along as a tail
+    system = Echelon(len(gs))
     zero_evals = []
     cache = {}
     winner = None
-    for m, mu in folded[:limit]:
+    for k, (m, mu) in enumerate(folded[:limit]):
         for g in gs:
             if g.trunc <= m:
                 raise TruncationInsufficient(
                     f"fixture truncation {g.trunc} cannot read index {m}")
         factor = 1 if disc.neg(mu) == mu else 2
-        vec = [factor * g.coefficient(m, mu) for g in gs]
-        ev = factor * _eis(ctx, cache, m, mu)
-        combo = {(m, mu): Fraction(1)}
-        for row in rows:
-            x = vec[row.pivot]
-            if x:
-                r = x / row.vector[row.pivot]
-                vec = [a - r * bb for a, bb in zip(vec, row.vector)]
-                ev -= r * row.eis_value
-                for key, val in row.combination:
-                    combo[key] = combo.get(key, Fraction(0)) - r * val
-        if any(vec):
-            pivot = next(i for i, x in enumerate(vec) if x)
-            rows.append(FunctionalRow(
-                tuple(vec), tuple(sorted(combo.items())), ev, pivot))
-            if len(rows) > len(gs):
+        reduced = system.add([factor * g.coefficient(m, mu) for g in gs]
+                             + [factor * _eis(ctx, cache, m, mu)]
+                             + [int(j == k) for j in range(limit)])
+        if reduced is None:
+            if system.rank > len(gs):
                 raise FixtureNotABasis(
                     "more independent projections than cusp elements")
             continue
+        ev, combo = reduced[len(gs)], reduced[len(gs) + 1:]
         if ev != 0 or witt2:
-            winner = (combo, ev)
+            # scaled so the candidate itself enters with coefficient 1
+            winner = [Fraction(t, combo[k]) for t in combo]
+            ev = Fraction(ev, combo[k])
             break
         zero_evals.append((m, mu))
     if winner is None:
         err = BudgetExhausted(
-            f"examined {limit} candidate(s): {len(rows)} independent cusp "
+            f"examined {limit} candidate(s): {system.rank} independent cusp "
             f"projections, {len(zero_evals)} kernel combination(s) pairing "
             f"to zero against the Eisenstein series")
         err.zero_evaluations = tuple(zero_evals)
         raise err
-    combo, ev = winner
     entries = {}
-    for (m, mu), t in combo.items():
-        if t == 0:
-            continue
-        entries[(m, mu)] = t
-        entries[(m, disc.neg(mu))] = t
+    for (m, mu), t in zip(folded, winner):
+        if t:
+            entries[(m, mu)] = entries[(m, disc.neg(mu))] = t
     lam = lcm(*[t.denominator for t in entries.values()])
     entries = {key: t * lam for key, t in entries.items()}
     const = -sum(t * _eis(ctx, cache, m, mu)

@@ -143,7 +143,7 @@ class DiscriminantForm:
     def __init__(self, lattice, orders=None, gens=None):
         self.lattice = lattice
         if orders is None:
-            diag, _, v = linalg.smith_normal_form([list(r) for r in lattice.gram])
+            diag, v = linalg.smith_normal_form([list(r) for r in lattice.gram])
             orders, gens = [], []
             for i, d in enumerate(diag):
                 if d > 1:

@@ -1,18 +1,18 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here works on plain lists of ints/Fractions; no floats anywhere.
-These are the primitives behind discriminant groups, kernel computations
-and the linear solves of the prescription pipeline.  ``sym_eliminate`` is
-the one symmetric elimination over the integers: a single fraction-free
-(Bareiss) pass from which a lattice reads its determinant, signature,
-level, the diagonal of G^-1 and the LDL^T frame of its enumeration walk.
-The p-adic Jordan splitting works on the same ``sym_swap``/``sym_add``
-moves.
+Everything here works on plain lists of Python ints; no floats anywhere.
+``Echelon`` is the one row elimination (fraction-free over Z): the ranks
+and kernels of the Weil invariants and the kernel combinations of the
+prescription search.  ``sym_eliminate`` is the one symmetric elimination:
+a single fraction-free (Bareiss) pass from which a lattice reads its
+determinant, signature, level, the diagonal of G^-1 and the LDL^T frame of
+its enumeration walk.  The p-adic Jordan splitting works on the same
+``sym_swap``/``sym_add`` moves.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import Singular
 
@@ -21,63 +21,86 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def rref(m):
-    """Reduced row echelon form over Q.  Returns (rows, pivot_columns)."""
-    a = [[Fraction(x) for x in row] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+class Echelon:
+    """Incremental row echelon form over Z, fraction-free.
+
+    A row of ints or Fractions is cleared of denominators, then reduced in
+    Python ints against the rows kept so far, primitive after every step.
+    Only the first width entries are pivoted on; a tail beyond them goes
+    through the same integer combinations.  Every step is exact, so rank and
+    kernel are those over Q (E. H. Bareiss, Math. Comp. 22 (1968)).
+    """
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = []  # (pivot column, primitive integer row)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add(self, row):
+        """Keep the reduced row and return None if it is nonzero on the first
+        width entries; else return it, tail included."""
+        den = lcm(*[x.denominator for x in row])
+        a = _primitive([x.numerator * (den // x.denominator) for x in row])
+        for piv, r in self.rows:
+            a = _eliminate(a, r, piv)
+        piv = next((i for i in range(self.width) if a[i]), None)
         if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+            return a
+        self.rows.append((piv, a))
+        return None
+
+    def kernel(self):
+        """One primitive integer vector per free column f, a positive multiple
+        of the reduced row echelon kernel vector that is 1 at f."""
+        done = []  # the kept rows reduced against each other, last first
+        for piv, r in reversed(self.rows):
+            for q, s in done:
+                r = _eliminate(r, s, q)
+            done.append((piv, r))
+        den = lcm(*[r[piv] for piv, r in done])
+        pivots = {piv for piv, _ in done}
+        basis = []
+        for f in range(self.width):
+            if f not in pivots:
+                v = [den * (j == f) for j in range(self.width)]
+                for piv, r in done:
+                    v[piv] = -r[f] * den // r[piv]
+                basis.append(_primitive(v))
+        return basis
 
 
-def kernel(m):
-    """Basis of the rational right kernel {x : m x = 0}."""
-    if not m:
-        return []
-    ncols = len(m[0])
-    rows, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(v)
-    return basis
+def _primitive(a):
+    g = gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _eliminate(a, r, piv):
+    """a with its entry at r's pivot cleared: p a - x r, made primitive."""
+    x = a[piv]
+    if not x:
+        return a
+    p = r[piv]
+    g = gcd(p, x)
+    return _primitive([p // g * u - x // g * v for u, v in zip(a, r)])
 
 
 def smith_normal_form(a):
     """Smith normal form of an integer matrix.
 
-    Returns (d, u, v) with u·a·v = diag(d), u and v unimodular, and each
-    diagonal entry dividing the next.  Diagonal entries are non-negative.
+    Returns (d, v) with v unimodular and u·a·v = diag(d) for some unimodular
+    u, each diagonal entry dividing the next.  Diagonal entries are
+    non-negative.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     d = [list(map(int, row)) for row in a]
-    u = identity(nrows)
     v = identity(ncols)
 
     def row_op(i, j, q):  # row i -= q * row j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col i -= q * col j
         for row in d:
@@ -87,7 +110,6 @@ def smith_normal_form(a):
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -140,10 +162,9 @@ def smith_normal_form(a):
             row_op(t, offender, -1)  # pull the offending row up, keep reducing
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
     diag = [d[i][i] for i in range(min(nrows, ncols))]
-    return diag, u, v
+    return diag, v
 
 
 def sym_swap(g, c, i, j):

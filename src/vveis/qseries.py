@@ -113,8 +113,8 @@ def delta_power(b, trunc):
     """
     b = int(b)
     trunc = Fraction(trunc)
-    if trunc < -b + 1:
-        raise PreconditionError(f"trunc {trunc} < {-b + 1} captures no terms")
+    if trunc <= b:  # Delta^b starts at q^b
+        raise PreconditionError(f"trunc {trunc} <= {b} captures no terms")
     if b == 0:
         return ScalarQSeries({0: 1}, trunc)
     n_unit = int(trunc) + abs(b) + 1  # unit-part coefficients needed

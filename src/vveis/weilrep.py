@@ -11,9 +11,10 @@ the matrices they are given, proving exactly that the matrices have that
 shape, and then decide every relation by character orthogonality and one
 Gauss sum (Milgram's formula), in O(|L'/L|^2) with no matrix product; input
 of another shape takes the dense products.  invariants eliminates over the
-coordinates where T = 1 only.  On <2>^6 + <-2>^2 (|L'/L| = 256) the matrices
-take 0.13 s of CPU, the relations 0.10 s, unitarity 0.07 s and the
-invariants 1.2 s (Python 3.11, shared 2-vCPU VM).
+coordinates where T = 1 only, fraction-free over Z.  On <2>^6 + <-2>^2
+(|L'/L| = 256) the matrices take 0.12-0.23 s of CPU, the relations 0.07 s,
+unitarity 0.07 s and the invariants 0.14-0.24 s, where a Fraction RREF took
+1.2-1.7 s (Python 3.11, shared 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from . import linalg
 from .arith import factorize, kronecker
@@ -458,31 +459,24 @@ def invariants(w):
     Q(zeta_M), giving a rational linear system; its kernel, padded with
     zeros, is the full invariant subspace intersected with Q^(|disc|) (for
     rational unknowns the expansion loses nothing).  The basis is the RREF
-    basis of the full system in T and S, whose free columns are the same.
+    basis of the full system in T and S, whose free columns are the same,
+    each vector scaled to a primitive integer vector with a positive
+    leading entry; ``linalg.Echelon`` computes it without a fraction.
     """
     n = len(w.t_mat)
     one = Cyclotomic.from_rational(1, w.order)
     cols = [j for j in range(n) if (w.t_mat[j] - one).is_zero()]
-    rows = []
+    system = linalg.Echelon(len(cols))
     for i, srow in enumerate(w.s_mat):
         canons = [(srow[j] - one if j == i else srow[j]).canonical() for j in cols]
         for key in sorted(set().union(*canons)):
-            rows.append([c.get(key, Fraction(0)) for c in canons])
-    if rows:
-        basis = linalg.kernel(rows)
-    else:  # S is the identity on these columns: each of them is invariant
-        basis = [[Fraction(int(k == j)) for k in range(len(cols))]
-                 for j in range(len(cols))]
+            system.add([c.get(key, 0) for c in canons])
     out = []
-    for vec in basis:
-        den = lcm(*[f.denominator for f in vec])
-        ints = [int(f * den) for f in vec]
-        g = gcd(*ints)
-        lead = next(x for x in ints if x)
-        if lead < 0:
-            g = -g
-        full = [0] * n
-        for j, x in zip(cols, ints):
-            full[j] = x
-        out.append(tuple(Fraction(x, g) for x in full))
+    for vec in system.kernel():
+        if next(x for x in vec if x) < 0:
+            vec = [-x for x in vec]
+        full = [Fraction(0)] * n
+        for j, x in zip(cols, vec):
+            full[j] = Fraction(x)
+        out.append(tuple(full))
     return out

@@ -9,6 +9,8 @@ against silent drift, not correctness.
 """
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,7 +41,12 @@ from vveis.errors import (
     TruncationInsufficient,
     UnsupportedWeight,
 )
-from vveis.lattice import discriminant_form, new_lattice, t_mu
+from vveis.lattice import (
+    discriminant_form,
+    new_lattice,
+    t_mu,
+    witt_rank_bounded,
+)
 from vveis.qseries import PrincipalPart, ScalarQSeries, VVQSeries, delta_power
 
 E8 = [
@@ -138,6 +145,85 @@ def aniso_lattice():
     """x^2 + y^2 = 3(z^2 + w^2) has no nonzero solution, so Witt rank 0;
     the bounded search cannot certify that."""
     return new_lattice(diag([2, 2, -6, -6]))
+
+
+def reference_search(lattice, spec, fixture, budget=None):
+    """prescribe's candidate search as Fraction Gaussian elimination on the
+    cusp-pairing vectors, one dict combination per row.  Returns the first
+    vanishing candidate's combination (coefficient 1 on itself) and its
+    Eisenstein pairing, or (None, zero_evaluations) on exhaustion."""
+    disc = discriminant_form(lattice)
+    accepted = check_admissible(lattice, spec, disc).accepted
+    index = {mu: i for i, mu in enumerate(disc.elements())}
+    folded = [(m, mu) for m, mu in accepted
+              if index[mu] <= index[disc.neg(mu)]]
+    limit = len(folded) if budget is None else min(budget, len(folded))
+    witt2 = lattice.sig_pos == 2 and witt_rank_bounded(lattice).lower_bound >= 2
+    gs = fixture.cusp_elements()
+    rows, zero_evals = [], []
+    for m, mu in folded[:limit]:
+        factor = 1 if disc.neg(mu) == mu else 2
+        vec = [factor * g.coefficient(m, mu) for g in gs]
+        ev = factor * eis_coefficient(lattice, m, mu)
+        combo = {(m, mu): Fraction(1)}
+        for pivot, rvec, rcombo, rev in rows:
+            if vec[pivot]:
+                r = vec[pivot] / rvec[pivot]
+                vec = [a - r * b for a, b in zip(vec, rvec)]
+                ev -= r * rev
+                for key, val in rcombo.items():
+                    combo[key] = combo.get(key, Fraction(0)) - r * val
+        if any(vec):
+            pivot = next(i for i, x in enumerate(vec) if x)
+            rows.append((pivot, vec, combo, ev))
+        elif ev != 0 or witt2:
+            return combo, ev
+        else:
+            zero_evals.append((m, mu))
+    return None, tuple(zero_evals)
+
+
+def check_prescribe_against_reference(lattice, spec, fixture, budget=None):
+    """prescribe gives the reference combination scaled by the lcm of its
+    denominators, with the constant slot minus the scaled pairing."""
+    combo, ev = reference_search(lattice, spec, fixture, budget)
+    if combo is None:
+        with pytest.raises(BudgetExhausted) as err:
+            prescribe(lattice, spec, fixture, budget=budget)
+        assert err.value.zero_evaluations == ev
+        return None
+    pp = prescribe(lattice, spec, fixture, budget=budget)
+    want = {}
+    for (m, mu), t in combo.items():
+        if t:
+            want[(m, mu)] = want[(m, pp.disc.neg(mu))] = t
+    lam = math.lcm(*[t.denominator for t in want.values()])
+    assert pp.entries == {key: lam * t for key, t in want.items()}
+    if ev:
+        assert pp.const_term == -lam * ev
+    return pp
+
+
+def synthetic_fixture(lattice, weight, pairs, rng, n_cusp, dependent=False):
+    """Cusp-flagged series with small random coefficients on the given
+    (m, mu) pairs and their negatives (a coefficient of a form on rho_L is
+    even in mu), the last one a combination of the first two when
+    dependent."""
+    disc = discriminant_form(lattice)
+    den = math.lcm(*[Fraction(m).denominator for m, _ in pairs])
+    trunc = max(Fraction(m) for m, _ in pairs) + 1
+    rows = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in pairs]
+            for _ in range(n_cusp)]
+    if dependent and n_cusp > 1:
+        a, b = rng.choice([1, -1, 2]), rng.choice([1, 3, Fraction(1, 2)])
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    elements = tuple(
+        VVQSeries(disc, den, 1, trunc,
+                  {(Fraction(m) * den, nu): c
+                   for (m, mu), c in zip(pairs, row) if c
+                   for nu in (mu, disc.neg(mu))})
+        for row in rows)
+    return ModularBasisFixture(weight, elements, (True,) * n_cusp, "synthetic")
 
 
 class TestAdmissibleSpec:
@@ -300,6 +386,15 @@ class TestBuildH:
         with pytest.raises(PositivityViolation):
             build_h(lneg, 2, 1, provider=FixtureProvider(bad), disc=dneg)
 
+    def test_fixture_provider_index_out_of_range(self):
+        with pytest.raises(FixtureNotABasis, match="no element 0"):
+            FixtureProvider(ModularBasisFixture(19, (), (), "empty"))
+        one = weight19_provider().fixture
+        for index in (1, -1):
+            with pytest.raises(FixtureNotABasis, match=f"no element {index}"):
+                FixtureProvider(one, index)
+        assert FixtureProvider(one, 0).element is one.elements[0]
+
     def test_fixture_provider_truncation(self):
         lneg, dneg = negated_side()
         short = ModularBasisFixture(
@@ -368,6 +463,32 @@ class TestDecompose:
         with pytest.raises(UnsupportedWeight):
             decompose(self._mixed_input(), fixture_lattice(),
                       provider=EisensteinProvider())
+
+    def test_series_provider_at_depths_two_and_three(self):
+        # n = 24 and n = 36: the exact-series provider's only depth is
+        # b = n / 12, and build_h needs Delta^-b just past the pole
+        cases = [
+            (direct_sum(E8, E8, E8, [[-2]], [[-2]]),
+             {(Fraction(1, 2), (1, 1)): -1}, 2, 2702765),
+            (direct_sum(E8, E8, E8, E8, D4, [[-2]], [[-2]]),
+             {(Fraction(3, 2), (0, 0, 1, 1)): -1}, 3, 2404879675441),
+        ]
+        for gram, entries, b, c in cases:
+            lat = new_lattice(gram)
+            f = PrincipalPart(discriminant_form(lat), entries, 0, sign=-1)
+            res = decompose(f, lat)
+            assert (res.b, res.c) == (b, c)
+            for part in (res.f1, res.f2):
+                assert part.integral
+                assert all(v >= 0 for v in part.entries.values())
+            hpp = {(Fraction(-n, res.h.den), mu): ch
+                   for (n, mu), ch in res.h.coeffs.items() if n < 0}
+            assert res.f2.entries == {k: c * ch for k, ch in hpp.items()}
+            diff = dict(res.f1.entries)
+            for key, v in res.f2.entries.items():
+                diff[key] = diff.get(key, Fraction(0)) - v
+            assert {k: v for k, v in diff.items() if v != 0} == f.entries
+            assert res.f1.const_term - res.f2.const_term == f.const_term
 
     def test_sign_tag_enforced(self):
         flipped = PrincipalPart(fixture_disc(), {(1, ZERO): 1}, 0, sign=1)
@@ -489,15 +610,25 @@ class TestPrescribe:
 
     def test_zero_pairings_reported(self):
         # cusp data proportional to the Eisenstein coefficients makes every
-        # kernel combination pair to zero: exhaustion with itemized report
+        # kernel combination pair to zero: exhaustion with itemized report,
+        # also beside a second, unrelated cusp element
         lat, disc = fixture_lattice(), fixture_disc()
-        e1 = eis_coefficient(lat, 1, ZERO)
-        e2 = eis_coefficient(lat, 2, ZERO)
-        g = VVQSeries(disc, 4, 1, 4, {(4, ZERO): e1, (8, ZERO): e2})
-        fix = ModularBasisFixture(7, (g,), (True,), "matched to the series")
-        with pytest.raises(BudgetExhausted) as err:
-            prescribe(lat, self._spec((1, ZERO), (2, ZERO)), fix)
-        assert err.value.zero_evaluations == ((Fraction(2), ZERO),)
+        pairs = [(1, ZERO), (2, ZERO), (3, ZERO), (Fraction(3, 4), MU_A)]
+        matched = VVQSeries(disc, 4, 1, 4, {
+            (Fraction(m) * 4, mu): eis_coefficient(lat, m, mu)
+            for m, mu in pairs})
+        other = VVQSeries(disc, 4, 1, 4, {(4, ZERO): 2, (3, MU_A): -1})
+        cases = [((matched,), pairs[:2], ((Fraction(2), ZERO),)),
+                 ((matched, other), pairs,
+                  ((Fraction(2), ZERO), (Fraction(3), ZERO)))]
+        for gs, members, zeros in cases:
+            fix = ModularBasisFixture(7, gs, (True,) * len(gs), "matched")
+            spec = self._spec(*members)
+            with pytest.raises(BudgetExhausted) as err:
+                prescribe(lat, spec, fix)
+            assert err.value.zero_evaluations == zeros
+            assert f"{len(gs)} independent cusp projections" in str(err.value)
+            assert check_prescribe_against_reference(lat, spec, fix) is None
 
     def test_rejection_before_search(self):
         with pytest.raises(NotAdmissible, match="ord_2"):
@@ -535,6 +666,36 @@ class TestPrescribe:
                               (Fraction(2), ()): Fraction(1)}
         assert pp.const_term == 1
         assert obstruction_check(pp, fix).ok
+
+    def test_matches_fraction_elimination(self):
+        # random synthetic cusp data, some with a dependent element, some
+        # cut by a budget, against the Fraction elimination it replaced
+        cases = [
+            (fixture_lattice(), 7,
+             [(1, ZERO), (2, ZERO), (3, ZERO), (Fraction(3, 4), MU_A),
+              (Fraction(7, 4), MU_A), (Fraction(1, 2), MU_AB),
+              (Fraction(3, 2), MU_AB)]),
+            (new_lattice(direct_sum([[4]], U, U)), Fraction(5, 2),
+             [(Fraction(9, 8), (1,)), (Fraction(17, 8), (1,)),
+              (Fraction(1, 2), (2,)), (Fraction(3, 2), (2,)), (1, (0,)),
+              (2, (0,))]),
+            (uu_lattice(), 2, [(1, ()), (2, ()), (3, ())]),
+        ]
+        rng = random.Random(16)
+        outcomes = Counter()
+        for lattice, weight, pairs in cases:
+            spec = self._spec(*pairs)
+            for trial in range(12):
+                fix = synthetic_fixture(lattice, weight, pairs, rng,
+                                        rng.randint(1, 4), trial % 3 == 0)
+                budget = rng.choice([None, None, 1, 2, 3])
+                pp = check_prescribe_against_reference(lattice, spec, fix,
+                                                       budget)
+                outcomes[pp is None] += 1
+            with pytest.raises(FixtureNotABasis, match="weight"):
+                prescribe(lattice, spec, synthetic_fixture(
+                    lattice, weight + 1, pairs, rng, 2))
+        assert outcomes[False] and outcomes[True], outcomes
 
     def test_orbit_symmetrization(self):
         lat = new_lattice(direct_sum([[4]], U, U))

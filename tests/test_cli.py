@@ -287,6 +287,35 @@ class TestSubcommands:
         assert code == 2
         assert "unknown keys" in err
 
+    def test_provider_without_elements(self, tmp_path):
+        # the provider reads element 0; an empty fixture has none
+        lattice = tmp_path / "d4uu.json"
+        lattice.write_text(json.dumps({"gram": acceptance.direct_sum(
+            acceptance.D4, U, U)}))
+        provider = tmp_path / "empty.json"
+        provider.write_text(json.dumps({"weight": "4", "elements": []}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vveis.cli", "h-series", str(lattice),
+             "-b", "1", "--trunc", "2", "--provider", str(provider)],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error (precondition): no element 0")
+        assert proc.stderr.count("\n") == 1
+
+    def test_decompose_at_depth_two(self, tmp_path):
+        # E8^3 + <-2>^2: the series provider's only depth is b = 2
+        lattice = tmp_path / "e8cubed.json"
+        lattice.write_text(json.dumps({"gram": acceptance.direct_sum(
+            E8, E8, E8, [[-2]], [[-2]])}))
+        pp = tmp_path / "pp.json"
+        pp.write_text(json.dumps({"principal_part": {"sign": "-", "coeffs": [
+            {"exp": "-1/2", "mu": [1, 1], "c": "-1"}]}, "const_term": "0"}))
+        code, out, err = run_cli(["decompose", str(lattice), "--pp", str(pp)])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["b"], doc["c"]) == (2, 2702765)
+
     @pytest.mark.parametrize("doc,code", [
         ({"bound_a": 1, "members": [["1", [0, 0, 0, 0]]]}, 0),
         ({"bound_a": 1, "members": [["1", "abcd"]]}, 2),

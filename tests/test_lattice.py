@@ -196,14 +196,16 @@ class TestLinalg:
         assert ref_det(D4) == 4
 
     def test_smith_invariants(self):
+        # u a v = diag(d) with u unimodular is a v = W diag(d) with W = u^-1:
+        # column j of a v is d_j times an integral column of W, |det W| = 1
         for g in (U, A1, E8, D4, direct_sum(U, A1M)):
-            d, u, v = linalg.smith_normal_form([list(r) for r in g])
-            assert abs(ref_det(u)) == 1
+            d, v = linalg.smith_normal_form([list(r) for r in g])
             assert abs(ref_det(v)) == 1
-            prod = mat_mul(mat_mul(u, [list(r) for r in g]), v)
-            for i in range(len(g)):
-                for j in range(len(g)):
-                    assert prod[i][j] == (d[i] if i == j else 0)
+            av = mat_mul([list(r) for r in g], v)
+            assert all(x > 0 for x in d)
+            assert all(row[j] % d[j] == 0 for row in av for j in range(len(d)))
+            w = [[row[j] // d[j] for j in range(len(d))] for row in av]
+            assert abs(ref_det(w)) == 1
             for i in range(len(d) - 1):
                 assert d[i + 1] % d[i] == 0
 

@@ -77,6 +77,23 @@ class TestDeltaPower:
         with pytest.raises(PreconditionError):
             delta_power(-2, -2)
 
+    def test_deep_inverse_short_truncation(self):
+        # Delta^-2 starts at q^-2, so trunc 2 holds four terms
+        d = delta_power(-2, 2)
+        assert d.items() == [(-2, 1), (-1, 48), (0, 1224), (1, 21952)]
+
+    def test_every_truncation_past_the_leading_term(self):
+        # Delta^b starts at q^b: trunc b + 1 is the first that holds a term,
+        # and each shorter expansion is a prefix of a longer one
+        for b in (2, 3, -2, -3):
+            full = delta_power(b, b + 8)
+            for trunc in range(b + 1, b + 8):
+                assert delta_power(b, trunc).items() == \
+                    [(e, c) for e, c in full.items() if e < trunc]
+            assert delta_power(b, b + 1).items() == [(b, 1)]
+            with pytest.raises(PreconditionError, match="captures no terms"):
+                delta_power(b, b)
+
     def test_zero_power(self):
         d = delta_power(0, 5)
         assert d.items() == [(0, Fraction(1))]

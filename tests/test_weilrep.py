@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vveis import acceptance, linalg, weilrep
 from vveis.errors import PreconditionError
@@ -120,6 +122,52 @@ def reference_unitary(w):
                for i in range(n) for j in range(n))
 
 
+def rref(m):
+    """Reduced row echelon form over Q.  Returns (rows, pivot_columns)."""
+    a = [[Fraction(x) for x in row] for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        support = [(j, y) for j, y in enumerate(a[r]) if y]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f, row = a[i][c], a[i]
+                for j, y in support:
+                    row[j] -= f * y
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def kernel(m):
+    """Basis of the rational right kernel {x : m x = 0}, one vector per free
+    column with 1 there: the reduced row echelon basis."""
+    if not m:
+        return []
+    ncols = len(m[0])
+    rows, pivots = rref(m)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(v)
+    return basis
+
+
 def reference_invariants(w):
     """The invariant basis from the full system: every T row and every
     S - I row, over all |L'/L| coordinates."""
@@ -137,7 +185,7 @@ def reference_invariants(w):
     if not rows:
         return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
     out = []
-    for vec in linalg.kernel(rows):
+    for vec in kernel(rows):
         den = lcm(*[f.denominator for f in vec])
         ints = [int(f * den) for f in vec]
         g = gcd(*ints)
@@ -404,6 +452,74 @@ class TestWeilMatrices:
                 assert (sv - vec[i]).is_zero()
 
 
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def rational_systems(draw):
+    """(width, rows): a random rational matrix with some of its rows
+    repeated, scaled or replaced by zero rows."""
+    width = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(fractions, min_size=width, max_size=width),
+                         max_size=7))
+    for kind, at in draw(st.lists(st.tuples(st.sampled_from(["zero", "dup"]),
+                                            st.integers(0, 7)), max_size=3)):
+        if kind == "zero":
+            rows.insert(at, [Fraction(0)] * width)
+        elif rows:
+            scale = draw(st.sampled_from([1, -1, 3, Fraction(-1, 2)]))
+            rows.insert(at, [scale * x for x in rows[at % len(rows)]])
+    return width, rows
+
+
+class TestEchelon:
+    """``linalg.Echelon`` against the Fraction reduced row echelon form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_systems())
+    @example((0, []))
+    @example((0, [[], []]))
+    @example((3, []))
+    @example((3, [[1, 2, 3], [0, 1, 4], [5, 6, 0]]))  # full rank
+    @example((4, [[Fraction(1, 2), 1, 0, 2], [1, 2, 0, 4], [0, 0, 0, 0]]))
+    def test_rank_and_kernel_match_rref(self, system):
+        width, rows = system
+        ech = linalg.Echelon(width)
+        for row in rows:
+            ech.add(row)
+        assert ech.rank == len(rref(rows)[1])
+        ref = kernel(rows) if rows else [
+            [Fraction(int(i == j)) for j in range(width)] for i in range(width)]
+        got = ech.kernel()
+        assert len(got) == len(ref)
+        for vec, want in zip(got, ref):
+            assert all(isinstance(x, int) for x in vec)
+            assert gcd(*vec) == 1
+            # a positive multiple of the reference vector, which is 1 at its
+            # free column
+            scale = next(x for x, y in zip(vec, want) if y == 1)
+            assert scale > 0 and vec == [scale * y for y in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_systems())
+    def test_tail_records_the_combination(self, system):
+        # an identity tail makes each vanishing row a dependency among the
+        # rows added so far, with a nonzero coefficient on the row itself
+        width, rows = system
+        ech = linalg.Echelon(width)
+        n = len(rows)
+        for k, row in enumerate(rows):
+            tail = ech.add(list(row) + [int(i == k) for i in range(n)])
+            if tail is None:
+                continue
+            combo = tail[width:]
+            assert all(x == 0 for x in tail[:width])
+            assert combo[k] != 0 and not any(combo[k + 1:])
+            for j in range(width):
+                assert sum(c * r[j] for c, r in zip(combo, rows)) == 0
+        assert ech.rank == len(rref(rows)[1])
+
+
 class TestInvariants:
     def test_trivial_sig0(self):
         w = weil_matrices(discriminant_form(new_lattice(E8)))
@@ -435,6 +551,7 @@ class TestInvariants:
             direct_sum([[2]], [[6]]), direct_sum([[2]], [[2]], [[2]], [[6]]),
             direct_sum(*[[[2]]] * 5), direct_sum([[-2]], [[-2]], [[2]], [[2]], [[2]]),
             direct_sum([[8]], [[-8]]),  # |L'/L| = 64, kernel of dimension 3
+            direct_sum(*[[[2]]] * 6, [[-2]], [[-2]]),  # |L'/L| = 256, dimension 7
         ]
         dims = []
         for g in grams:
@@ -442,7 +559,7 @@ class TestInvariants:
             got = invariants(w)
             assert got == reference_invariants(w), g
             dims.append(len(got))
-        assert dims[9] == 2 and dims[-1] == 3, dims
+        assert dims[9] == 2 and dims[-2] == 3 and dims[-1] == 7, dims
 
     def test_invariants_are_fixed(self):
         for g in (direct_sum([[2]], [[-2]]), direct_sum(U, U), D4):
