@@ -123,10 +123,11 @@ def load_config(path=None, env=None):
 
 
 def _read_json(path):
-    text = Path(path).read_text()
+    """The parsed file; text that is not UTF-8, not JSON or nested past the
+    parser's recursion limit is a precondition error (exit 2)."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as err:
         raise PreconditionError(f"{path} is not valid JSON: {err}") from err
 
 
@@ -144,7 +145,7 @@ def cached_text(cfg, key_doc, produce, warn=None):
             if hashlib.sha256(text.encode()).hexdigest() != entry["sha256"]:
                 raise ValueError("stored digest does not match payload")
             return text
-        except (OSError, ValueError, KeyError, TypeError) as err:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
             if warn:
                 warn(f"warning: discarding corrupt cache entry {path.name}: {err}")
     text = produce()

@@ -418,7 +418,9 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
     """Does some vector of the coset mu + L have Q-value exactly m?
 
     Indefinite lattices of rank >= 4 are decided purely locally (counts at
-    the primes dividing 2N plus the real sign condition).  Definite lattices
+    the primes dividing 2N plus the real sign condition): for the lattice
+    itself by Kneser (Math. Z. 77, 1961), for other cosets checked only
+    empirically, against box witnesses.  Definite lattices
     and indefinite lattices of rank <= 3 search the sup-norm box
     [-radius, radius]^rank around the coset representative for a witness.
     The search is one exact integer walk: on a definite lattice each
@@ -535,7 +537,10 @@ def t_mu(lattice, mu, radius=None, cap=64, disc=None):
     raise BudgetExceeded(f"no represented value below cap {cap} for coset {mu}")
 
 
+@lru_cache(maxsize=None)
 def t_max(lattice, radius=None, disc=None):
+    """max over mu of ``t_mu``; memoized, since ``decompose`` and its
+    ``build_h`` ask for it on the same lattice (one through ``negated()``)."""
     if disc is None:
         disc = discriminant_form(lattice)
     return max(t_mu(lattice, mu, radius=radius, disc=disc)

@@ -4,20 +4,20 @@ Exponents are rationals with a fixed denominator; each component mu only
 carries exponents congruent to sign * Q(mu) mod 1 (sign +1 for Eisenstein
 series on the lattice itself, -1 for inputs living on the negated lattice).
 Truncation is tracked pessimistically through every operation and reading at
-or past it raises rather than silently returning 0.
+or past it raises rather than silently returning 0.  Delta^b, for every
+integer b, comes from one recurrence: Euler's pentagonal series raised to
+the power 24b by J. C. P. Miller's recurrence, in Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 from .errors import (
     IncompatibleDiscriminantForms,
     PreconditionError,
 )
-
-_INF = Fraction(10 ** 18)  # sentinel truncation for exactly-known series
 
 
 class ScalarQSeries:
@@ -26,7 +26,7 @@ class ScalarQSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs, trunc):
-        self.trunc = trunc if trunc == _INF else Fraction(trunc)
+        self.trunc = Fraction(trunc)
         self.coeffs = {int(e): Fraction(c) for e, c in coeffs.items()
                        if c != 0 and e < self.trunc}
 
@@ -79,75 +79,47 @@ class ScalarQSeries:
         return f"ScalarQSeries({head or '0'} + O(q^{self.trunc}))"
 
 
-def _eta24(n_terms):
-    """Coefficients of prod_{j>=1} (1-q^j)^24 up to exponent n_terms (exclusive)."""
-    poly = [Fraction(0)] * max(n_terms, 1)
-    if n_terms > 0:
-        poly[0] = Fraction(1)
-    for j in range(1, n_terms):
-        # multiply by (1 - q^j)^24 using the binomial expansion
-        binom = 1
-        factor = [Fraction(1)]
-        for i in range(1, 25):
-            binom = binom * (24 - i + 1) // i
-            if i * j >= n_terms:
-                break
-            factor.append(Fraction((-1) ** i * binom))
-        new = [Fraction(0)] * n_terms
-        for d, b in enumerate(factor):
-            if b == 0:
-                continue
-            shift = d * j
-            for e in range(n_terms - shift):
-                if poly[e]:
-                    new[e + shift] += poly[e] * b
-        poly = new
-    return poly
+def _pentagonal(n):
+    """(k, a_k) for the nonzero coefficients a_k of prod_{j>=1} (1 - q^j) with
+    0 < k < n: Euler's pentagonal number theorem gives a_k = (-1)^j at
+    k = j(3j - 1)/2 for j = +-1, +-2, ..."""
+    out = []
+    j = 1
+    while j * (3 * j - 1) // 2 < n:
+        sign = -1 if j % 2 else 1
+        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if k < n:
+                out.append((k, sign))
+        j += 1
+    return out
 
 
 def delta_power(b, trunc):
     """Delta^b as an exact integer-coefficient series valid below trunc.
 
-    b > 0 by the eta-product, b < 0 by exact power-series inversion of the
-    positive power.
+    Delta^b = q^b * f^(24b) with f = prod (1 - q^j) for every integer b.  The
+    coefficients of f come from the pentagonal number theorem and the power
+    g = f^(24b) from J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    section 4.7): g_0 = 1 and n g_n = sum_{k=1..n} ((24b + 1)k - n) a_k
+    g_(n-k), in Python ints; every division by n must be exact.
     """
     b = int(b)
     trunc = Fraction(trunc)
     if trunc <= b:  # Delta^b starts at q^b
         raise PreconditionError(f"trunc {trunc} <= {b} captures no terms")
-    if b == 0:
-        return ScalarQSeries({0: 1}, trunc)
-    n_unit = int(trunc) + abs(b) + 1  # unit-part coefficients needed
-    unit = _eta24(n_unit)
-    if abs(b) > 1:
-        acc = unit
-        for _ in range(abs(b) - 1):
-            new = [Fraction(0)] * n_unit
-            for i, x in enumerate(acc):
-                if x:
-                    for j, y in enumerate(unit):
-                        if i + j < n_unit and y:
-                            new[i + j] += x * y
-            acc = new
-        unit = acc
-    if b < 0:
-        inv = [Fraction(0)] * n_unit
-        inv[0] = Fraction(1)
-        for k in range(1, n_unit):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                if unit[i]:
-                    s += unit[i] * inv[k - i]
-            inv[k] = -s
-        unit = inv
-    out = {}
-    for e, c in enumerate(unit):
-        ee = e + (b if b > 0 else b)
-        if c and ee < trunc:
-            out[ee] = c
-    for c in out.values():
-        assert c.denominator == 1, "delta powers have integer coefficients"
-    return ScalarQSeries(out, trunc)
+    n_terms = ceil(trunc - b)
+    a = _pentagonal(n_terms)
+    alpha = 24 * b + 1
+    g = [1]
+    for n in range(1, n_terms):
+        s = 0
+        for k, ak in a:
+            if k > n:
+                break
+            s += (alpha * k - n) * ak * g[n - k]
+        assert s % n == 0, "delta powers have integer coefficients"
+        g.append(s // n)
+    return ScalarQSeries({b + n: c for n, c in enumerate(g)}, trunc)
 
 
 class VVQSeries:
@@ -167,7 +139,7 @@ class VVQSeries:
         if self.den < 1:
             raise PreconditionError("den must be positive")
         self.sign = sign
-        self.trunc = trunc if trunc == _INF else Fraction(trunc)
+        self.trunc = Fraction(trunc)
         self.hecke_flag = bool(hecke_flag)
         clean = {}
         for (num, mu), c in coeffs.items():

@@ -10,11 +10,12 @@ and S = c * e(-B).  verify_relations and is_unitary first read (Q, B, c) off
 the matrices they are given, proving exactly that the matrices have that
 shape, and then decide every relation by character orthogonality and one
 Gauss sum (Milgram's formula), in O(|L'/L|^2) with no matrix product; input
-of another shape takes the dense products.  invariants eliminates over the
-coordinates where T = 1 only, fraction-free over Z.  On <2>^6 + <-2>^2
-(|L'/L| = 256) the matrices take 0.12-0.23 s of CPU, the relations 0.07 s,
-unitarity 0.07 s and the invariants 0.14-0.24 s, where a Fraction RREF took
-1.2-1.7 s (Python 3.11, shared 2-vCPU VM).
+of any other shape raises PreconditionError.  invariants eliminates over the
+coordinates where T = 1 only, fraction-free over Z, expanding each distinct
+matrix entry once.  On <2>^6 + <-2>^2 (|L'/L| = 256) the matrices take
+0.12-0.40 s of CPU, the relations 0.06-0.10 s, unitarity 0.06-0.09 s and the
+invariants 0.09-0.14 s, where a Fraction RREF took 1.2-1.7 s (Python 3.11,
+shared 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -352,21 +353,12 @@ def _nondegenerate(b):
     return all(any(row) for row in b[1:])
 
 
-def _mat_mul_cyc(a, b):
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                           Cyclotomic(a[0][0].order))
-                       for j in range(n)) for i in range(n))
-
-
-def _is_identity(mat):
-    n = len(mat)
-    for i in range(n):
-        for j in range(n):
-            want = Fraction(1) if i == j else Fraction(0)
-            if not (mat[i][j] - want).is_zero():
-                return False
-    return True
+def _weil_module(w):
+    """``_module(w)``, raising where w is not of the Weil shape."""
+    mod = _module(w)
+    if mod is None:
+        raise PreconditionError("not the Weil matrices of a finite quadratic module")
+    return mod
 
 
 def verify_relations(w):
@@ -384,20 +376,20 @@ def verify_relations(w):
     - S^2 then is central: it commutes with S, with (ST)^3 = S^2 and so
       with ST, hence with T = S^-1 (ST).
 
-    When ``_module`` reads a quadratic module (t, B, c) off the matrices,
-    the facts are decided in O(|L'/L|^2) with no matrix product.  Character
-    orthogonality gives S^2 = c^2 |L'/L| [mu + nu in rad B], a phase times
-    F iff B is non-degenerate, with phi = c^2 |L'/L|.  Completing the square
-    gives TSTST = c G S with the Gauss sum G = sum_gamma zeta^t[gamma], so
-    TSTST = S iff c G = 1 (Milgram: G = sqrt|L'/L| e((b^+ - b^-)/8)).  On
-    <2>^k this takes about 0.5 ms, 0.6 ms and 2 ms of CPU at |L'/L| = 8, 16
-    and 32, and 0.1 s at 256 (Python 3.11, shared 2-vCPU VM).  Other input
-    takes the dense route: the products S^2 and S(TS), O(|L'/L|^3).
+    The input must have the shape of ``weil_matrices`` output: ``_module``
+    reads the quadratic module (t, B, c) off the matrices, proving their
+    shape, and anything else raises PreconditionError (a relabelled copy of
+    Weil matrices satisfies every relation, so False would be wrong there).
+    The facts are then decided in O(|L'/L|^2) with no matrix product.
+    Character orthogonality gives S^2 = c^2 |L'/L| [mu + nu in rad B], a
+    phase times F iff B is non-degenerate, with phi = c^2 |L'/L|.
+    Completing the square gives TSTST = c G S with the Gauss sum G =
+    sum_gamma zeta^t[gamma], so TSTST = S iff c G = 1 (Milgram: G =
+    sqrt|L'/L| e((b^+ - b^-)/8)).  On <2>^k this takes about 0.5 ms, 0.6 ms
+    and 2 ms of CPU at |L'/L| = 8, 16 and 32, and 0.1 s at 256 (Python
+    3.11, shared 2-vCPU VM).
     """
-    mod = _module(w)
-    if mod is None:
-        return _relations_by_products(w)
-    t, b, c = mod
+    t, b, c = _weil_module(w)
     if not _nondegenerate(b):
         return False
     phase = c * c * len(t)
@@ -408,44 +400,17 @@ def verify_relations(w):
     return (c * gauss - 1).is_zero()
 
 
-def _relations_by_products(w):
-    """verify_relations from the two dense products S^2 and S(TS)."""
-    els = w.disc.elements()
-    n = len(els)
-    idx = {mu: i for i, mu in enumerate(els)}
-    flip = [idx[w.disc.neg(mu)] for mu in els]
-    s, t = w.s_mat, w.t_mat
-    s2 = _mat_mul_cyc(s, s)
-    phase = s2[0][0]  # element 0 is the zero of L'/L, its own negative
-    for i in range(n):
-        for j in range(n):
-            want = phase if i == flip[j] else Fraction(0)
-            if not (s2[i][j] - want).is_zero():
-                return False
-    sign = (-1) ** ((w.sig_neg - w.sig_pos) % 2)
-    if not (phase * phase - sign).is_zero():
-        return False
-    ts = tuple(tuple(t[k] * x for x in s[k]) for k in range(n))
-    p = _mat_mul_cyc(s, ts)
-    return all((t[i] * p[i][j] * t[j] - s[i][j]).is_zero()
-               for i in range(n) for j in range(n))
-
-
 def is_unitary(w):
     """S * conj(S)^T = I, exactly.
 
-    For the Weil shape read by ``_module``, (S conj(S)^T)[mu][nu] is
-    c conj(c) |L'/L| [mu - nu in rad B], so S is unitary iff B is
-    non-degenerate and c conj(c) |L'/L| = 1: O(|L'/L|^2), about 0.3 ms at
-    |L'/L| = 8 and 0.07 s at 256.  Other input takes the dense product,
-    O(|L'/L|^3).
+    The input must have the shape of ``weil_matrices`` output, as for
+    ``verify_relations``: anything else raises PreconditionError (S stays
+    unitary when only T is damaged).  For the shape read by ``_module``,
+    (S conj(S)^T)[mu][nu] is c conj(c) |L'/L| [mu - nu in rad B], so S is
+    unitary iff B is non-degenerate and c conj(c) |L'/L| = 1: O(|L'/L|^2),
+    about 0.3 ms at |L'/L| = 8 and 0.07 s at 256.
     """
-    mod = _module(w)
-    if mod is None:
-        n = len(w.s_mat)
-        sc = tuple(tuple(w.s_mat[j][i].conj() for j in range(n)) for i in range(n))
-        return _is_identity(_mat_mul_cyc(w.s_mat, sc))
-    t, b, c = mod
+    t, b, c = _weil_module(w)
     return _nondegenerate(b) and (c * c.conj() * len(t) - 1).is_zero()
 
 
@@ -461,16 +426,27 @@ def invariants(w):
     rational unknowns the expansion loses nothing).  The basis is the RREF
     basis of the full system in T and S, whose free columns are the same,
     each vector scaled to a primitive integer vector with a positive
-    leading entry; ``linalg.Echelon`` computes it without a fraction.
+    leading entry; ``linalg.Echelon`` computes it without a fraction.  Each
+    distinct entry is expanded once: the S entries of Weil matrices are c
+    times roots of unity, so at most M of them differ.
     """
     n = len(w.t_mat)
     one = Cyclotomic.from_rational(1, w.order)
-    cols = [j for j in range(n) if (w.t_mat[j] - one).is_zero()]
+    canons = {}  # (order, coefficients) -> canonical form
+
+    def canonical(x):
+        key = (x.order, frozenset(x.coeffs.items()))
+        got = canons.get(key)
+        if got is None:
+            got = canons[key] = x.canonical()
+        return got
+
+    cols = [j for j in range(n) if not canonical(w.t_mat[j] - one)]
     system = linalg.Echelon(len(cols))
     for i, srow in enumerate(w.s_mat):
-        canons = [(srow[j] - one if j == i else srow[j]).canonical() for j in cols]
-        for key in sorted(set().union(*canons)):
-            system.add([c.get(key, 0) for c in canons])
+        row = [canonical(srow[j] - one if j == i else srow[j]) for j in cols]
+        for key in sorted(set().union(*row)):
+            system.add([c.get(key, 0) for c in row])
     out = []
     for vec in system.kernel():
         if next(x for x in vec if x) < 0:

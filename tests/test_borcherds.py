@@ -41,6 +41,7 @@ from vveis.errors import (
     TruncationInsufficient,
     UnsupportedWeight,
 )
+from vveis import lattice
 from vveis.lattice import (
     discriminant_form,
     new_lattice,
@@ -427,6 +428,26 @@ class TestDecompose:
             diff[key] = diff.get(key, Fraction(0)) - v
         assert {k: v for k, v in diff.items() if v != 0} == f.entries
         assert res.f1.const_term - res.f2.const_term == f.const_term
+
+    def test_t_computed_once(self, monkeypatch):
+        # decompose asks for T on the lattice and build_h on the negation of
+        # its negation: one memoized t_max serves both, one t_mu per element
+        calls = []
+        inner = lattice.t_mu
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "t_mu", counting)
+        lattice.t_max.cache_clear()
+        res = decompose(self._mixed_input(), fixture_lattice(),
+                        provider=weight19_provider())
+        assert (res.b, res.c) == (2, 61)
+        assert sorted(calls) == fixture_disc().elements() and len(calls) == 16
+        decompose(self._mixed_input(), fixture_lattice(),
+                  provider=weight19_provider())
+        assert len(calls) == 16
 
     def test_multiplier_minimal_by_exhaustion(self):
         f = self._mixed_input()

@@ -64,6 +64,50 @@ class TestExitCodes:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("role", [
+        "lattice", "config", "pp", "spec", "fixture", "provider"])
+    @pytest.mark.parametrize("content", [
+        b"[" * 100000 + b"]" * 100000,  # past the parser's recursion limit
+        b"\xff\xfe{}",  # not UTF-8
+    ], ids=["deep", "not-utf8"])
+    def test_unreadable_json_is_precondition(self, tmp_path, lat_files, role,
+                                             content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"bound_a": 1, "ceiling": "1"}))
+        lat = lat_files["e8"]
+        argv = {
+            "lattice": ["info", bad],
+            "config": ["--config", bad, "info", lat],
+            "pp": ["decompose", lat, "--pp", bad],
+            "spec": ["prescribe", lat, "--spec", bad, "--fixture", bad],
+            "fixture": ["prescribe", lat, "--spec", spec, "--fixture", bad],
+            "provider": ["h-series", lat, "-b", "1", "--trunc", "2",
+                         "--provider", bad],
+        }[role]
+        proc = subprocess.run(
+            [sys.executable, "-m", "vveis.cli", *map(str, argv)],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error (precondition): ")
+        assert "is not valid JSON" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,code", [
+        (["info"], 0), (["info", "/no/such/file.json"], 1), (["bogus"], 2)])
+    def test_main_exits_with_the_run_code(self, lat_files, monkeypatch, capsys,
+                                          argv, code):
+        if argv == ["info"]:
+            argv = ["info", lat_files["e8"]]
+        monkeypatch.setattr(sys, "argv", ["vveis", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+        out = capsys.readouterr().out
+        assert (json.loads(out)["rank"] == 8) if code == 0 else out == ""
+
     def test_precondition_from_library(self, tmp_path):
         odd = tmp_path / "odd.json"
         odd.write_text(json.dumps({"gram": [[1]]}))
@@ -384,6 +428,18 @@ class TestCache:
         _, out1, _ = run_cli(self._eis_args(lat_files))
         (entry,) = (tmp_path / "cache").glob("*.json")
         entry.write_text("not json at all")
+        code, out2, err = run_cli(self._eis_args(lat_files))
+        assert code == 0 and out2 == out1
+        assert "corrupt cache entry" in err
+
+    @pytest.mark.parametrize("content", [
+        b"[" * 100000 + b"]" * 100000, b"\xff\xfe{}"], ids=["deep", "not-utf8"])
+    def test_unreadable_entry_recomputed(self, lat_files, tmp_path,
+                                         monkeypatch, content):
+        monkeypatch.setenv("VVEIS_CACHE_DIR", str(tmp_path / "cache"))
+        _, out1, _ = run_cli(self._eis_args(lat_files))
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        entry.write_bytes(content)
         code, out2, err = run_cli(self._eis_args(lat_files))
         assert code == 0 and out2 == out1
         assert "corrupt cache entry" in err

@@ -478,6 +478,49 @@ class TestCosetRepresents:
         lat = new_lattice(direct_sum(A1, A1))
         assert coset_represents(lat, 0, disc_zero(lat)) is RepResult.REPRESENTED
 
+    def test_rank_four_local_path_has_witnesses(self):
+        # the local path decides indefinite rank 4 (Kneser for lattices; for
+        # cosets only checked here): on random even indefinite 4 x 4 Gram
+        # matrices with |det| <= 200, no NOT_REPRESENTED answer has a box
+        # witness, and every REPRESENTED answer finds one as the radius
+        # doubles up to 128 (on other seeds some witnesses lie past 64)
+        rng = random.Random(4)
+        answers = []
+        while len(answers) < 120:
+            # a third of the matrices are doubled, where the local conditions
+            # at 2 rule out many values
+            scale = rng.choice([1, 1, 2])
+            a = 3 // scale
+            g = [[scale * x for x in row] for row in even_symmetric(
+                [[rng.randint(-a, a) for _ in range(4)] for _ in range(4)],
+                [rng.randint(-a, a) for _ in range(4)])]
+            try:
+                lat = new_lattice(g)
+            except Singular:
+                continue
+            if lat.is_definite or abs(lat.det) > 200:
+                continue
+            disc = discriminant_form(lat)
+            els = disc.elements()
+            for mu in els[:1] + rng.sample(els[1:], min(1, len(els) - 1)):
+                shift = disc.vector(mu)
+                for k in range(-3, 4):
+                    m = disc.q_value(mu) + k
+                    if m == 0:
+                        continue
+                    res = coset_represents(lat, m, mu, disc=disc)
+                    if res is RepResult.NOT_REPRESENTED:
+                        assert not lattice_mod._box_search(lat, shift, m, 8), \
+                            (g, m, mu)
+                    else:
+                        assert res is RepResult.REPRESENTED
+                        radius = 2
+                        while not lattice_mod._box_search(lat, shift, m, radius):
+                            radius *= 2
+                            assert radius <= 128, (g, m, mu)
+                    answers.append(res)
+        assert answers.count(RepResult.NOT_REPRESENTED) >= 10
+
 
 def disc_zero(lat):
     return discriminant_form(lat).zero()

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -41,6 +42,54 @@ def rand_scalar(rng, trunc=10):
         {e: Fraction(rng.randint(-9, 9)) for e in range(-2, trunc)
          if rng.random() < 0.5},
         Fraction(trunc))
+
+
+@lru_cache(maxsize=None)
+def reference_eta24(n_terms):
+    """Coefficients of prod_{j>=1} (1-q^j)^24 below q^n_terms, one binomial
+    factor (1 - q^j)^24 at a time."""
+    poly = [Fraction(0)] * max(n_terms, 1)
+    if n_terms > 0:
+        poly[0] = Fraction(1)
+    for j in range(1, n_terms):
+        binom = 1
+        factor = [Fraction(1)]
+        for i in range(1, 25):
+            binom = binom * (24 - i + 1) // i
+            if i * j >= n_terms:
+                break
+            factor.append(Fraction((-1) ** i * binom))
+        new = [Fraction(0)] * n_terms
+        for d, b in enumerate(factor):
+            shift = d * j
+            for e in range(n_terms - shift):
+                if poly[e]:
+                    new[e + shift] += poly[e] * b
+        poly = new
+    return tuple(poly)
+
+
+def reference_delta_power(b, trunc):
+    """Delta^b below trunc by the eta product to the 24th power, repeated
+    convolution for |b| > 1 and power-series inversion for b < 0."""
+    trunc = Fraction(trunc)
+    if b == 0:
+        return {0: Fraction(1)}
+    n_unit = int(trunc) + abs(b) + 1
+    unit = eta = reference_eta24(n_unit)
+    for _ in range(abs(b) - 1):
+        new = [Fraction(0)] * n_unit
+        for i, x in enumerate(unit):
+            if x:
+                for j, y in enumerate(eta[:n_unit - i]):
+                    new[i + j] += x * y
+        unit = new
+    if b < 0:
+        inv = [Fraction(1)] + [Fraction(0)] * (n_unit - 1)
+        for k in range(1, n_unit):
+            inv[k] = -sum(unit[i] * inv[k - i] for i in range(1, k + 1) if unit[i])
+        unit = inv
+    return {e + b: c for e, c in enumerate(unit) if c and e + b < trunc}
 
 
 class TestDeltaPower:
@@ -97,6 +146,18 @@ class TestDeltaPower:
     def test_zero_power(self):
         d = delta_power(0, 5)
         assert d.items() == [(0, Fraction(1))]
+
+    def test_matches_eta_product_reference(self):
+        # the pentagonal series and Miller's power recurrence against the
+        # eta product with convolution and inversion, at every truncation
+        # from b + 1 to b + 40 and at half-integer truncations
+        for b in range(-6, 7):
+            truncs = [Fraction(b + k) for k in range(1, 41)]
+            truncs += [Fraction(2 * b + 2 * k + 1, 2) for k in range(0, 40, 7)]
+            for trunc in truncs:
+                got = delta_power(b, trunc)
+                assert got.trunc == trunc
+                assert got.coeffs == reference_delta_power(b, trunc), (b, trunc)
 
 
 class TestScalarSeries:
