@@ -87,7 +87,6 @@ def _candidate_pairs(spec, disc):
     walks each coset's congruence class up to the ceiling.  The result is
     deduplicated and closed under negation.
     """
-    index = {mu: i for i, mu in enumerate(disc.elements())}
     if spec.members is not None:
         raw = [(m, disc.check(mu)) for m, mu in spec.members]
     else:
@@ -100,14 +99,8 @@ def _candidate_pairs(spec, disc):
                 if spec.predicate is None or spec.predicate(m, mu):
                     raw.append((m, mu))
                 m += 1
-    seen, pairs = set(), []
-    for m, mu in raw:
-        for nu in (mu, disc.neg(mu)):
-            if (m, nu) not in seen:
-                seen.add((m, nu))
-                pairs.append((m, nu))
-    pairs.sort(key=lambda p: (p[0], index[p[1]]))
-    return pairs
+    pairs = {(m, nu) for m, mu in raw for nu in (mu, disc.neg(mu))}
+    return sorted(pairs, key=lambda p: (p[0], disc.index(p[1])))
 
 
 @dataclass(frozen=True)
@@ -507,9 +500,8 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     if report.rejected:
         raise NotAdmissible("; ".join(
             f"({m}, {mu}): {why}" for (m, mu), why in report.rejected))
-    index = {mu: i for i, mu in enumerate(disc.elements())}
     folded = [(m, mu) for m, mu in report.accepted
-              if index[mu] <= index[disc.neg(mu)]]
+              if disc.index(mu) <= disc.index(disc.neg(mu))]
     limit = len(folded) if budget is None else min(int(budget), len(folded))
     witt2 = lattice.sig_pos == 2 and witt_rank_bounded(lattice).lower_bound >= 2
     gs = fixture.cusp_elements()
@@ -529,9 +521,6 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
                              + [factor * _eis(ctx, cache, m, mu)]
                              + [int(j == k) for j in range(limit)])
         if reduced is None:
-            if system.rank > len(gs):
-                raise FixtureNotABasis(
-                    "more independent projections than cusp elements")
             continue
         ev, combo = reduced[len(gs)], reduced[len(gs) + 1:]
         if ev != 0 or witt2:

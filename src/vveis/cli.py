@@ -182,11 +182,14 @@ def _parse_mu(text, disc):
     return disc.check(mu)
 
 
-def _provider_from(args, disc):
+def _provider_from(args, disc, default=None):
+    """(provider, document) for --provider, the file read once; (default,
+    None) without it."""
     path = getattr(args, "provider", None)
     if not path:
-        return None
-    return FixtureProvider(parse_fixture(_read_json(path), disc.negated()))
+        return default, None
+    doc = _read_json(path)
+    return FixtureProvider(parse_fixture(doc, disc.negated())), doc
 
 
 def _cmd_info(args, cfg, err):
@@ -271,7 +274,7 @@ def _cmd_h_series(args, cfg, err):
     lat, _ = _load_lattice(args, cfg)
     disc = discriminant_form(lat)
     trunc = parse_rational(args.trunc, "--trunc")
-    provider = _provider_from(args, disc)
+    provider, provider_doc = _provider_from(args, disc)
 
     def produce():
         h = build_h(lat.negated(), args.b, trunc, provider=provider,
@@ -279,8 +282,7 @@ def _cmd_h_series(args, cfg, err):
         return canonical_json(qseries_doc(h))
 
     key = {"op": "h-series", "gram": lat.gram, "b": args.b,
-           "trunc": rational_str(trunc),
-           "provider": _read_json(args.provider) if args.provider else None}
+           "trunc": rational_str(trunc), "provider": provider_doc}
     return cached_text(cfg, key, produce, err), 0
 
 
@@ -289,7 +291,7 @@ def _cmd_decompose(args, cfg, err):
     disc = discriminant_form(lat)
     pp_doc = _read_json(args.pp)
     f = parse_principal_part(pp_doc, disc)
-    provider = _provider_from(args, disc) or EisensteinProvider()
+    provider, provider_doc = _provider_from(args, disc, EisensteinProvider())
 
     def produce():
         res = decompose(f, lat, provider=provider, minimal=args.minimal,
@@ -302,8 +304,7 @@ def _cmd_decompose(args, cfg, err):
 
     key = {"op": "decompose", "gram": lat.gram, "pp": pp_doc,
            "minimal": args.minimal, "provider": provider.name,
-           "provider_doc":
-               _read_json(args.provider) if args.provider else None}
+           "provider_doc": provider_doc}
     return cached_text(cfg, key, produce, err), 0
 
 
@@ -380,7 +381,7 @@ def _cmd_vanish_on(args, cfg, err):
     mu = _parse_mu(args.mu, disc)
     fixture_doc_ = _read_json(args.fixture)
     fixture = parse_fixture(fixture_doc_, disc)
-    provider = _provider_from(args, disc) or EisensteinProvider()
+    provider, provider_doc = _provider_from(args, disc, EisensteinProvider())
     pp_doc = _read_json(args.pp) if args.pp else None
     pp = parse_principal_part(pp_doc, disc) if pp_doc else None
 
@@ -392,8 +393,7 @@ def _cmd_vanish_on(args, cfg, err):
     key = {"op": "vanish-on", "gram": lat.gram, "m": rational_str(m),
            "mu": list(mu), "fixture": fixture_doc_, "pp": pp_doc,
            "budget": args.budget, "provider": provider.name,
-           "provider_doc":
-               _read_json(args.provider) if args.provider else None}
+           "provider_doc": provider_doc}
     return cached_text(cfg, key, produce, err), 0
 
 

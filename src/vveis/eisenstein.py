@@ -50,9 +50,15 @@ class EisensteinContext:
     b_minus: int
     primes: tuple  # primes dividing 2N
     hecke_boundary: bool  # kappa == 2: constant term needs the Hecke trick
+    chi: object  # even rank: the character of (-1)^kappa det; None in odd rank
+    scale: SymbolicReal  # the factor of every coefficient free of m
 
 
 def context(lattice, disc=None):
+    """The lattice's data for its coefficients, with the factors that do not
+    depend on m computed once: (-1)^(b-/2) 2^(rank//2) pi^kappa /
+    (Gamma(kappa) sqrt|L'/L|), divided by L(kappa, chi) in even rank and
+    multiplied by sqrt(2) / zeta(2 kappa - 1) in odd rank."""
     if disc is None:
         disc = discriminant_form(lattice)
     kappa = Fraction(lattice.rank, 2)
@@ -61,8 +67,17 @@ def context(lattice, disc=None):
     if lattice.sig_neg % 2:
         raise PreconditionError(
             "negative signature must be even for a nonzero series of this weight")
+    scale = SymbolicReal.make(
+        (-1) ** (lattice.sig_neg // 2) * 2 ** (lattice.rank // 2), kappa, 1)
+    scale = scale / gamma_half(kappa) / _sym_sqrt(abs(lattice.det))
+    if kappa.denominator == 1:
+        chi = QuadraticCharacter(4 * (-1) ** int(kappa) * lattice.det)
+        scale = scale / l_value_exact(int(kappa), chi)
+    else:
+        chi = None
+        scale = scale * _sym_sqrt(2) / zeta_exact(lattice.rank - 1)
     return EisensteinContext(lattice, disc, kappa, lattice.sig_neg,
-                             bad_primes(lattice), kappa == 2)
+                             bad_primes(lattice), kappa == 2, chi, scale)
 
 
 def _sym_sqrt(x):
@@ -86,18 +101,10 @@ def _local_product(ctx, m, mu, extra_odd=False):
 def _eis_even(ctx, m, mu):
     kappa = int(ctx.kappa)
     dmu = ctx.disc.order_of(mu)
-    disc_size = abs(ctx.lattice.det)
-    d_val = (-1) ** kappa * ctx.lattice.det
-    chi = QuadraticCharacter(4 * d_val)
     n = m * dmu * dmu
     assert n.denominator == 1, "d_mu^2 m is an integer"
-    div_sum = sigma(1 - kappa, int(n), chi)
-    arch = SymbolicReal.make(
-        Fraction(2) ** kappa * m ** (kappa - 1) * (-1) ** (ctx.b_minus // 2),
-        kappa, 1)
-    arch = arch / gamma_half(kappa) / _sym_sqrt(disc_size)
-    lval = l_value_exact(kappa, chi)
-    total = arch * div_sum * _local_product(ctx, m, mu) / lval
+    div_sum = sigma(1 - kappa, int(n), ctx.chi)
+    total = ctx.scale * (m ** (kappa - 1) * div_sum * _local_product(ctx, m, mu))
     if not total.is_rational:
         raise NonRationalResidue(f"even-rank assembly left {total}")
     return total.rational_value()
@@ -113,10 +120,8 @@ def _split_square(ctx, n):
 
 
 def _eis_odd(ctx, m, mu):
-    kappa = ctx.kappa  # half-integer
-    j = int(kappa - Fraction(1, 2))  # kappa = j + 1/2
+    j = ctx.lattice.rank // 2  # kappa = j + 1/2
     dmu = ctx.disc.order_of(mu)
-    disc_size = abs(ctx.lattice.det)
     n = m * dmu * dmu
     assert n.denominator == 1
     m0, f = _split_square(ctx, int(n))
@@ -125,19 +130,13 @@ def _eis_odd(ctx, m, mu):
     sign_pow = (ctx.lattice.rank + 3) // 2
     d_val = 2 * (-1) ** sign_pow * m0 * ctx.lattice.det
     chi = QuadraticCharacter(d_val)
-    two_kappa = int(2 * kappa)
-    arch = SymbolicReal.make(
-        Fraction(2) ** j * m ** (j - 1) * (-1) ** (ctx.b_minus // 2), kappa, 1)
-    arch = arch * _sym_sqrt(2) * _sym_sqrt(m)
-    arch = arch / gamma_half(kappa) / _sym_sqrt(disc_size)
-    exact = arch / zeta_exact(two_kappa - 1)
     # d^(1/2-kappa) = d^(-j) is rational: the whole Moebius sum is exact
     mob = Fraction(0)
     for d in divisors(f):
         md = moebius(d)
         if md == 0:
             continue
-        mob += md * chi(d) * Fraction(d) ** (-j) * sigma(2 - two_kappa, f // d)
+        mob += md * chi(d) * Fraction(d) ** (-j) * sigma(1 - 2 * j, f // d)
     rational_part = mob * _local_product(ctx, m, mu, extra_odd=True)
     if rational_part == 0:
         return Fraction(0)
@@ -147,7 +146,7 @@ def _eis_odd(ctx, m, mu):
         raise ConsistencyError(
             f"odd-rank character has the wrong parity at (m={m}, mu={mu}): "
             f"{err}") from err
-    total = exact * rational_part * lval
+    total = ctx.scale * _sym_sqrt(m) * (m ** (j - 1) * rational_part) * lval
     if not total.is_rational:
         raise NonRationalResidue(f"odd-rank exact assembly left {total}")
     return total.rational_value()
@@ -161,12 +160,10 @@ def eis_coefficient(lattice, m, mu, disc=None, ctx=None):
     """
     if ctx is None:
         ctx = context(lattice, disc)
-    m = Fraction(m)
     mu = ctx.disc.check(mu)
-    if m < 0:
+    if Fraction(m) < 0:
         raise PreconditionError("m must be non-negative")
-    if (m - ctx.disc.q_value(mu)).denominator != 1:
-        raise PreconditionError("m must be congruent to Q(mu) mod 1")
+    m, mu = ctx.disc.check_pair(m, mu)
     if m == 0:
         return Fraction(1) if mu == ctx.disc.zero() else Fraction(0)
     if ctx.kappa.denominator == 1:

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -79,15 +79,25 @@ class EvenLattice:
                                     *(2 * x for row in inv for x in row[:-1]))
         self._neg = None
 
+    def gram_times(self, s):
+        """G s, for an integer vector s."""
+        return [sum(map(mul, row, s)) for row in self.gram]
+
+    def form(self, s, t):
+        """s^T G t for integer vectors: the one evaluation of the form, behind
+        ``q_value``, ``bilinear`` and the discriminant form."""
+        return sum(map(mul, t, self.gram_times(s)))
+
     def q_value(self, vec):
         """Q(vec) for a rational vector in basis coordinates."""
-        v = [Fraction(x) for x in vec]
-        return sum(self.gram[i][j] * v[i] * v[j]
-                   for i in range(self.rank) for j in range(self.rank)) / 2
+        return self.bilinear(vec, vec) / 2
 
     def bilinear(self, v, w):
-        return sum(self.gram[i][j] * Fraction(v[i]) * Fraction(w[j])
-                   for i in range(self.rank) for j in range(self.rank))
+        if len(v) != self.rank or len(w) != self.rank:
+            raise PreconditionError(f"vectors must have {self.rank} coordinates")
+        dv, sv = linalg.integral([Fraction(x) for x in v])
+        dw, sw = linalg.integral([Fraction(x) for x in w])
+        return Fraction(self.form(sv, sw), dv * dw)
 
     def negated(self):
         """The lattice with Gram matrix -G, derived from this one's invariants
@@ -135,7 +145,12 @@ class DiscriminantForm:
 
     Elements are residue tuples against the nontrivial invariant factors of
     the Smith normal form of the Gram matrix; the tuple of all zeros is the
-    zero element and enumeration is lexicographic.  ``negated()`` reuses the
+    zero element, enumeration is lexicographic and ``index`` is the position
+    in it.  Each element has one representative sum_k mu_k gens[k] in L',
+    held as s / den in integers with den minimal (``coset``); Q(mu), the
+    exact Q of that representative (``q_exact``) and ``bilinear`` come from
+    the integer s^T G s.  The index tables (``strides``, ``shifts``,
+    ``negs``, ``sums``) are built when first read.  ``negated()`` reuses the
     same generators over the negated lattice so element encodings agree
     between L and L^- pipelines.
     """
@@ -144,25 +159,22 @@ class DiscriminantForm:
         self.lattice = lattice
         if orders is None:
             diag, v = linalg.smith_normal_form([list(r) for r in lattice.gram])
-            orders, gens = [], []
-            for i, d in enumerate(diag):
-                if d > 1:
-                    orders.append(d)
-                    # only the class mod L matters: keep coordinates in [0, 1)
-                    gens.append(tuple(Fraction(v[r][i] % d, d)
-                                      for r in range(lattice.rank)))
-            orders = tuple(orders)
-            gens = tuple(gens)
+            orders = tuple(d for d in diag if d > 1)
+            # only the class mod L matters: keep coordinates in [0, 1)
+            gens = tuple(tuple(Fraction(row[i] % d, d) for row in v)
+                         for i, d in enumerate(diag) if d > 1)
         self.orders = tuple(orders)
         self.gens = tuple(gens)
+        # vector(mu)_r = sum_k mu_k cols[r][k] / den, gens[k][r] = cols[r][k] / den
+        self._den, flat = linalg.integral([x for g in self.gens for x in g])
+        self._cols = tuple(tuple(flat[r::lattice.rank]) for r in range(lattice.rank))
         self._elements = None
-        self._qcache = {}
-        self._vcache = {}
+        self._reps = {}
         self._neg = None
 
     @property
     def size(self):
-        return prod(self.orders) if self.orders else 1
+        return prod(self.orders)
 
     def elements(self):
         if self._elements is None:
@@ -180,31 +192,51 @@ class DiscriminantForm:
             raise PreconditionError(f"not a discriminant element: {mu}")
         return mu
 
+    def check_pair(self, m, mu):
+        """(Fraction(m), mu) for an element mu and m = Q(mu) mod 1."""
+        mu, m = self.check(mu), Fraction(m)
+        if (m - self.q_value(mu)).denominator != 1:
+            raise PreconditionError("m must be congruent to Q(mu) mod 1")
+        return m, mu
+
+    def index(self, mu):
+        """The position of mu in ``elements()``."""
+        return sum(map(mul, self.check(mu), self.strides))
+
+    def _rep(self, mu):
+        """(den, s, Q(s / den), Q mod 1) for mu, built once."""
+        mu = self.check(mu)
+        rep = self._reps.get(mu)
+        if rep is None:
+            tot = [sum(map(mul, mu, col)) for col in self._cols]
+            g = gcd(self._den, *tot)
+            den, s = self._den // g, tuple(x // g for x in tot)
+            q = Fraction(self.lattice.form(s, s), 2 * den * den)
+            rep = self._reps[mu] = (den, s, q, q % 1)
+        return rep
+
+    def coset(self, mu):
+        """(den, s): vector(mu) = s / den, s an integer tuple, den minimal."""
+        return self._rep(mu)[:2]
+
     def vector(self, mu):
         """A representative of mu in the dual lattice, in basis coordinates."""
-        mu = self.check(mu)
-        if mu not in self._vcache:
-            v = [Fraction(0)] * self.lattice.rank
-            for a, g in zip(mu, self.gens):
-                for r in range(self.lattice.rank):
-                    v[r] += a * g[r]
-            self._vcache[mu] = tuple(v)
-        return self._vcache[mu]
+        den, s = self.coset(mu)
+        return tuple(Fraction(x, den) for x in s)
+
+    def q_exact(self, mu):
+        """Q(vector(mu)), not reduced mod 1."""
+        return self._rep(mu)[2]
 
     def q_value(self, mu):
         """Q(mu) mod 1, in [0, 1)."""
-        mu = self.check(mu)
-        if mu not in self._qcache:
-            q = self.lattice.q_value(self.vector(mu))
-            self._qcache[mu] = q - (q.numerator // q.denominator)
-        return self._qcache[mu]
+        return self._rep(mu)[3]
 
     def bilinear(self, mu, nu):
         """(mu, nu) mod 1, in [0, 1): the polarization Q(mu+nu) - Q(mu) - Q(nu)."""
         mu, nu = self.check(mu), self.check(nu)
         total = tuple((a + b) % d for a, b, d in zip(mu, nu, self.orders))
-        b = self.q_value(total) - self.q_value(mu) - self.q_value(nu)
-        return b - (b.numerator // b.denominator)
+        return (self.q_value(total) - self.q_value(mu) - self.q_value(nu)) % 1
 
     def order_of(self, mu):
         mu = self.check(mu)
@@ -213,6 +245,32 @@ class DiscriminantForm:
     def neg(self, mu):
         mu = self.check(mu)
         return tuple((d - a) % d for a, d in zip(mu, self.orders))
+
+    @cached_property
+    def strides(self):
+        """strides[k]: the index of the k-th generator."""
+        return tuple(prod(self.orders[k + 1:]) for k in range(len(self.orders)))
+
+    @cached_property
+    def shifts(self):
+        """shifts[k][x]: the index of x + gens[k], for the element of index x."""
+        return tuple(tuple(x - (d - 1) * g if x // g % d == d - 1 else x + g
+                           for x in range(self.size))
+                     for d, g in zip(self.orders, self.strides))
+
+    @cached_property
+    def negs(self):
+        """negs[x]: the index of -x."""
+        return tuple(self.index(self.neg(mu)) for mu in self.elements())
+
+    @cached_property
+    def sums(self):
+        """sums[x][y]: the index of x + y (|L'/L|^2 entries)."""
+        els, sums = self.elements(), [tuple(range(self.size))]
+        for x in range(1, self.size):
+            k = max(k for k, a in enumerate(els[x]) if a)  # x = (x - g_k) + g_k
+            sums.append(tuple(self.shifts[k][y] for y in sums[x - self.strides[k]]))
+        return tuple(sums)
 
     def negated(self):
         """The same generators over the negated lattice; built once, and
@@ -255,10 +313,7 @@ def _frac_sqrt_floor(x):
     """Largest integer k >= 0 with k^2 <= x, for a non-negative Fraction."""
     if x < 0:
         raise ValueError("negative radicand")
-    k = isqrt(x.numerator // x.denominator)
-    while (k + 1) * (k + 1) <= x:
-        k += 1
-    return k
+    return isqrt(x.numerator // x.denominator)  # k^2 <= x iff k^2 <= floor(x)
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +334,6 @@ def _frame(lattice):
     themselves (g_kk z_k^2 + 2 C_k z_k, scale 1), which bound nothing: the
     walk then covers its box.
     """
-    n = lattice.rank
     sign = -1 if lattice.sig_pos == 0 else 1
     if not lattice.is_definite:
         return sign, 1, tuple((row[k + 1:], row[k], 2, 0)
@@ -288,15 +342,14 @@ def _frame(lattice):
     # pivot moves on a definite matrix, and a negated lattice shares the pass
     # of G: the same l, pivots of the opposite sign, hence |d|
     minors, rows, _ = lattice._elim
-    d = [abs(Fraction(b, a)) for a, b in zip(minors, minors[1:])]
-    l = [[Fraction(x, row[k]) for x in row[k + 1:]] for k, row in enumerate(rows)]
-    lden = lcm(1, *(x.denominator for row in l for x in row))
-    dden = lcm(*(x.denominator for x in d))
+    lden = lcm(1, *(row[k] // gcd(x, row[k]) for k, row in enumerate(rows)
+                    for x in row[k + 1:]))
+    dden = lcm(*(a // gcd(a, b) for a, b in zip(minors, minors[1:])))
     levels = []
-    for k in range(n):
-        p = int(d[k] * dden)
-        row = tuple(int(x * lden) for x in l[k])
-        levels.append((row, p * lden * lden, 2 * p * lden, p))
+    for k, row in enumerate(rows):
+        p = abs(minors[k + 1] * dden // minors[k])
+        levels.append((tuple(x * lden // row[k] for x in row[k + 1:]),
+                       p * lden * lden, 2 * p * lden, p))
     return sign, dden * lden * lden, tuple(levels)
 
 
@@ -383,17 +436,16 @@ def _walk(lattice, s, den, radius, limit, exact, visit):
     return rec(lattice.rank - 1, 0, ())
 
 
-def _box_search(lattice, shift, target_m, radius, cap=None, visit=None):
-    """Call visit(x) on each x in [-radius, radius]^n with Q(x + shift) = target_m.
+def _box_search(lattice, den, s, target_m, radius, cap=None, visit=None):
+    """Call visit(x) on each x in [-radius, radius]^n with Q(x + s / den) = target_m.
 
-    One exact ``_walk`` with the value as its target.  visit returning True
-    stops the search, which then returns True; without visit the first such
-    x stops it, so the result says whether the box holds one.  The cap rule
-    counts the box, (2 radius + 1)^n points, not the points the walk visits.
+    One exact ``_walk`` over the integer coset (den, s) with the value as its
+    target.  visit returning True stops the search, which then returns True;
+    without visit the first such x stops it, so the result says whether the
+    box holds one.  The cap rule counts the box, (2 radius + 1)^n points, not
+    the points the walk visits.
     """
     n = lattice.rank
-    den = lcm(*[Fraction(s).denominator for s in shift], 1)
-    s_int = [int(Fraction(s) * den) for s in shift]
     target = Fraction(target_m) * 2 * den * den
     if target.denominator != 1:
         return False
@@ -403,9 +455,9 @@ def _box_search(lattice, shift, target_m, radius, cap=None, visit=None):
     sign, scale, _ = _frame(lattice)
 
     def found(z, v):
-        return visit is None or visit(tuple((a - b) // den for a, b in zip(z, s_int)))
+        return visit is None or visit(tuple((a - b) // den for a, b in zip(z, s)))
 
-    return _walk(lattice, s_int, den, radius, sign * scale * int(target), True, found)
+    return _walk(lattice, s, den, radius, sign * scale * int(target), True, found)
 
 
 def _local_everywhere(lattice, m, mu, disc):
@@ -440,11 +492,8 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
         disc = discriminant_form(lattice)
     if disc.lattice != lattice:
         raise PreconditionError("disc does not belong to this lattice")
-    mu = disc.check(mu)
-    m = Fraction(m)
-    if (m - disc.q_value(mu)).denominator != 1:
-        raise PreconditionError("m must be congruent to Q(mu) mod 1")
-    shift = disc.vector(mu)
+    m, mu = disc.check_pair(m, mu)
+    coset = disc.coset(mu)
 
     if lattice.is_definite:
         sign = 1 if lattice.sig_neg == 0 else -1
@@ -453,14 +502,14 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
         if (m > 0) != (sign > 0):
             return RepResult.NOT_REPRESENTED
         if radius is not None:
-            if _box_search(lattice, shift, m, radius, cap=cap):
+            if _box_search(lattice, *coset, m, radius, cap=cap):
                 return RepResult.REPRESENTED
             return RepResult.NOT_WITHIN_RADIUS
         # one walk, to the certified radius or to the widest box under the cap
-        r = certified_radius(lattice, m, shift)
+        r = certified_radius(lattice, m, *coset)
         if (2 * r + 1) ** lattice.rank > cap:
             r = _widest_radius(cap, lattice.rank, r)
-        if r >= 0 and _box_search(lattice, shift, m, r):
+        if r >= 0 and _box_search(lattice, *coset, m, r):
             return RepResult.REPRESENTED
         return RepResult.NOT_WITHIN_RADIUS
 
@@ -476,7 +525,7 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
 
     if radius is None:
         radius = 10
-    if _box_search(lattice, shift, m, radius, cap=cap):
+    if _box_search(lattice, *coset, m, radius, cap=cap):
         return RepResult.REPRESENTED
     return RepResult.INCONCLUSIVE
 
@@ -493,18 +542,14 @@ def _widest_radius(cap, n, hi):
     return lo
 
 
-def certified_radius(lattice, m, shift=None):
-    """Sup-norm radius certainly covering all Q = m vectors of a definite coset.
+def certified_radius(lattice, m, den, s):
+    """Sup-norm radius covering all Q = m vectors of a definite coset s / den.
 
     For definite G, any x with Q(x) = m has x_i^2 <= 2|m| * |(G^-1)_ii|; the
-    shift widens the box by the size of the coset representative.
+    coset widens the box by the size of its representative.
     """
     bound = max(abs(2 * Fraction(m) * x) for x in lattice._inv_diag)
-    radius = _frac_sqrt_floor(bound) + 1
-    if shift is not None:
-        extra = max((abs(Fraction(s)) for s in shift), default=Fraction(0))
-        radius += int(extra) + 1
-    return radius
+    return _frac_sqrt_floor(bound) + max(map(abs, s), default=0) // den + 2
 
 
 def t_mu(lattice, mu, radius=None, cap=64, disc=None):
@@ -576,10 +621,10 @@ def witt_rank_bounded(lattice, radius=2, cap=2 * 10 ** 6):
             if any(x):
                 isotropic.append(x)
 
-        _box_search(lattice, [0] * n, 0, radius, visit=keep)
+        _box_search(lattice, 1, [0] * n, 0, radius, visit=keep)
         if isotropic:
             lb = max(lb, 1)
-        images = [[sum(map(mul, row, v)) for row in lattice.gram] for v in isotropic]
+        images = [lattice.gram_times(v) for v in isotropic]
         for (v, gv), (w, _) in itertools.combinations(zip(isotropic, images), 2):
             if sum(map(mul, gv, w)) == 0 and _independent(v, w):
                 lb = max(lb, 2)

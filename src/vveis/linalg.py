@@ -42,8 +42,7 @@ class Echelon:
     def add(self, row):
         """Keep the reduced row and return None if it is nonzero on the first
         width entries; else return it, tail included."""
-        den = lcm(*[x.denominator for x in row])
-        a = _primitive([x.numerator * (den // x.denominator) for x in row])
+        a = _primitive(integral(row)[1])
         for piv, r in self.rows:
             a = _eliminate(a, r, piv)
         piv = next((i for i in range(self.width) if a[i]), None)
@@ -70,6 +69,13 @@ class Echelon:
                     v[piv] = -r[f] * den // r[piv]
                 basis.append(_primitive(v))
         return basis
+
+
+def integral(row):
+    """(den, a): row = a / den for a row of ints and Fractions, a a list of
+    ints and den the least common denominator."""
+    den = lcm(1, *(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
 
 
 def _primitive(a):

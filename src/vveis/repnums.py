@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, lcm
+from math import inf
 
 from . import linalg
 from .arith import factorize, kronecker, valuation
@@ -74,22 +74,6 @@ class RepCount:
         return hash((self.m, self.mu, self.a, self.count))
 
 
-def _scaled_data(lattice, m, mu, disc):
-    """Integer data for the congruence: z = d*r + s, target 2 d^2 m, ell = G mu."""
-    if disc is None:
-        disc = discriminant_form(lattice)
-    mu = disc.check(mu)
-    m = Fraction(m)
-    if (m - disc.q_value(mu)).denominator != 1:
-        raise PreconditionError("m must be congruent to Q(mu) mod 1")
-    vec = disc.vector(mu)
-    den = lcm(*[v.denominator for v in vec], 1)
-    s = [int(v * den) for v in vec]
-    t0 = 2 * den * den * m
-    assert t0.denominator == 1
-    return disc, mu, m, vec, den, s, int(t0)
-
-
 def count_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
     """Exhaustive count of {r in L/aL : Q(r+mu) = m mod a}.
 
@@ -102,7 +86,13 @@ def count_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
     a = int(a)
     if a < 1:
         raise PreconditionError("modulus a must be >= 1")
-    disc, mu, m, vec, den, s, t0 = _scaled_data(lattice, m, mu, disc)
+    if disc is None:
+        disc = discriminant_form(lattice)
+    m, mu = disc.check_pair(m, mu)
+    den, s = disc.coset(mu)
+    t0 = 2 * den * den * m
+    assert t0.denominator == 1
+    t0 = int(t0)
     n = lattice.rank
     if a ** n > cap:
         raise BudgetExceeded(f"{a}^{n} residues exceed cap {cap}")
@@ -271,23 +261,25 @@ def _reduce_mod(x, p, e):
 
 
 @lru_cache(maxsize=None)
-def _gauss_frame(lattice, vec, p):
-    """The congruence Q(r + vec) = m in the Jordan frame of ``_jordan_exact``.
+def _gauss_frame(lattice, den, s, p):
+    """The congruence Q(r + s / den) = m in the Jordan frame of ``_jordan_exact``.
 
-    There it reads sum_i f_i(y_i) + Q(vec) - m = 0 with f_i = p^k form_i +
-    lin_i . y_i.  Returns (Q(vec), blocks), one (k, dim, vl, unit, phi) per
-    block: vl = ord_p(lin_i) (inf for lin_i = 0); unit = (u|p) for a line
-    p^k u y^2 at odd p, u mod 8 for a dyadic line, and +1 / -1 for a
-    hyperbolic / anisotropic dyadic plane; phi = -p^k form_i(s) is the
-    p-integral constant left by completing the square, f_i(y) =
-    p^k form_i(y + s) + phi with p^k B_i s = lin_i (B_i the Gram matrix of
-    form_i), or None where s is not p-integral (the block's sum then
+    (den, s) is the integer coset of ``DiscriminantForm.coset``.  In the
+    frame the congruence reads sum_i f_i(y_i) + Q(s / den) - m = 0 with f_i
+    = p^k form_i + lin_i . y_i, lin = c^T G s / den.  Returns one (k, dim,
+    vl, unit, phi) per block: vl = ord_p(lin_i) (inf for lin_i = 0); unit =
+    (u|p) for a line p^k u y^2 at odd p, u mod 8 for a dyadic line, and +1 /
+    -1 for a hyperbolic / anisotropic dyadic plane; phi = -p^k form_i(t) is
+    the p-integral constant left by completing the square, f_i(y) = p^k
+    form_i(y + t) + phi with p^k B_i t = lin_i (B_i the Gram matrix of
+    form_i), or None where t is not p-integral (the block's sum then
     vanishes whenever the form is not zero mod the modulus).
     """
     n = lattice.rank
     jordan, cmat = _jordan_exact(lattice, p)
-    ell = [sum(lattice.gram[i][j] * vec[j] for j in range(n)) for i in range(n)]
-    assert all(x.denominator == 1 for x in ell), "mu is not a dual vector"
+    gs = lattice.gram_times(s)
+    assert all(x % den == 0 for x in gs), "mu is not a dual vector"
+    ell = [x // den for x in gs]
     lin = [sum(cmat[j][i] * ell[j] for j in range(n)) for i in range(n)]
     blocks = []
     pos = 0
@@ -308,7 +300,7 @@ def _gauss_frame(lattice, vec, p):
                 unit = kronecker(a.numerator * a.denominator, p)
             phi = -lb[0] ** 2 / (4 * a * p ** k) if vl >= k + (p == 2) else None
         blocks.append((k, dim, vl, unit, phi))
-    return lattice.q_value(vec), tuple(blocks)
+    return tuple(blocks)
 
 
 def _odd_class(blocks, phis, p, W, c):
@@ -421,17 +413,13 @@ def count_gauss(lattice, m, mu, p, w, disc=None):
         raise PreconditionError("w must be >= 1")
     if disc is None:
         disc = discriminant_form(lattice)
-    mu = disc.check(mu)
-    m = Fraction(m)
-    if (m - disc.q_value(mu)).denominator != 1:
-        raise PreconditionError("m must be congruent to Q(mu) mod 1")
-    qv, blocks = _gauss_frame(lattice, disc.vector(mu), p)
-    c0 = qv - m
+    m, mu = disc.check_pair(m, mu)
+    blocks = _gauss_frame(lattice, *disc.coset(mu), p)
+    c0 = disc.q_exact(mu) - m
     assert c0.denominator == 1, "precondition checked above"
     c0 = int(c0)
     q = p ** w
-    phis = [None if b[4] is None else b[4].numerator * pow(b[4].denominator, -1, q) % q
-            for b in blocks]
+    phis = [None if b[4] is None else _reduce_mod(b[4], p, w) for b in blocks]
     n = lattice.rank
     if p == 2:
         total = [0, 0, 0, 0]
@@ -508,8 +496,8 @@ def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
     if crosscheck is None:
         crosscheck = _crosscheck_env()
     if a == 1:
-        _scaled_data(lattice, m, mu, disc)  # precondition check
-        return RepCount(Fraction(m), disc.check(mu), 1, 1, "naive")
+        m, mu = disc.check_pair(m, mu)
+        return RepCount(m, mu, 1, 1, "naive")
     total = 1
     methods = set()
     for p, e in sorted(factorize(a).items()):

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 
 from . import linalg
 from .arith import factorize, kronecker
@@ -244,33 +244,6 @@ class WeilMatrices:
     s_mat: tuple  # rows of Cyclotomic
 
 
-@lru_cache(maxsize=8)
-def _group_tables(orders):
-    """Index tables for the elements of Z/d_1 + ... + Z/d_r in the
-    lexicographic order of ``DiscriminantForm.elements()``.
-
-    Returns (gens, shifts, sums, negs): gens[k] is the index of the k-th
-    generator, shifts[k][x] the index of x + gens[k], sums[x][y] the index
-    of x + y and negs[x] the index of -x.
-    """
-    n = prod(orders)
-    gens, step = [], n
-    for d in orders:
-        step //= d
-        gens.append(step)
-    shifts = tuple(
-        tuple(x - (d - 1) * g if (x // g) % d == d - 1 else x + g for x in range(n))
-        for d, g in zip(orders, gens))
-    sums = [tuple(range(n))]
-    for x in range(1, n):
-        # x = (x - g_k) + g_k for its last nonzero coordinate k
-        k = max(k for k, (d, g) in enumerate(zip(orders, gens)) if (x // g) % d)
-        sums.append(tuple(shifts[k][y] for y in sums[x - gens[k]]))
-    negs = tuple(sum((-(x // g) % d) * g for d, g in zip(orders, gens))
-                 for x in range(n))
-    return tuple(gens), shifts, tuple(sums), negs
-
-
 def weil_matrices(disc, signature=None):
     """T and S matrices: T = diag(e(Q(mu))), S = pref * (e(-(mu,nu))).
 
@@ -288,7 +261,7 @@ def weil_matrices(disc, signature=None):
     t = [next(iter(x.coeffs)) for x in t_mat]
     pref = (Cyclotomic.root(m_order, (bm - bp) * m_order // 8)
             * sqrt_int(n, m_order) * Fraction(1, n))
-    sums = _group_tables(disc.orders)[2]
+    sums = disc.sums
     s_mat = tuple(
         tuple(pref._with({(j - t[z] + ti + tj) % m_order: a
                           for j, a in pref.coeffs.items()})
@@ -322,7 +295,7 @@ def _module(w):
         if a != 1:
             return None
         t.append(j)
-    gens, shifts, sums, negs = _group_tables(disc.orders)
+    gens, shifts, sums, negs = disc.strides, disc.shifts, disc.sums, disc.negs
     if t[0] or any(t[negs[i]] != ti for i, ti in enumerate(t)):
         return None
     c = s[0][0]

@@ -347,6 +347,32 @@ class TestSubcommands:
         assert proc.stderr.startswith("error (precondition): no element 0")
         assert proc.stderr.count("\n") == 1
 
+    def test_provider_read_once(self, tmp_path, monkeypatch):
+        # the cache key describes the document the series was computed from
+        acceptance._battery_files(tmp_path)
+        reads = []
+        read_json = cli._read_json
+
+        def counting(path):
+            reads.append(str(path))
+            return read_json(path)
+
+        monkeypatch.setattr(cli, "_read_json", counting)
+        f = {name: str(tmp_path / f"{name}.json") for name in
+             ("fixture", "w19", "mixed_pp", "empty_basis")}
+        for argv in (
+                ["h-series", f["fixture"], "-b", "2", "--trunc", "2",
+                 "--provider", f["w19"]],
+                ["decompose", f["fixture"], "--pp", f["mixed_pp"],
+                 "--provider", f["w19"]],
+                ["vanish-on", f["fixture"], "-m", "3/4", "--mu", "0,0,0,1",
+                 "--fixture", f["empty_basis"], "--provider", f["w19"]]):
+            reads.clear()
+            code, _, err = run_cli(argv)
+            assert code == 0, err
+            assert reads.count(f["w19"]) == 1, argv[0]
+            assert len(reads) == len(set(reads)), (argv[0], reads)
+
     def test_decompose_at_depth_two(self, tmp_path):
         # E8^3 + <-2>^2: the series provider's only depth is b = 2
         lattice = tmp_path / "e8cubed.json"

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from vveis import lattice as lattice_mod
@@ -243,6 +243,84 @@ class TestLinalg:
             assert ref_det(g) == 0
             with pytest.raises(Singular):
                 linalg.sym_eliminate(g)
+
+
+def definite_gram(a, m):
+    """M^T diag(2a) M: positive definite and even for a non-singular M."""
+    n = len(a)
+    return [[sum(2 * a[k] * m[k][i] * m[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+definite_matrices = st.integers(1, 6).flatmap(lambda n: st.builds(
+    definite_gram,
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-1, 2), min_size=n, max_size=n),
+             min_size=n, max_size=n)))
+
+
+class TestIntegerCosets:
+    """DiscriminantForm's integer representatives and index tables against
+    a Fraction reference: vector(mu) = sum mu_k gens[k] and Q, (,) by the
+    Gram double sum."""
+
+    @given(st.one_of(even_matrices, definite_matrices), st.booleans())
+    @example(direct_sum(A1M, [[4]]), True)
+    @example(E8, False)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_matches_fraction_reference(self, g, negate):
+        assume(0 < abs(ref_det(g)) <= 64)
+        form = discriminant_form(new_lattice(g))
+        disc = form.negated() if negate else form
+        lat, els, n = disc.lattice, disc.elements(), len(g)
+
+        def q_ref(v):
+            return sum(lat.gram[i][j] * v[i] * v[j]
+                       for i in range(n) for j in range(n)) / 2
+
+        def b_ref(v, w):
+            return sum(lat.gram[i][j] * v[i] * w[j]
+                       for i in range(n) for j in range(n))
+
+        vecs = []
+        for i, mu in enumerate(els):
+            assert disc.index(mu) == i
+            v = tuple(sum((a * gen[r] for a, gen in zip(mu, disc.gens)), Fraction(0))
+                      for r in range(n))
+            den, s = disc.coset(mu)
+            assert den == math.lcm(1, *(x.denominator for x in v))
+            assert tuple(Fraction(x, den) for x in s) == v == disc.vector(mu)
+            q = q_ref(v)
+            assert disc.q_exact(mu) == q == lat.q_value(v)
+            assert disc.q_value(mu) == q % 1
+            vecs.append(v)
+        for k, d in enumerate(disc.orders):
+            unit = tuple(int(j == k) for j in range(len(disc.orders)))
+            assert els[disc.strides[k]] == unit
+            for i, mu in enumerate(els):
+                assert els[disc.shifts[k][i]] == tuple(
+                    (a + b) % e for a, b, e in zip(mu, unit, disc.orders))
+        for i, mu in enumerate(els):
+            assert els[disc.negs[i]] == disc.neg(mu) == tuple(
+                -a % d for a, d in zip(mu, disc.orders))
+        for i, mu in enumerate(els[:12]):
+            for j, nu in enumerate(els):
+                assert els[disc.sums[i][j]] == tuple(
+                    (a + b) % d for a, b, d in zip(mu, nu, disc.orders))
+                b = b_ref(vecs[i], vecs[j])
+                assert lat.bilinear(vecs[i], vecs[j]) == b
+                assert disc.bilinear(mu, nu) == b % 1
+
+    def test_index_and_vectors_checked(self):
+        lat = new_lattice(direct_sum(A1M, [[4]]))
+        with pytest.raises(PreconditionError):
+            discriminant_form(lat).index((0, 4))
+        for v in ([1], [1, 0, 0]):
+            with pytest.raises(PreconditionError):
+                lat.q_value(v)
+            with pytest.raises(PreconditionError):
+                lat.bilinear([1, 0], v)
 
 
 class TestOneElimination:
@@ -503,19 +581,19 @@ class TestCosetRepresents:
             disc = discriminant_form(lat)
             els = disc.elements()
             for mu in els[:1] + rng.sample(els[1:], min(1, len(els) - 1)):
-                shift = disc.vector(mu)
+                coset = disc.coset(mu)
                 for k in range(-3, 4):
                     m = disc.q_value(mu) + k
                     if m == 0:
                         continue
                     res = coset_represents(lat, m, mu, disc=disc)
                     if res is RepResult.NOT_REPRESENTED:
-                        assert not lattice_mod._box_search(lat, shift, m, 8), \
+                        assert not lattice_mod._box_search(lat, *coset, m, 8), \
                             (g, m, mu)
                     else:
                         assert res is RepResult.REPRESENTED
                         radius = 2
-                        while not lattice_mod._box_search(lat, shift, m, radius):
+                        while not lattice_mod._box_search(lat, *coset, m, radius):
                             radius *= 2
                             assert radius <= 128, (g, m, mu)
                     answers.append(res)
@@ -625,6 +703,19 @@ def box_isotropic(lat, radius):
     return 1 if iso else 0
 
 
+@given(st.fractions(min_value=0, max_value=300, max_denominator=60))
+@example(Fraction(0))
+@example(Fraction(99, 25))
+@example(Fraction(4))
+def test_frac_sqrt_floor_matches_brute_force(x):
+    assert lattice_mod._frac_sqrt_floor(x) == frac_isqrt(x)
+
+
+def test_frac_sqrt_floor_rejects_negative():
+    with pytest.raises(ValueError):
+        lattice_mod._frac_sqrt_floor(Fraction(-1, 3))
+
+
 class TestEnumerator:
     """The one exact walk behind coset_represents, theta_counts and
     witt_rank_bounded, against test-local brute force over the box."""
@@ -649,7 +740,8 @@ class TestEnumerator:
             for k in range(-2, 3):
                 m = disc.q_value(mu) + k
                 seen = []
-                lattice_mod._box_search(lat, shift, m, radius, visit=seen.append)
+                lattice_mod._box_search(lat, *disc.coset(mu), m, radius,
+                                        visit=seen.append)
                 assert len(seen) == len(set(seen))
                 assert set(seen) == values.get(m, set()), (mu, m)
 
