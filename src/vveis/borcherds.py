@@ -40,7 +40,7 @@ from .errors import (
 from .lattice import (
     bad_primes,
     coset_represents,
-    discriminant_form,
+    disc_of,
     t_max,
     witt_rank_bounded,
 )
@@ -121,8 +121,7 @@ def check_admissible(lattice, spec, disc=None):
     coset actually represents m (an inconclusive bounded search counts as
     a failure and is reported as such).
     """
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     primes = bad_primes(lattice)
     accepted, rejected = [], []
     for m, mu in _candidate_pairs(spec, disc):
@@ -274,8 +273,7 @@ def build_h(lminus, b, trunc, provider=None, disc=None):
     if k <= 2:
         raise PreconditionError(
             f"weight {k} <= 2 is outside the convergent regime")
-    if disc is None:
-        disc = discriminant_form(lminus)
+    disc = disc_of(lminus, disc)
     if provider is None:
         provider = EisensteinProvider()
     if not provider.supports(lminus, k):
@@ -328,8 +326,7 @@ def decompose(f, lattice, provider=None, minimal=False, disc=None):
     minimal=True an already non-negative f is returned unchanged against an
     empty second part.
     """
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     if f.disc != disc:
         raise IncompatibleDiscriminantForms(
             "principal part lives on a different discriminant form")
@@ -439,8 +436,7 @@ def constant_term(pp, lattice, disc=None, override=False):
     failing case, so for n = 2 the caller must pass override to assert the
     hypothesis; the value itself is an exact rational.
     """
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     if pp.disc != disc:
         raise IncompatibleDiscriminantForms(
             "principal part lives on a different discriminant form")
@@ -483,8 +479,7 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     from an invariant vector of the Weil representation, mirroring the
     overlattice argument this case needs.
     """
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     if lattice.sig_neg != 2 or lattice.sig_pos < 2:
         raise PreconditionError(
             "prescription needs signature (n, 2) with n >= 2")
@@ -579,8 +574,7 @@ def vanish_on(lattice, m, mu, fixture, provider=None, budget=None, pp=None,
     positive entry at the target because the added series is non-negative
     with a strictly positive window over the whole pole range.
     """
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     m = Fraction(m)
     mu = disc.check(mu)
     if m <= 0 or (m - disc.q_value(mu)).denominator != 1:

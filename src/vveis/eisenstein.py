@@ -38,7 +38,7 @@ from .errors import (
     PositivityViolation,
     PreconditionError,
 )
-from .lattice import RepResult, bad_primes, coset_represents, discriminant_form
+from .lattice import RepResult, bad_primes, coset_represents, disc_of
 from .qseries import VVQSeries
 
 
@@ -59,8 +59,7 @@ def context(lattice, disc=None):
     depend on m computed once: (-1)^(b-/2) 2^(rank//2) pi^kappa /
     (Gamma(kappa) sqrt|L'/L|), divided by L(kappa, chi) in even rank and
     multiplied by sqrt(2) / zeta(2 kappa - 1) in odd rank."""
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     kappa = Fraction(lattice.rank, 2)
     if kappa < 2:
         raise KappaTooSmall(f"kappa = {kappa} < 2")

@@ -6,11 +6,13 @@ All derived invariants are computed in exact arithmetic.  One symmetric
 Bareiss pass in Python ints (``linalg.sym_eliminate``) gives the
 determinant, the signature, the level, the diagonal of G^-1 behind the
 certified search radius, and the LDL^T frame of the enumeration walk; the
-discriminant group comes from the Smith normal form.  Vector searches
-(coset representation, theta counts, Witt witnesses) share that one walk:
-Fincke-Pohst intervals on the scaled LDL^T frame for definite lattices, a
-sup-norm box for indefinite ones (U. Fincke and M. Pohst, Math. Comp. 44
-(1985); H. Cohen, GTM 138, 2.7).  A definite coset query without a radius
+discriminant group comes from the Smith normal form, bounded by
+D = |det| (``linalg.smith_normal_form``), whose element encoding is that
+of the unbounded elimination wherever its entries stay within +-D^2.
+Vector searches (coset representation, theta counts, Witt witnesses)
+share that one walk: Fincke-Pohst intervals on the scaled LDL^T frame for
+definite lattices, a sup-norm box for indefinite ones (U. Fincke and
+M. Pohst, Math. Comp. 44 (1985); H. Cohen, GTM 138, 2.7).  A definite coset query without a radius
 is one walk, to the certified radius or to the widest box under its cap.
 """
 
@@ -28,6 +30,7 @@ from . import linalg
 from .arith import factorize
 from .errors import (
     BudgetExceeded,
+    ConsistencyError,
     InconclusiveBoundedSearch,
     NotEven,
     NotSymmetric,
@@ -144,21 +147,26 @@ class DiscriminantForm:
     """The finite quadratic module L'/L with a fixed element encoding.
 
     Elements are residue tuples against the nontrivial invariant factors of
-    the Smith normal form of the Gram matrix; the tuple of all zeros is the
-    zero element, enumeration is lexicographic and ``index`` is the position
-    in it.  Each element has one representative sum_k mu_k gens[k] in L',
-    held as s / den in integers with den minimal (``coset``); Q(mu), the
-    exact Q of that representative (``q_exact``) and ``bilinear`` come from
-    the integer s^T G s.  The index tables (``strides``, ``shifts``,
-    ``negs``, ``sums``) are built when first read.  ``negated()`` reuses the
-    same generators over the negated lattice so element encodings agree
-    between L and L^- pipelines.
+    the Smith normal form of the Gram matrix, computed with entries bounded
+    by D = |det| (``linalg.smith_normal_form``): the generators, and so the
+    encoding, are those of the unbounded elimination wherever its entries
+    stay within +-D^2, and another valid choice elsewhere (some GL_n(Z)
+    conjugates, and E7 + A1 among the root lattices).  The tuple of all
+    zeros is the zero element, enumeration is lexicographic and ``index``
+    is the position in it.  Each element has one representative sum_k mu_k
+    gens[k] in L', held as s / den in integers with den minimal
+    (``coset``); Q(mu), the exact Q of that representative (``q_exact``)
+    and ``bilinear`` come from the integer s^T G s.  The index tables
+    (``strides``, ``shifts``, ``negs``, ``sums``) are built when first
+    read.  ``negated()`` reuses the same generators over the negated
+    lattice so element encodings agree between L and L^- pipelines.
     """
 
     def __init__(self, lattice, orders=None, gens=None):
         self.lattice = lattice
         if orders is None:
-            diag, v = linalg.smith_normal_form([list(r) for r in lattice.gram])
+            diag, v = linalg.smith_normal_form([list(r) for r in lattice.gram],
+                                               lattice.det)
             orders = tuple(d for d in diag if d > 1)
             # only the class mod L matters: keep coordinates in [0, 1)
             gens = tuple(tuple(Fraction(row[i] % d, d) for row in v)
@@ -292,7 +300,19 @@ class DiscriminantForm:
 @lru_cache(maxsize=None)
 def discriminant_form(lattice):
     disc = DiscriminantForm(lattice)
-    assert disc.size == abs(lattice.det)
+    if disc.size != abs(lattice.det):
+        raise ConsistencyError(
+            f"|L'/L| = {disc.size} but |det G| = {abs(lattice.det)}")
+    return disc
+
+
+def disc_of(lattice, disc=None):
+    """``disc``, or the lattice's own discriminant form when it is None; a
+    form of another lattice raises PreconditionError."""
+    if disc is None:
+        return discriminant_form(lattice)
+    if disc.lattice != lattice:
+        raise PreconditionError("disc does not belong to this lattice")
     return disc
 
 
@@ -488,10 +508,7 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
     ``disc`` fixes the element encoding; it defaults to the lattice's own
     discriminant form and must describe the same lattice when supplied.
     """
-    if disc is None:
-        disc = discriminant_form(lattice)
-    if disc.lattice != lattice:
-        raise PreconditionError("disc does not belong to this lattice")
+    disc = disc_of(lattice, disc)
     m, mu = disc.check_pair(m, mu)
     coset = disc.coset(mu)
 
@@ -563,8 +580,7 @@ def t_mu(lattice, mu, radius=None, cap=64, disc=None):
     """
     if lattice.sig_neg != 2 or lattice.sig_pos < 1:
         raise PreconditionError("expected a lattice of signature (n, 2), n >= 1")
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     mu = disc.check(mu)
     neg = lattice.negated()
     disc_neg = disc.negated()
@@ -586,8 +602,7 @@ def t_mu(lattice, mu, radius=None, cap=64, disc=None):
 def t_max(lattice, radius=None, disc=None):
     """max over mu of ``t_mu``; memoized, since ``decompose`` and its
     ``build_h`` ask for it on the same lattice (one through ``negated()``)."""
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     return max(t_mu(lattice, mu, radius=radius, disc=disc)
                for mu in disc.elements())
 

@@ -93,24 +93,42 @@ def _eliminate(a, r, piv):
     return _primitive([p // g * u - x // g * v for u, v in zip(a, r)])
 
 
-def smith_normal_form(a):
+def smith_normal_form(a, det):
     """Smith normal form of an integer matrix.
 
     Returns (d, v) with v unimodular and u·a·v = diag(d) for some unimodular
     u, each diagonal entry dividing the next.  Diagonal entries are
     non-negative.
+
+    ``det`` is the determinant of a; a nonzero one bounds the entries by
+    D = |det|.  The row lattice of a·v contains D·Z^n (adj(a)·a = det·I), so
+    the rows of the working matrix together with D·Z^n span it, and an entry
+    may be replaced by its symmetric residue mod D.  An entry is reduced only
+    once |x| > D^2, so a run whose entries stay within ±D^2 is the unbounded
+    run, and every remainder below a pivot is kept as it is, so each Euclid
+    step still shrinks the pivot.  The chain is restored at the end by
+    d_i = gcd(d_i, D), with gcd(0, D) = D.  v is never reduced (P. D. Domich,
+    R. Kannan and L. E. Trotter, Math. Oper. Res. 12 (1987); J. L. Hafner
+    and K. S. McCurley, SIAM J. Comput. 20 (1991)).  det = 0 (a singular
+    or non-square a) leaves the elimination unbounded.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    d = [list(map(int, row)) for row in a]
+    D = abs(int(det))
+    big, half = D * D, D // 2
+
+    def cut(x):  # the symmetric residue of x mod D, once |x| > D^2
+        return (x + half) % D - half if D and abs(x) > big else x
+
+    d = [[cut(int(x)) for x in row] for row in a]
     v = identity(ncols)
 
     def row_op(i, j, q):  # row i -= q * row j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        d[i] = [cut(x - q * y) for x, y in zip(d[i], d[j])]
 
     def col_op(i, j, q):  # col i -= q * col j
         for row in d:
-            row[i] -= q * row[j]
+            row[i] = cut(row[i] - q * row[j])
         for row in v:
             row[i] -= q * row[j]
 
@@ -169,7 +187,7 @@ def smith_normal_form(a):
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
         t += 1
-    diag = [d[i][i] for i in range(min(nrows, ncols))]
+    diag = [gcd(d[i][i], D) for i in range(min(nrows, ncols))]
     return diag, v
 
 

@@ -34,7 +34,7 @@ from .errors import (
     PrecisionTooLow,
     PreconditionError,
 )
-from .lattice import bad_primes, discriminant_form
+from .lattice import bad_primes, disc_of
 
 _NAIVE_CHUNK = 1 << 18
 
@@ -86,8 +86,7 @@ def count_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
     a = int(a)
     if a < 1:
         raise PreconditionError("modulus a must be >= 1")
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     m, mu = disc.check_pair(m, mu)
     den, s = disc.coset(mu)
     t0 = 2 * den * den * m
@@ -411,8 +410,7 @@ def count_gauss(lattice, m, mu, p, w, disc=None):
     w = int(w)
     if w < 1:
         raise PreconditionError("w must be >= 1")
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     m, mu = disc.check_pair(m, mu)
     blocks = _gauss_frame(lattice, *disc.coset(mu), p)
     c0 = disc.q_exact(mu) - m
@@ -491,8 +489,7 @@ def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
     a = int(a)
     if a < 1:
         raise PreconditionError("modulus a must be >= 1")
-    if disc is None:
-        disc = discriminant_form(lattice)
+    disc = disc_of(lattice, disc)
     if crosscheck is None:
         crosscheck = _crosscheck_env()
     if a == 1:

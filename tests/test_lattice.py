@@ -8,6 +8,7 @@ import importlib.util
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from vveis import lattice as lattice_mod
 from vveis import linalg
 from vveis.errors import (
     BudgetExceeded,
+    ConsistencyError,
     NotEven,
     NotSymmetric,
     PreconditionError,
@@ -182,11 +184,93 @@ def even_symmetric(raw, diag):
              for j in range(n)] for i in range(n)]
 
 
-even_matrices = st.integers(1, 6).flatmap(lambda n: st.builds(
-    even_symmetric,
-    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-             min_size=n, max_size=n),
-    st.lists(st.sampled_from([0, 0, -2, -1, 1, 2]), min_size=n, max_size=n)))
+def even_grams(max_rank):
+    return st.integers(1, max_rank).flatmap(lambda n: st.builds(
+        even_symmetric,
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.sampled_from([0, 0, -2, -1, 1, 2]), min_size=n, max_size=n)))
+
+
+even_matrices = even_grams(6)
+
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", PERFBENCH / "workloads.py")
+WORKLOADS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
+# the fixture conjugates of eis-random's seed-1 job lists on which the
+# unbounded elimination is slowest (seconds, against a millisecond)
+SEED1_FIXTURE_CONJUGATES = [
+    g for k in (3, 4, 5, 6, 14)
+    for name, g in WORKLOADS.EisRandom().setup(1, 20, None)["stream"][k]
+    if name == "fixture"]
+
+
+class PastBound(Exception):
+    pass
+
+
+def ref_smith_within(a, bound):
+    """The unbounded Smith normal form elimination, with the same pivot
+    order, Euclid swaps and offender step as linalg's, raising PastBound as
+    soon as an entry of the working matrix leaves [-bound, bound]."""
+    n = len(a)
+    d = [list(row) for row in a]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def within():
+        if any(abs(x) > bound for row in d for x in row):
+            raise PastBound
+
+    def row_op(i, j, q):
+        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        within()
+
+    def col_op(i, j, q):
+        for m in (d, v):
+            for row in m:
+                row[i] -= q * row[j]
+        within()
+
+    def swap_cols(i, j):
+        for m in (d, v):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+
+    within()
+    for t in range(n):
+        cells = [(abs(d[i][j]), i, j) for i in range(t, n) for j in range(t, n)
+                 if d[i][j]]
+        if not cells:
+            break
+        _, pi, pj = min(cells)
+        d[t], d[pi] = d[pi], d[t]
+        swap_cols(t, pj)
+        while True:
+            dirty = False
+            for i in range(t + 1, n):
+                if d[i][t]:
+                    row_op(i, t, d[i][t] // d[t][t])
+                    if d[i][t]:
+                        d[t], d[i] = d[i], d[t]
+                        dirty = True
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    col_op(j, t, d[t][j] // d[t][t])
+                    if d[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            offender = next((i for i in range(t + 1, n) for j in range(t + 1, n)
+                             if d[i][j] % d[t][t]), None)
+            if offender is None:
+                break
+            row_op(t, offender, -1)
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+    return [d[i][i] for i in range(n)], v
 
 
 class TestLinalg:
@@ -195,19 +279,55 @@ class TestLinalg:
         assert ref_det(E8) == 1
         assert ref_det(D4) == 4
 
-    def test_smith_invariants(self):
+    @staticmethod
+    def check_smith(g, d, v):
         # u a v = diag(d) with u unimodular is a v = W diag(d) with W = u^-1:
         # column j of a v is d_j times an integral column of W, |det W| = 1
+        assert abs(ref_det(v)) == 1
+        av = mat_mul([list(r) for r in g], v)
+        assert all(x > 0 for x in d)
+        assert all(row[j] % d[j] == 0 for row in av for j in range(len(d)))
+        w = [[row[j] // d[j] for j in range(len(d))] for row in av]
+        assert abs(ref_det(w)) == 1
+        for i in range(len(d) - 1):
+            assert d[i + 1] % d[i] == 0
+        assert math.prod(d) == abs(ref_det(g))
+
+    def test_smith_invariants(self):
         for g in (U, A1, E8, D4, direct_sum(U, A1M)):
-            d, v = linalg.smith_normal_form([list(r) for r in g])
-            assert abs(ref_det(v)) == 1
-            av = mat_mul([list(r) for r in g], v)
-            assert all(x > 0 for x in d)
-            assert all(row[j] % d[j] == 0 for row in av for j in range(len(d)))
-            w = [[row[j] // d[j] for j in range(len(d))] for row in av]
-            assert abs(ref_det(w)) == 1
-            for i in range(len(d) - 1):
-                assert d[i + 1] % d[i] == 0
+            for det in (0, ref_det(g)):
+                self.check_smith(g, *linalg.smith_normal_form([list(r) for r in g], det))
+
+    def check_bounded_smith(self, g):
+        det = int(ref_det(g))
+        start = time.process_time()
+        d, v = linalg.smith_normal_form(g, det)
+        assert time.process_time() - start < 1.0
+        self.check_smith(g, d, v)
+        try:
+            ref = ref_smith_within(g, det * det)
+        except PastBound:
+            return
+        assert (d, v) == ref  # no entry reached D^2: the unbounded run
+
+    @given(even_grams(14))
+    @example(direct_sum(E8, D4, A1M, A1M))
+    @example(direct_sum(U, U, WORKLOADS.BASES["E7"]))
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_smith_random(self, g):
+        assume(ref_det(g) != 0)
+        self.check_bounded_smith(g)
+
+    @given(st.sampled_from(sorted(WORKLOADS.BASES)), st.randoms(use_true_random=False),
+           st.integers(0, 42))
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_smith_conjugates(self, name, rng, moves):
+        self.check_bounded_smith(random_conjugate(rng, WORKLOADS.BASES[name], moves))
+
+    @pytest.mark.parametrize("k", range(len(SEED1_FIXTURE_CONJUGATES)))
+    def test_bounded_smith_slowest_conjugates(self, k):
+        assert len(SEED1_FIXTURE_CONJUGATES) == 5
+        self.check_bounded_smith(SEED1_FIXTURE_CONJUGATES[k])
 
     @staticmethod
     def check_elimination(g):
@@ -371,16 +491,13 @@ class TestOneElimination:
 
     def test_info_invariants_of_conjugates(self):
         # perfbench's own GL_n(Z) conjugates of its 13 bases
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", PERFBENCH / "workloads.py")
-        wl = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(wl)
         rng = random.Random("one elimination")
-        for name, base in sorted(wl.BASES.items()):
+        for name, base in sorted(WORKLOADS.BASES.items()):
             want = new_lattice(base)
             orders = discriminant_form(want).orders
             for _ in range(3):
-                lat = new_lattice(wl.conjugate(base, wl.random_unimodular(rng, len(base))))
+                lat = new_lattice(WORKLOADS.conjugate(
+                    base, WORKLOADS.random_unimodular(rng, len(base))))
                 assert (lat.det, lat.sig_pos, lat.sig_neg, lat.level) == \
                     (want.det, want.sig_pos, want.sig_neg, want.level), name
                 inv = ref_inverse(lat.gram)
@@ -485,6 +602,14 @@ class TestDiscriminantForm:
         for g in (D4, A1, direct_sum(A1, A1M), direct_sum(U, [[6]])):
             lat = new_lattice(g)
             assert discriminant_form(lat).size == abs(lat.det)
+
+    def test_size_mismatch_is_a_consistency_error(self, monkeypatch):
+        # a wrong chain of invariant factors raises, also under python -O
+        lat = new_lattice([[6, 1], [1, 12]])
+        monkeypatch.setattr(linalg, "smith_normal_form",
+                            lambda a, det: ([1, 1], linalg.identity(2)))
+        with pytest.raises(ConsistencyError):
+            discriminant_form(lat)
 
     def test_negated_built_once(self):
         for g in (D4, direct_sum(A1M, [[4]]), direct_sum(U, [[6]]),

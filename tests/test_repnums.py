@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from vveis import acceptance, repnums
+from vveis import acceptance, eisenstein, lattice, repnums
 from vveis.errors import (
     BudgetExceeded,
     ConsistencyError,
@@ -109,9 +109,10 @@ class TestCountNaive:
             repnums.count_naive(new_lattice(U), 0, (), 100, cap=100)
 
     def test_unimodular_conjugate(self):
-        # a GL_n(Z) conjugate U^T G U of the fixture lattice whose raw Smith
-        # normal form columns reach ~10^166: the generators are reduced mod
-        # L, so counts stay on int64 and agree with the base lattice
+        # a GL_n(Z) conjugate U^T G U of the fixture lattice whose Smith
+        # normal form columns reach ~2 * 10^13 (~10^167 without the
+        # determinant bound): the generators are reduced mod L, so counts
+        # stay on int64 and agree with the base lattice
         base = new_lattice(acceptance.FIXTURE_GRAM)
         n = base.rank
         rng = random.Random(0)
@@ -507,3 +508,45 @@ class TestLocalCounts:
         assert repnums.count(lat, 1, (), 8, cap=100, naive_cutoff=10).count == 1966080
         with pytest.raises(BudgetExceeded):
             repnums.count(lat, 1, (), 8, cap=100, naive_cutoff=10, crosscheck=True)
+
+
+class TestForeignDisc:
+    """A discriminant form of another lattice is refused with
+    PreconditionError, not an AssertionError or a silent zero count."""
+
+    A2P = [[2, 1], [1, 2]]  # L'/L of order 3
+    OTHER = [[2, -1], [-1, 8]]  # L'/L of order 15
+
+    def lattices(self, *tail):
+        lat = new_lattice(acceptance.direct_sum(self.A2P, *tail))
+        other = discriminant_form(new_lattice(acceptance.direct_sum(self.OTHER, *tail)))
+        return lat, other
+
+    @pytest.mark.parametrize("call", [
+        lambda lat, d: repnums.count_gauss(lat, Fraction(1, 3), (1,), 3, 2, disc=d),
+        lambda lat, d: repnums.count_naive(lat, Fraction(1, 3), (1,), 3, disc=d),
+        lambda lat, d: repnums.count(lat, Fraction(1, 3), (1,), 3, disc=d),
+        lambda lat, d: coset_represents(lat, Fraction(1, 3), (1,), disc=d),
+        lambda lat, d: eisenstein.context(lat, d),
+    ], ids=["count_gauss", "count_naive", "count", "coset_represents", "context"])
+    def test_definite_entry_points(self, call):
+        lat, other = self.lattices()
+        assert other.orders == (15,)
+        with pytest.raises(PreconditionError, match="does not belong"):
+            call(lat, other)
+
+    @pytest.mark.parametrize("call", [
+        lambda lat, d: lattice.t_mu(lat, (1, 0, 0), disc=d),
+        lambda lat, d: lattice.t_max(lat, disc=d),
+    ], ids=["t_mu", "t_max"])
+    def test_signature_n2_entry_points(self, call):
+        # the same pair with <-2>^2 appended, so that signature (2, 2) passes
+        lat, other = self.lattices([[-2]], [[-2]])
+        with pytest.raises(PreconditionError, match="does not belong"):
+            call(lat, other)
+
+    def test_own_form_still_counts(self):
+        lat, _ = self.lattices()
+        disc = discriminant_form(lat)
+        assert (repnums.count_gauss(lat, Fraction(1, 3), (1,), 3, 2, disc=disc).count
+                == repnums.count_naive(lat, Fraction(1, 3), (1,), 9, disc=disc).count)
