@@ -15,7 +15,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import BudgetExceeded, NonPrimitive, ParityMismatch, PreconditionError
+from .errors import (
+    BudgetExceeded,
+    ConsistencyError,
+    NonPrimitive,
+    ParityMismatch,
+    PreconditionError,
+)
 
 
 _TRIAL_BOUND = 1 << 10
@@ -269,28 +275,33 @@ def bernoulli(n):
     return -sum(comb(n + 1, j) * bernoulli(j) for j in range(n)) / (n + 1)
 
 
-def bernoulli_poly(n, x):
-    x = Fraction(x)
-    return sum(comb(n, k) * bernoulli(k) * x ** (n - k) for k in range(n + 1))
-
-
+@lru_cache(maxsize=None)
 def bernoulli_gen(n, chi):
     """Generalized Bernoulli number B_{n,chi} for primitive chi.
 
-    B_{n,chi} = q^{n-1} sum_{a=1}^{q} chi(a) B_n(a/q); the parity vanishing
-    B_{n,chi} = 0 for chi(-1) != (-1)^n is asserted (except the classical
-    B_1 = -1/2 edge at the trivial character).
+    B_{n,chi} = q^{n-1} sum_{a=1}^{q} chi(a) B_n(a/q) = sum_k C(n,k) B_k
+    q^{k-1} S_{n-k}, with the power sums S_j = sum_{a=1}^{q} chi(a) a^j
+    taken in Python ints, so the O(q) part is integer arithmetic.  The
+    parity vanishing B_{n,chi} = 0 for chi(-1) != (-1)^n is checked
+    (except the classical B_1 = -1/2 edge at the trivial character).
     """
     if n < 1:
         raise PreconditionError("bernoulli_gen needs n >= 1")
     if not chi.is_primitive:
         raise NonPrimitive(f"chi_{chi.d} is not primitive (D0 = {chi.d0})")
     q = chi.conductor
-    val = Fraction(q) ** (n - 1) * sum(
-        chi(a) * bernoulli_poly(n, Fraction(a, q)) for a in range(1, q + 1))
+    sums = [0] * (n + 1)
+    for a in range(1, q + 1):
+        x = chi(a)
+        if x:
+            for j in range(n + 1):
+                sums[j] += x
+                x *= a
+    val = sum(comb(n, k) * bernoulli(k) * q ** k * sums[n - k]
+              for k in range(n + 1)) / q
     if not (q == 1 and n == 1):
-        if chi.parity != (-1) ** n:
-            assert val == 0, "parity vanishing violated"
+        if chi.parity != (-1) ** n and val != 0:
+            raise ConsistencyError("parity vanishing violated")
     return val
 
 

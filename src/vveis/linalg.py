@@ -6,8 +6,13 @@ and kernels of the Weil invariants and the kernel combinations of the
 prescription search.  ``sym_eliminate`` is the one symmetric elimination:
 a single fraction-free (Bareiss) pass from which a lattice reads its
 determinant, signature, level, the diagonal of G^-1 and the LDL^T frame of
-its enumeration walk.  The p-adic Jordan splitting works on the same
-``sym_swap``/``sym_add`` moves.
+its enumeration walk, on the moves ``sym_swap`` and ``sym_add``.  The
+p-adic Jordan splitting (``repnums``) is the one symmetric congruence
+elimination over Z_p, also in Python ints: it swaps basis vectors
+(``sym_swap``), and it folds and clears entries by e_dst := (a e_dst +
+sum b e_src) / h with a a p-adic unit and h the content of the new basis
+column (``sym_combine``), so the basechange stays an integer matrix with a
+p-unit determinant.
 """
 
 from __future__ import annotations
@@ -210,6 +215,29 @@ def sym_add(g, c, dst, src, f):
         g[dst][k] += f * g[src][k]
     for row in c:
         row[dst] += f * row[src]
+
+
+def sym_combine(g, c, dst, a, terms):
+    """Basis vector dst := (a * dst + sum of b * src over (src, b) in terms)
+    / h, h the content of the new column of c: column and row of g, column
+    of c.  For an integer basis c of an integral lattice with Gram matrix g
+    the new vector is a lattice vector, so g stays an integer matrix; h
+    divides a det c, so a p-adic unit a keeps det c a p-adic unit."""
+    for row in g:
+        row[dst] = a * row[dst] + sum(b * row[src] for src, b in terms)
+    new = [a * x for x in g[dst]]
+    for src, b in terms:
+        new = [x + b * y for x, y in zip(new, g[src])]
+    g[dst] = new
+    for row in c:
+        row[dst] = a * row[dst] + sum(b * row[src] for src, b in terms)
+    h = gcd(*[row[dst] for row in c])
+    if h > 1:
+        for row in c:
+            row[dst] //= h
+        for row in g:
+            row[dst] //= h
+        g[dst] = [x // h for x in g[dst]]
 
 
 def sym_eliminate(g):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
+from operator import mul
 
 from . import linalg
 from .arith import factorize, kronecker, valuation
@@ -144,15 +145,24 @@ class JordanDecomposition:
 
 @lru_cache(maxsize=None)
 def _jordan_exact(lattice, p):
-    """Exact rational block-diagonalization of the Gram matrix over Z_p.
+    """Block-diagonalization of the Gram matrix over Z_p, in Python ints.
 
-    Returns (blocks, basechange) with exact Fraction block data; blocks are
-    (scale_exp, dim, data) where the quadratic form on the block is
-    p^scale_exp * (u x^2) resp. p^scale_exp * (a x^2 + b xy + c y^2), b odd.
+    Returns (blocks, basechange, C^T G): blocks are (scale_exp, dim, data) where
+    the quadratic form on the block is p^scale_exp * (u x^2) resp.
+    p^scale_exp * (a x^2 + b xy + c y^2), b odd, with integer data (u and
+    b p-adic units); basechange C is an integer matrix with a p-unit
+    determinant and C^T G C block diagonal.  A line pivot p^v u clears
+    entry j by e_j := u e_j - (g_kj / p^v) e_k, a dyadic plane B by e_l :=
+    U e_l - x_1 e_k - x_2 e_k+1 with U = det B / 4^t odd and x = adj(B)
+    (g_kl, g_k+1,l) / 4^t, t = ord_2 of B's off-diagonal entry; each
+    division is exact, and each new basis vector is divided by its content
+    (``linalg.sym_combine``).  Every basis vector is a p-adic unit times
+    the one of the elimination over Q_p with the same pivots, so the block
+    units differ from that elimination's by unit squares only.
     """
     n = lattice.rank
-    g = [[Fraction(x) for x in row] for row in lattice.gram]
-    c = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    g = [list(row) for row in lattice.gram]
+    c = linalg.identity(n)
     blocks = []
     k = 0
     while k < n:
@@ -174,7 +184,7 @@ def _jordan_exact(lattice, p):
                 # every remaining diagonal too deep: fold the minimal
                 # off-diagonal entry onto the diagonal (p odd keeps its value)
                 i, j = off_best
-                linalg.sym_add(g, c, i, j, Fraction(1))
+                linalg.sym_combine(g, c, i, 1, ((j, 1),))
                 continue
             break
         if p == 2 and (diag_val is None or (off_val is not None and off_val < diag_val)):
@@ -182,49 +192,46 @@ def _jordan_exact(lattice, p):
             linalg.sym_swap(g, c, k, i)
             j = i if j == k else j
             linalg.sym_swap(g, c, k + 1, j)
-            det2 = g[k][k] * g[k + 1][k + 1] - g[k][k + 1] ** 2
+            a, b, d = g[k][k], g[k][k + 1], g[k + 1][k + 1]
+            t2 = 2 * off_val
+            unit = (a * d - b * b) >> t2
             for l in range(k + 2, n):
-                # solve [g_kl, g_k+1,l] = B x, subtract
+                # B x = U (g_kl, g_k+1,l): clear both entries of e_l at once
                 b1, b2 = g[k][l], g[k + 1][l]
-                x1 = (g[k + 1][k + 1] * b1 - g[k][k + 1] * b2) / det2
-                x2 = (g[k][k] * b2 - g[k][k + 1] * b1) / det2
-                if x1:
-                    linalg.sym_add(g, c, l, k, -x1)
-                if x2:
-                    linalg.sym_add(g, c, l, k + 1, -x2)
-            kv = valuation(g[k][k + 1], 2)
-            sc = Fraction(2) ** kv
-            blocks.append((kv, 2, (g[k][k] / (2 * sc), g[k][k + 1] / sc,
-                                   g[k + 1][k + 1] / (2 * sc))))
+                x1 = (d * b1 - b * b2) >> t2
+                x2 = (a * b2 - b * b1) >> t2
+                if x1 or x2:
+                    linalg.sym_combine(g, c, l, unit, ((k, -x1), (k + 1, -x2)))
+            blocks.append((off_val, 2, (a >> off_val + 1, b >> off_val, d >> off_val + 1)))
             k += 2
             continue
         i = diag_best
         linalg.sym_swap(g, c, k, i)
-        pivot = g[k][k]
+        pv = p ** diag_val
+        unit = g[k][k] // pv
         for j in range(k + 1, n):
             if g[k][j]:
-                linalg.sym_add(g, c, j, k, -g[k][j] / pivot)
-        qc = pivot / 2
+                linalg.sym_combine(g, c, j, unit, ((k, -(g[k][j] // pv)),))
+        qc = g[k][k] // 2
         kv = valuation(qc, p)
-        blocks.append((kv, 1, (qc / Fraction(p) ** kv,)))
+        blocks.append((kv, 1, (qc // p ** kv,)))
         k += 1
     spans = []
     pos = 0
     for _, dim, _ in blocks:
         spans += [pos] * dim
         pos += dim
-    for i in range(n):
-        for j in range(n):
-            if spans[i] != spans[j]:
-                assert g[i][j] == 0, "elimination left a stray entry"
-    return tuple(blocks), tuple(tuple(row) for row in c)
+    if any(g[i][j] for i in range(n) for j in range(n) if spans[i] != spans[j]):
+        raise ConsistencyError("elimination left a stray entry")
+    ctg = tuple(tuple(lattice.gram_times(col)) for col in zip(*c))
+    return tuple(blocks), tuple(tuple(row) for row in c), ctg
 
 
 def jordan_decompose(lattice, p, e):
     """Public Jordan decomposition with integer block data reduced mod p^e."""
     if e < 1:
         raise PreconditionError("precision e must be >= 1")
-    blocks, c = _jordan_exact(lattice, p)
+    blocks, c, _ = _jordan_exact(lattice, p)
     max_k = max((b[0] for b in blocks), default=0)
     if e < max_k + 3:
         raise PrecisionTooLow(f"e = {e} < max scale depth {max_k} + 3")
@@ -243,12 +250,12 @@ def jordan_decompose(lattice, p, e):
     perm = []
     for i in order:
         perm.extend(range(starts[i], starts[i] + blocks[i][1]))
-    cc = tuple(tuple(row[j] for j in perm) for row in c)
+    cc = tuple(tuple(Fraction(row[j]) for j in perm) for row in c)
     return JordanDecomposition(p, e, tuple(out[i] for i in order), cc)
 
 
 def _reduce_mod(x, p, e):
-    """Integer representative of a p-integral Fraction mod p^e."""
+    """Integer representative of a p-integral rational (int or Fraction) mod p^e."""
     pe = p ** e
     if x.denominator % p == 0:
         raise PreconditionError(f"{x} is not {p}-integral")
@@ -265,21 +272,25 @@ def _gauss_frame(lattice, den, s, p):
 
     (den, s) is the integer coset of ``DiscriminantForm.coset``.  In the
     frame the congruence reads sum_i f_i(y_i) + Q(s / den) - m = 0 with f_i
-    = p^k form_i + lin_i . y_i, lin = c^T G s / den.  Returns one (k, dim,
-    vl, unit, phi) per block: vl = ord_p(lin_i) (inf for lin_i = 0); unit =
-    (u|p) for a line p^k u y^2 at odd p, u mod 8 for a dyadic line, and +1 /
-    -1 for a hyperbolic / anisotropic dyadic plane; phi = -p^k form_i(t) is
-    the p-integral constant left by completing the square, f_i(y) = p^k
+    = p^k form_i + lin_i . y_i, lin = C^T G s / den, an integer vector
+    (C^T G is cached with the frame).  Returns one (k, dim, vl, unit, phi)
+    per block: vl = ord_p(lin_i) (inf for lin_i = 0); unit = (u|p) for a
+    line p^k u y^2 at odd p, u mod 8 for a dyadic line, and +1 / -1 for a
+    hyperbolic / anisotropic dyadic plane; phi = -p^k form_i(t) is the
+    p-integral constant left by completing the square, f_i(y) = p^k
     form_i(y + t) + phi with p^k B_i t = lin_i (B_i the Gram matrix of
-    form_i), or None where t is not p-integral (the block's sum then
-    vanishes whenever the form is not zero mod the modulus).
+    form_i), a Fraction with a p-unit denominator, or None where t is not
+    p-integral (the block's sum then vanishes whenever the form is not zero
+    mod the modulus).  The unit, the plane type and phi do not change when
+    a block's basis vectors are scaled by p-adic units.
     """
-    n = lattice.rank
-    jordan, cmat = _jordan_exact(lattice, p)
-    gs = lattice.gram_times(s)
-    assert all(x % den == 0 for x in gs), "mu is not a dual vector"
-    ell = [x // den for x in gs]
-    lin = [sum(cmat[j][i] * ell[j] for j in range(n)) for i in range(n)]
+    jordan, _, ctg = _jordan_exact(lattice, p)
+    lin = []
+    for row in ctg:
+        x, r = divmod(sum(map(mul, row, s)), den)
+        if r:
+            raise ConsistencyError("mu is not a dual vector")
+        lin.append(x)
     blocks = []
     pos = 0
     for k, dim, data in jordan:
@@ -288,16 +299,14 @@ def _gauss_frame(lattice, den, s, p):
         vl = min((valuation(x, p) for x in lb if x), default=inf)
         if dim == 2:
             a, b, c = data
-            unit = 1 if (a * c).numerator % 2 == 0 else -1
-            phi = (-(c * lb[0] ** 2 - b * lb[0] * lb[1] + a * lb[1] ** 2)
-                   / (2 ** k * (4 * a * c - b * b)) if vl >= k else None)
+            unit = 1 if a * c % 2 == 0 else -1
+            phi = (Fraction(-((c * lb[0] ** 2 - b * lb[0] * lb[1] + a * lb[1] ** 2) >> k),
+                            4 * a * c - b * b) if vl >= k else None)
         else:
             (a,) = data
-            if p == 2:
-                unit = a.numerator * pow(a.denominator, -1, 8) % 8
-            else:
-                unit = kronecker(a.numerator * a.denominator, p)
-            phi = -lb[0] ** 2 / (4 * a * p ** k) if vl >= k + (p == 2) else None
+            unit = a % 8 if p == 2 else kronecker(a, p)
+            phi = (Fraction(-(lb[0] ** 2 // p ** k), 4 * a)
+                   if vl >= k + (p == 2) else None)
         blocks.append((k, dim, vl, unit, phi))
     return tuple(blocks)
 

@@ -7,7 +7,7 @@ tail bound, in rational arithmetic only.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +29,7 @@ from vveis.arith import (
     valuation,
     zeta_exact,
 )
-from vveis.errors import BudgetExceeded, ParityMismatch, PreconditionError
+from vveis.errors import BudgetExceeded, ConsistencyError, ParityMismatch, PreconditionError
 
 # pi to 30 decimals, rounded down and up
 PI_LO = Fraction(3141592653589793238462643383279, 10 ** 30)
@@ -182,6 +182,24 @@ class TestDivisorSums:
         assert moebius(1) == 1
 
 
+def bernoulli_poly(n, x):
+    """Reference: the Bernoulli polynomial B_n(x) in Fractions."""
+    x = Fraction(x)
+    return sum(comb(n, k) * bernoulli(k) * x ** (n - k) for k in range(n + 1))
+
+
+def ref_bernoulli_gen(n, chi):
+    """Reference: B_{n,chi} = q^{n-1} sum_{a=1}^{q} chi(a) B_n(a/q)."""
+    q = chi.conductor
+    return Fraction(q) ** (n - 1) * sum(
+        chi(a) * bernoulli_poly(n, Fraction(a, q)) for a in range(1, q + 1))
+
+
+def fundamental_discriminants(bound):
+    return [d for d in range(-bound + 1, bound) if d % 4 in (0, 1) and d != 0
+            and QuadraticCharacter(d).is_primitive]
+
+
 class TestBernoulli:
     def test_classical(self):
         assert bernoulli(0) == 1
@@ -193,6 +211,29 @@ class TestBernoulli:
     def test_generalized_frozen(self):
         assert bernoulli_gen(2, CHI_TRIVIAL) == Fraction(1, 6)
         assert bernoulli_gen(1, QuadraticCharacter(-4)) == Fraction(-1, 2)
+
+    def test_power_sums_match_polynomial_sum(self):
+        # every primitive chi with |d| < 160, n <= 8; a few larger conductors
+        for d in fundamental_discriminants(160):
+            chi = QuadraticCharacter(d)
+            for n in range(1, 9):
+                assert bernoulli_gen(n, chi) == ref_bernoulli_gen(n, chi), (d, n)
+        for d in (-399, 377, -391, 1020, -2036):
+            chi = QuadraticCharacter(d)
+            assert chi.is_primitive
+            for n in (1, 2, 3, 4):
+                assert bernoulli_gen(n, chi) == ref_bernoulli_gen(n, chi), (d, n)
+
+    def test_parity_violation_is_a_consistency_error(self, monkeypatch):
+        # wrong Bernoulli numbers break the vanishing at the wrong parity;
+        # the check raises, also under python -O
+        monkeypatch.setattr(arith, "bernoulli", lambda k: Fraction(1))
+        arith.bernoulli_gen.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError):
+                bernoulli_gen(2, QuadraticCharacter(-4))
+        finally:
+            arith.bernoulli_gen.cache_clear()
 
     def test_parity_vanishing(self):
         for d in (-4, 5, 8, -8, 12, -3 * 4, 13, -20, 21, 24):

@@ -5,13 +5,18 @@ is the main correctness evidence here; frozen values below were computed by
 hand (tiny moduli) or pinned from the naive path before the Gauss path ran.
 """
 
+import importlib.util
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
+from math import inf
+from pathlib import Path
 
 import pytest
 
-from vveis import acceptance, eisenstein, lattice, repnums
+from vveis import acceptance, eisenstein, lattice, linalg, repnums
+from vveis.arith import kronecker, valuation
 from vveis.errors import (
     BudgetExceeded,
     ConsistencyError,
@@ -44,6 +49,12 @@ def mat_mul(a, b):
 
 def transpose(m):
     return [list(col) for col in zip(*m)]
+
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+WORKLOADS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
 
 
 def random_even_lattice(rng, rank, spread=3):
@@ -210,6 +221,53 @@ class TestJordan:
                     for j in range(lat.rank):
                         if spans[i] != spans[j]:
                             assert bd[i][j] == 0
+                self.check_integer_frame(lat, p)
+
+    def check_integer_frame(self, lat, p):
+        # the cached frame itself: an integer C with a p-unit determinant,
+        # C^T G C exactly block diagonal with the integer block data, and
+        # the cached C^T G
+        blocks, c, ctg = repnums._jordan_exact(lat, p)
+        assert all(type(x) is int for row in c for x in row)
+        assert _frac_det([[Fraction(x) for x in row] for row in c]).numerator % p != 0
+        c = [list(row) for row in c]
+        assert [list(row) for row in ctg] == mat_mul(transpose(c), lat.gram)
+        bd = mat_mul(transpose(c), mat_mul(lat.gram, c))
+        want = [[0] * lat.rank for _ in range(lat.rank)]
+        pos = 0
+        for k, dim, data in blocks:
+            assert all(type(x) is int for x in data)
+            s = p ** k
+            if dim == 1:
+                (u,) = data
+                assert u % p
+                want[pos][pos] = 2 * s * u
+            else:
+                a, b, c2 = data
+                assert p == 2 and b % 2
+                want[pos][pos], want[pos][pos + 1] = 2 * s * a, s * b
+                want[pos + 1][pos], want[pos + 1][pos + 1] = s * b, 2 * s * c2
+            pos += dim
+        assert bd == want
+
+    def test_integer_frame_on_bases(self):
+        rng = random.Random(22)
+        for name, base in sorted(WORKLOADS.BASES.items()):
+            grams = [base] + [WORKLOADS.conjugate(base, WORKLOADS.random_unimodular(
+                rng, len(base))) for _ in range(2)]
+            for gram in grams:
+                lat = new_lattice(gram)
+                for p in lattice.bad_primes(lat):
+                    self.check_integer_frame(lat, p)
+
+    def test_public_types(self):
+        # basechange as Fractions, block data as ints reduced mod p^e
+        for gram, p in ((U, 2), ([[2, 1], [1, 4]], 2), ([[2, 0], [0, 18]], 3),
+                        (WORKLOADS.BASES["A2^3"], 3), (WORKLOADS.BASES["U+U+E7"], 2)):
+            dec = repnums.jordan_decompose(new_lattice(gram), p, 6)
+            assert all(type(x) is Fraction for row in dec.basechange for x in row)
+            assert all(type(x) is int and 0 <= x < p ** 6
+                       for b in dec.blocks for x in b.data)
 
     def test_basechange_is_p_unit(self):
         for gram, p in ((U, 2), ([[2, 1], [1, 4]], 2), ([[2, 0], [0, 18]], 3)):
@@ -218,6 +276,17 @@ class TestJordan:
             d = _frac_det(c)
             assert d != 0
             assert d.numerator % p != 0 and d.denominator % p != 0
+
+    def test_stray_entry_is_a_consistency_error(self, monkeypatch):
+        # an elimination move that does nothing leaves g_01 = 2 behind
+        monkeypatch.setattr(linalg, "sym_combine", lambda *args: None)
+        with pytest.raises(ConsistencyError, match="stray entry"):
+            repnums._jordan_exact.__wrapped__(new_lattice([[2, 2], [2, 8]]), 2)
+
+    def test_non_dual_coset_is_a_consistency_error(self):
+        # s / den = (1/2, 0) is not in the dual of U
+        with pytest.raises(ConsistencyError, match="dual vector"):
+            repnums._gauss_frame.__wrapped__(new_lattice(U), 2, (1, 0), 2)
 
     def test_precision_guard(self):
         lat = new_lattice([[2, 0, 0], [0, 4, 0], [0, 0, 8]])
@@ -250,6 +319,135 @@ def _frac_det(m):
             for c in range(i, n):
                 a[r][c] -= f * a[i][c]
     return det
+
+
+@lru_cache(maxsize=None)
+def ref_jordan_exact(lattice, p):
+    """Reference: the Jordan splitting over Q_p in Fraction arithmetic, with
+    the pivot rules of ``repnums._jordan_exact`` and unscaled moves
+    e_j -= (g_kj / g_kk) e_k."""
+    n = lattice.rank
+    g = [[Fraction(x) for x in row] for row in lattice.gram]
+    c = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    blocks = []
+    k = 0
+    while k < n:
+        while True:
+            diag_best, diag_val = None, None
+            for i in range(k, n):
+                v = valuation(g[i][i], p)
+                if v is not None and (diag_val is None or v < diag_val):
+                    diag_best, diag_val = i, v
+            off_best, off_val = None, None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    v = valuation(g[i][j], p)
+                    if v is not None and (off_val is None or v < off_val):
+                        off_best, off_val = (i, j), v
+            if p != 2:
+                if diag_val is not None and (off_val is None or diag_val <= off_val):
+                    break
+                i, j = off_best
+                linalg.sym_add(g, c, i, j, Fraction(1))
+                continue
+            break
+        if p == 2 and (diag_val is None or (off_val is not None and off_val < diag_val)):
+            i, j = off_best
+            linalg.sym_swap(g, c, k, i)
+            linalg.sym_swap(g, c, k + 1, j)
+            det2 = g[k][k] * g[k + 1][k + 1] - g[k][k + 1] ** 2
+            for l in range(k + 2, n):
+                b1, b2 = g[k][l], g[k + 1][l]
+                x1 = (g[k + 1][k + 1] * b1 - g[k][k + 1] * b2) / det2
+                x2 = (g[k][k] * b2 - g[k][k + 1] * b1) / det2
+                if x1:
+                    linalg.sym_add(g, c, l, k, -x1)
+                if x2:
+                    linalg.sym_add(g, c, l, k + 1, -x2)
+            kv = valuation(g[k][k + 1], 2)
+            sc = Fraction(2) ** kv
+            blocks.append((kv, 2, (g[k][k] / (2 * sc), g[k][k + 1] / sc,
+                                   g[k + 1][k + 1] / (2 * sc))))
+            k += 2
+            continue
+        linalg.sym_swap(g, c, k, diag_best)
+        pivot = g[k][k]
+        for j in range(k + 1, n):
+            if g[k][j]:
+                linalg.sym_add(g, c, j, k, -g[k][j] / pivot)
+        qc = pivot / 2
+        kv = valuation(qc, p)
+        blocks.append((kv, 1, (qc / Fraction(p) ** kv,)))
+        k += 1
+    return tuple(blocks), tuple(tuple(row) for row in c)
+
+
+def ref_gauss_frame(lattice, den, s, p):
+    """Reference: ``repnums._gauss_frame`` on the Fraction frame above."""
+    n = lattice.rank
+    jordan, cmat = ref_jordan_exact(lattice, p)
+    ell = [x // den for x in lattice.gram_times(s)]
+    lin = [sum(cmat[j][i] * ell[j] for j in range(n)) for i in range(n)]
+    blocks = []
+    pos = 0
+    for k, dim, data in jordan:
+        lb = lin[pos:pos + dim]
+        pos += dim
+        vl = min((valuation(x, p) for x in lb if x), default=inf)
+        if dim == 2:
+            a, b, c = data
+            unit = 1 if (a * c).numerator % 2 == 0 else -1
+            phi = (-(c * lb[0] ** 2 - b * lb[0] * lb[1] + a * lb[1] ** 2)
+                   / (2 ** k * (4 * a * c - b * b)) if vl >= k else None)
+        else:
+            (a,) = data
+            if p == 2:
+                unit = a.numerator * pow(a.denominator, -1, 8) % 8
+            else:
+                unit = kronecker(a.numerator * a.denominator, p)
+            phi = -lb[0] ** 2 / (4 * a * p ** k) if vl >= k + (p == 2) else None
+        blocks.append((k, dim, vl, unit, phi))
+    return tuple(blocks)
+
+
+class TestIntegerFrame:
+    """count_gauss on the integer Jordan frame equals count_gauss on the
+    Fraction frame, for every coset, every p | 2N and every w <= 9."""
+
+    def check(self, lat, monkeypatch, cosets=None):
+        disc = discriminant_form(lat)
+        elements = disc.elements()
+        if cosets is not None and len(elements) > cosets:
+            elements = random.Random(repr(lat.gram)).sample(elements, cosets)
+        for p in lattice.bad_primes(lat):
+            for mu in elements:
+                q = disc.q_value(mu)
+                for m in (q, q + 1, q + 2, q + 6, q - 3):
+                    if m == 0:
+                        continue
+                    for w in range(1, 10):
+                        got = repnums.count_gauss(lat, m, mu, p, w, disc=disc).count
+                        with monkeypatch.context() as mp:
+                            mp.setattr(repnums, "_gauss_frame", ref_gauss_frame)
+                            want = repnums.count_gauss(lat, m, mu, p, w, disc=disc).count
+                        assert got == want, (lat.gram, m, mu, p, w)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS.BASES))
+    def test_bases(self, name, monkeypatch):
+        self.check(new_lattice(WORKLOADS.BASES[name]), monkeypatch)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS.BASES))
+    def test_conjugates(self, name, monkeypatch):
+        rng = random.Random(f"integer-frame:{name}")
+        base = WORKLOADS.BASES[name]
+        for _ in range(2):
+            gram = WORKLOADS.conjugate(base, WORKLOADS.random_unimodular(rng, len(base)))
+            self.check(new_lattice(gram), monkeypatch)
+
+    def test_random_lattices(self, monkeypatch):
+        rng = random.Random(2022)
+        for _ in range(30):
+            self.check(random_even_lattice(rng, rng.randint(1, 4)), monkeypatch, cosets=4)
 
 
 class TestCountGauss:
@@ -505,7 +703,9 @@ class TestLocalCounts:
     def test_crosscheck_budget_when_no_level_fits(self):
         lat = new_lattice(E8)
         # gauss answers, but not even 2^8 residues fit under cap = 100
-        assert repnums.count(lat, 1, (), 8, cap=100, naive_cutoff=10).count == 1966080
+        # (crosscheck=False: the answer must not depend on VVEIS_CROSSCHECK)
+        assert repnums.count(lat, 1, (), 8, cap=100, naive_cutoff=10,
+                             crosscheck=False).count == 1966080
         with pytest.raises(BudgetExceeded):
             repnums.count(lat, 1, (), 8, cap=100, naive_cutoff=10, crosscheck=True)
 
