@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from vveis import (
     AdmissibleSetSpec,
-    FixtureProvider,
     ModularBasisFixture,
     PrincipalPart,
+    Provider,
     ScalarQSeries,
     build_h,
     decompose,
@@ -28,6 +28,7 @@ from vveis import (
     prescribe,
     vanish_on,
 )
+from vveis.arith import sigma
 
 E8 = [
     [2, 0, -1, 0, 0, 0, 0, 0],
@@ -72,9 +73,8 @@ print(f"\nh = E * Delta^(-1): pole coefficient "
 # a deeper pole needs weight 19 = 1 - 6 + 24 data; an honest source is the
 # weight-7 series times E4^3 (both factors have non-negative coefficients)
 base = eis_expansion(lat.negated(), 4, disc=disc.negated())
-sig3 = lambda k: sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
-e4 = ScalarQSeries({k: 1 if k == 0 else 240 * sig3(k) for k in range(5)}, 5)
-provider = FixtureProvider(ModularBasisFixture(
+e4 = ScalarQSeries({k: 1 if k == 0 else 240 * sigma(3, k) for k in range(5)}, 5)
+provider = Provider.fixture(ModularBasisFixture(
     19, (base * (e4 * e4 * e4),), (False,), "weight-7 series times E4^3"))
 
 mu_a = (0, 0, 0, 1)    # Q = 3/4

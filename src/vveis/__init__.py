@@ -18,10 +18,9 @@ from .borcherds import (
     AdmissibleSetSpec,
     AdmissibilityReport,
     DecomposeResult,
-    EisensteinProvider,
-    FixtureProvider,
     ModularBasisFixture,
     ObstructionReport,
+    Provider,
     build_h,
     check_admissible,
     constant_term,
@@ -86,8 +85,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleSetSpec", "AdmissibilityReport", "DecomposeResult",
-    "EisensteinProvider", "FixtureProvider", "ModularBasisFixture",
-    "ObstructionReport", "build_h", "check_admissible", "constant_term",
+    "ModularBasisFixture", "ObstructionReport", "Provider", "build_h", "check_admissible", "constant_term",
     "decompose", "obstruction_check", "prescribe", "vanish_on",
     "context", "eis_coefficient", "eis_expansion", "lower_bound_report",
     "BudgetError", "ConsistencyError", "PreconditionError", "VveisError",

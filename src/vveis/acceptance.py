@@ -23,10 +23,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import repnums
+from .arith import sigma
 from .borcherds import (
     AdmissibleSetSpec,
-    FixtureProvider,
     ModularBasisFixture,
+    Provider,
     build_h,
     decompose,
     prescribe,
@@ -142,11 +143,11 @@ def _fixture_lattice():
 def _weight19_provider(lat, disc):
     dneg = disc.negated()
     base = eis_expansion(lat.negated(), 4, disc=dneg)
-    sig3 = lambda n: sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
-    e4 = ScalarQSeries({n: 1 if n == 0 else 240 * sig3(n) for n in range(5)}, 5)
+    e4 = ScalarQSeries({n: 1 if n == 0 else 240 * sigma(3, n)
+                        for n in range(5)}, 5)
     fix = ModularBasisFixture(19, (base * (e4 * e4 * e4),), (False,),
                               "weight-7 expansion times E4^3")
-    return FixtureProvider(fix)
+    return Provider.fixture(fix)
 
 
 def criterion_1_enumeration_oracle():

@@ -375,9 +375,6 @@ class SymbolicReal:
             raise PreconditionError("cannot add SymbolicReals of unlike shape")
         return SymbolicReal.make(self.q + other.q, self.a, self.d)
 
-    def __neg__(self):
-        return SymbolicReal(-self.q, self.a, self.d)
-
     @property
     def is_rational(self):
         return self.q == 0 or (self.a == 0 and self.d == 1)

@@ -8,6 +8,13 @@ cusp element of an external basis fixture vanishes while the constant slot
 stays nonzero (prescribe, vanish_on).  Cusp bases are consumed as fixtures
 with provenance strings, never computed here.
 
+The auxiliary series is h = F * Delta^-b with F a holomorphic form of
+weight aux_weight(n, b) on the signature (2, n) side.  A Provider supplies
+F: the exact Eisenstein series of weight rank/2, or one element of a basis
+fixture at the fixture's weight.  That weight fixes the provider's one
+legal pole depth (Provider.pole_depth), so the weight equation is solved
+only in aux_weight.
+
 Conventions: principal parts live on the discriminant form of the signature
 (n, 2) lattice with sign tag -1, so an index pair (m, mu) satisfies
 m = Q(mu) mod 1 and refers to the coefficient at exponent -m.  Auxiliary
@@ -202,61 +209,63 @@ class ModularBasisFixture:
         return [g for g, f in zip(self.elements, self.cusp_flags) if f]
 
 
-class EisensteinProvider:
-    """Auxiliary-series source backed by the exact Eisenstein pipeline.
+def aux_weight(n, b):
+    """Weight 1 - n/2 + 12b of the holomorphic form F with h = F * Delta^-b
+    on a signature (2, n) lattice (Borcherds 1998, Thm 13.3)."""
+    return 1 - Fraction(n, 2) + 12 * b
 
-    Only one weight is expressible this way: half the rank of the series
-    lattice.  legal_bs solves that constraint for the pole depth.
+
+class Provider:
+    """Auxiliary-series source: a name, a weight and a series source.
+
+    The series is a holomorphic form of that weight on the signature (2, n)
+    side with non-negative coefficients; its only legal pole depth is the b
+    that solves aux_weight(n, b) == weight.
     """
 
-    name = "eisenstein"
+    def __init__(self, name, weight, source, fixture=None, element=None):
+        self.name = name
+        self.weight = Fraction(weight)
+        self._source = source
+        self.fixture = fixture
+        self.element = element
 
-    def legal_bs(self, lminus):
-        n = lminus.sig_neg
-        return (n // 12,) if n > 0 and n % 12 == 0 else ()
+    @classmethod
+    def eisenstein(cls, lminus):
+        """The exact Eisenstein series of weight rank/2, expanded lazily."""
+        return cls("eisenstein", Fraction(lminus.rank, 2),
+                   lambda trunc, disc: eis_expansion(lminus, trunc, disc=disc))
 
-    def supports(self, lminus, k):
-        return k == Fraction(lminus.rank, 2)
-
-    def series(self, lminus, k, trunc, disc=None):
-        return eis_expansion(lminus, trunc, disc=disc)
-
-
-class FixtureProvider:
-    """Auxiliary-series source reading one element of a basis fixture."""
-
-    name = "fixture"
-
-    def __init__(self, fixture, index=0):
+    @classmethod
+    def fixture(cls, fixture, index=0):
+        """One element of a basis fixture, at the fixture's weight."""
         if not 0 <= index < len(fixture.elements):
             raise FixtureNotABasis(
                 f"no element {index} among {len(fixture.elements)}")
-        self.fixture = fixture
-        self.element = fixture.elements[index]
-        self.weight = fixture.weight
+        element = fixture.elements[index]
 
-    def legal_bs(self, lminus):
-        b = (self.weight - 1 + Fraction(lminus.sig_neg, 2)) / 12
-        return (int(b),) if b.denominator == 1 and b >= 1 else ()
+        def source(trunc, disc):
+            if element.trunc < trunc:
+                raise TruncationInsufficient(
+                    f"fixture truncation {element.trunc} is below the "
+                    f"required {trunc}")
+            return element
 
-    def supports(self, lminus, k):
-        return k == self.weight
+        return cls("fixture", fixture.weight, source, fixture, element)
 
-    def series(self, lminus, k, trunc, disc=None):
-        s = self.element
-        if s.trunc < trunc:
-            raise TruncationInsufficient(
-                f"fixture truncation {s.trunc} is below the required {trunc}")
-        if disc is not None and s.disc != disc:
-            raise IncompatibleDiscriminantForms(
-                "fixture series lives on a different discriminant form")
-        return s
+    def pole_depth(self, n):
+        """The b >= 1 with aux_weight(n, b) == weight, or None."""
+        b = (self.weight - aux_weight(n, 0)) / 12
+        return int(b) if b.denominator == 1 and b >= 1 else None
+
+    def series(self, trunc, disc):
+        return self._source(trunc, disc)
 
 
 def build_h(lminus, b, trunc, provider=None, disc=None):
     """Auxiliary series with non-negative coefficients, certified window.
 
-    Multiplies a weight 1 - n/2 + 12b provider series on the signature
+    Multiplies a weight aux_weight(n, b) provider series on the signature
     (2, n) lattice by the discriminant series to the power -b, then checks
     exhaustively on the truncation that every coefficient is >= 0 and that
     every on-grid coefficient with exponent >= T - b is strictly positive,
@@ -268,21 +277,21 @@ def build_h(lminus, b, trunc, provider=None, disc=None):
         raise PreconditionError("b must be a positive integer")
     if lminus.sig_pos != 2:
         raise PreconditionError("expected a lattice of signature (2, n)")
-    n = lminus.sig_neg
-    k = 1 - Fraction(n, 2) + 12 * b
+    k = aux_weight(lminus.sig_neg, b)
     if k <= 2:
         raise PreconditionError(
             f"weight {k} <= 2 is outside the convergent regime")
     disc = disc_of(lminus, disc)
     if provider is None:
-        provider = EisensteinProvider()
-    if not provider.supports(lminus, k):
+        provider = Provider.eisenstein(lminus)
+    if k != provider.weight:
         raise UnsupportedWeight(
-            f"no {provider.name} series of weight {k} for this lattice")
+            f"pole depth {b} needs weight {k}; the {provider.name} series "
+            f"has weight {provider.weight}")
     trunc = Fraction(trunc)
     if trunc < 1:
         raise PreconditionError("trunc must reach past the constant term")
-    series = provider.series(lminus, k, trunc + b, disc=disc)
+    series = provider.series(trunc + b, disc=disc)
     if series.disc != disc:
         raise IncompatibleDiscriminantForms(
             "provider series lives on a different discriminant form")
@@ -319,8 +328,8 @@ class DecomposeResult:
 def decompose(f, lattice, provider=None, minimal=False, disc=None):
     """Split f into holomorphic-quotient data f1 - f2 with f2 = c * h.
 
-    b is the smallest provider-legal pole depth whose window clears the pole
-    order of f; c is the smallest positive integer making every entry of
+    b is the provider's pole depth, whose window must clear the pole order
+    of f; c is the smallest positive integer making every entry of
     f + c*h non-negative, pushed up to the denominator lcm of h's negative
     side when f is integral so that both outputs stay integral.  With
     minimal=True an already non-negative f is returned unchanged against an
@@ -335,24 +344,22 @@ def decompose(f, lattice, provider=None, minimal=False, disc=None):
             "principal part must carry the negated-side sign tag")
     if lattice.sig_neg != 2:
         raise PreconditionError("expected a lattice of signature (n, 2)")
-    if provider is None:
-        provider = EisensteinProvider()
     lminus = lattice.negated()
+    if provider is None:
+        provider = Provider.eisenstein(lminus)
     T = t_max(lattice, disc=disc)
     pole = f.pole_order() or Fraction(0)
-    b = next((bb for bb in provider.legal_bs(lminus) if bb - T > pole), None)
-    if b is None:
+    b = provider.pole_depth(lminus.sig_neg)
+    if b is None or b - T <= pole:
+        has = "no pole depth" if b is None else f"pole depth {b}"
         raise UnsupportedWeight(
             f"no provider-legal pole depth clears T = {T} plus the pole "
-            f"order {pole}")
+            f"order {pole}: the {provider.name} series of weight "
+            f"{provider.weight} has {has}")
     h = build_h(lminus, b, Fraction(1), provider=provider,
                 disc=disc.negated())
-    neg_entries = {}
-    for (num, mu), ch in h.coeffs.items():
-        if num < 0:
-            neg_entries[(Fraction(-num, h.den), mu)] = ch
-    zero = disc.zero()
-    h0 = h.coefficient(0, zero)
+    hpp = h.principal_part()
+    neg_entries, h0 = hpp.entries, hpp.const_term
     if minimal and all(cf >= 0 for cf in f.entries.values()):
         empty = PrincipalPart(disc, {}, 0, sign=-1)
         return DecomposeResult(f, empty, 0, b, h)

@@ -39,8 +39,7 @@ from pathlib import Path
 
 from .borcherds import (
     AdmissibleSetSpec,
-    EisensteinProvider,
-    FixtureProvider,
+    Provider,
     build_h,
     decompose,
     obstruction_check,
@@ -182,14 +181,14 @@ def _parse_mu(text, disc):
     return disc.check(mu)
 
 
-def _provider_from(args, disc, default=None):
-    """(provider, document) for --provider, the file read once; (default,
-    None) without it."""
+def _provider_from(args, lat, disc):
+    """(provider, document) for --provider, the file read once; the
+    Eisenstein provider of the negated lattice and None without it."""
     path = getattr(args, "provider", None)
     if not path:
-        return default, None
+        return Provider.eisenstein(lat.negated()), None
     doc = _read_json(path)
-    return FixtureProvider(parse_fixture(doc, disc.negated())), doc
+    return Provider.fixture(parse_fixture(doc, disc.negated())), doc
 
 
 def _cmd_info(args, cfg, err):
@@ -274,7 +273,7 @@ def _cmd_h_series(args, cfg, err):
     lat, _ = _load_lattice(args, cfg)
     disc = discriminant_form(lat)
     trunc = parse_rational(args.trunc, "--trunc")
-    provider, provider_doc = _provider_from(args, disc)
+    provider, provider_doc = _provider_from(args, lat, disc)
 
     def produce():
         h = build_h(lat.negated(), args.b, trunc, provider=provider,
@@ -291,7 +290,7 @@ def _cmd_decompose(args, cfg, err):
     disc = discriminant_form(lat)
     pp_doc = _read_json(args.pp)
     f = parse_principal_part(pp_doc, disc)
-    provider, provider_doc = _provider_from(args, disc, EisensteinProvider())
+    provider, provider_doc = _provider_from(args, lat, disc)
 
     def produce():
         res = decompose(f, lat, provider=provider, minimal=args.minimal,
@@ -381,7 +380,7 @@ def _cmd_vanish_on(args, cfg, err):
     mu = _parse_mu(args.mu, disc)
     fixture_doc_ = _read_json(args.fixture)
     fixture = parse_fixture(fixture_doc_, disc)
-    provider, provider_doc = _provider_from(args, disc, EisensteinProvider())
+    provider, provider_doc = _provider_from(args, lat, disc)
     pp_doc = _read_json(args.pp) if args.pp else None
     pp = parse_principal_part(pp_doc, disc) if pp_doc else None
 

@@ -48,16 +48,6 @@ class ScalarQSeries:
             out[e] = out.get(e, Fraction(0)) + c
         return ScalarQSeries(out, trunc)
 
-    def scale(self, c):
-        c = Fraction(c)
-        return ScalarQSeries({e: v * c for e, v in self.coeffs.items()}, self.trunc)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, VVQSeries):
             return other * self
@@ -69,10 +59,6 @@ class ScalarQSeries:
                 if e < t1:
                     out[e] = out.get(e, Fraction(0)) + c1 * c2
         return ScalarQSeries(out, t1)
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarQSeries) and \
-            (self.coeffs, self.trunc) == (other.coeffs, other.trunc)
 
     def __repr__(self):
         head = " + ".join(f"{c}*q^{e}" for e, c in self.items()[:6])
@@ -202,21 +188,10 @@ class VVQSeries:
                          {k: v * c for k, v in self.coeffs.items()},
                          self.hecke_flag)
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, VVQSeries):
-            if other.is_scalar_valued():
-                other = other.as_scalar()
-            elif self.is_scalar_valued():
-                return other * self.as_scalar()
-            else:
-                raise IncompatibleDiscriminantForms(
-                    "one factor must be scalar-valued")
+            raise IncompatibleDiscriminantForms(
+                "one factor must be scalar-valued")
         if not isinstance(other, ScalarQSeries):
             return self.scale(other)
         trunc = min(self.trunc + other.min_exp(), other.trunc + self.min_exp())
@@ -231,19 +206,6 @@ class VVQSeries:
                          self.hecke_flag)
 
     __rmul__ = __mul__
-
-    def is_scalar_valued(self):
-        return len(self.disc.elements()) == 1
-
-    def as_scalar(self):
-        if not self.is_scalar_valued():
-            raise IncompatibleDiscriminantForms("not scalar-valued")
-        out = {}
-        for (num, mu), c in self.coeffs.items():
-            e = Fraction(num, self.den)
-            assert e.denominator == 1
-            out[int(e)] = c
-        return ScalarQSeries(out, self.trunc)
 
     def mul_delta_pow(self, ell):
         """Multiply by Delta^ell; the pole order shifts by -ell."""

@@ -140,9 +140,6 @@ class Cyclotomic:
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
-                if self.order % other.order == 0:
-                    k = self.order // other.order
-                    return self._with({j * k: c for j, c in other.coeffs.items()})
                 raise PreconditionError("mismatched cyclotomic orders")
             return other
         return Cyclotomic.from_rational(other, self.order)

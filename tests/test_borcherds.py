@@ -13,14 +13,16 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
+from vveis.arith import sigma
 from vveis.borcherds import (
     AdmissibleSetSpec,
-    EisensteinProvider,
-    FixtureProvider,
     ModularBasisFixture,
+    Provider,
+    aux_weight,
     build_h,
     check_admissible,
     constant_term,
@@ -123,11 +125,11 @@ def weight19_provider():
     coefficients, so the product does too)."""
     lneg, dneg = negated_side()
     base = eis_expansion(lneg, 4, disc=dneg)
-    sig3 = lambda n: sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
-    e4 = ScalarQSeries({n: 1 if n == 0 else 240 * sig3(n) for n in range(5)}, 5)
+    e4 = ScalarQSeries({n: 1 if n == 0 else 240 * sigma(3, n)
+                        for n in range(5)}, 5)
     fix = ModularBasisFixture(19, (base * (e4 * e4 * e4),), (False,),
                               "weight-7 expansion times E4^3")
-    return FixtureProvider(fix)
+    return Provider.fixture(fix)
 
 
 @lru_cache(maxsize=None)
@@ -376,8 +378,33 @@ class TestBuildH:
 
     def test_unsupported_weight(self):
         lneg, dneg = negated_side()
-        with pytest.raises(UnsupportedWeight):
+        with pytest.raises(UnsupportedWeight, match="pole depth 2 needs "
+                           "weight 19; the eisenstein series has weight 7"):
             build_h(lneg, 2, 3, disc=dneg)
+
+    def test_pole_depth_inverts_aux_weight(self):
+        for n in range(41):
+            for b in range(1, 5):
+                assert Provider("k", aux_weight(n, b), None).pole_depth(n) == b
+            # the Eisenstein series of the (2, n) lattice has weight 1 + n/2,
+            # so its depth is n/12 exactly when 12 | n and n >= 12
+            legacy = n // 12 if n > 0 and n % 12 == 0 else None
+            eis = Provider.eisenstein(SimpleNamespace(rank=n + 2))
+            assert eis.weight == 1 + Fraction(n, 2)
+            assert eis.pole_depth(n) == legacy, n
+
+    def test_only_the_pole_depth_builds(self):
+        lneg, dneg = negated_side()
+        for provider, depth in ((Provider.eisenstein(lneg), 1),
+                                (weight19_provider(), 2)):
+            assert provider.pole_depth(lneg.sig_neg) == depth
+            for b in range(1, 5):
+                if b == depth:
+                    h = build_h(lneg, b, 1, provider=provider, disc=dneg)
+                    assert h.coefficient(-b, ZERO) == 1
+                else:
+                    with pytest.raises(UnsupportedWeight):
+                        build_h(lneg, b, 1, provider=provider, disc=dneg)
 
     def test_fixture_provider_negative_coefficient(self):
         lneg, dneg = negated_side()
@@ -385,16 +412,16 @@ class TestBuildH:
             19, (VVQSeries(dneg, 4, 1, 4, {(0, ZERO): 1, (4, ZERO): -1}),),
             (False,), "negative control")
         with pytest.raises(PositivityViolation):
-            build_h(lneg, 2, 1, provider=FixtureProvider(bad), disc=dneg)
+            build_h(lneg, 2, 1, provider=Provider.fixture(bad), disc=dneg)
 
     def test_fixture_provider_index_out_of_range(self):
         with pytest.raises(FixtureNotABasis, match="no element 0"):
-            FixtureProvider(ModularBasisFixture(19, (), (), "empty"))
+            Provider.fixture(ModularBasisFixture(19, (), (), "empty"))
         one = weight19_provider().fixture
         for index in (1, -1):
             with pytest.raises(FixtureNotABasis, match=f"no element {index}"):
-                FixtureProvider(one, index)
-        assert FixtureProvider(one, 0).element is one.elements[0]
+                Provider.fixture(one, index)
+        assert Provider.fixture(one, 0).element is one.elements[0]
 
     def test_fixture_provider_truncation(self):
         lneg, dneg = negated_side()
@@ -402,7 +429,7 @@ class TestBuildH:
             19, (VVQSeries(dneg, 4, 1, 2, {(0, ZERO): 1}),),
             (False,), "too short")
         with pytest.raises(TruncationInsufficient):
-            build_h(lneg, 2, 1, provider=FixtureProvider(short), disc=dneg)
+            build_h(lneg, 2, 1, provider=Provider.fixture(short), disc=dneg)
 
 
 class TestDecompose:
@@ -481,9 +508,10 @@ class TestDecompose:
     def test_no_legal_depth(self):
         # the exact-series provider only reaches b = 1 here and T = 1
         # leaves no room for any pole
-        with pytest.raises(UnsupportedWeight):
+        with pytest.raises(UnsupportedWeight, match="the eisenstein series "
+                           "of weight 7 has pole depth 1"):
             decompose(self._mixed_input(), fixture_lattice(),
-                      provider=EisensteinProvider())
+                      provider=Provider.eisenstein(negated_side()[0]))
 
     def test_series_provider_at_depths_two_and_three(self):
         # n = 24 and n = 36: the exact-series provider's only depth is

@@ -142,6 +142,13 @@ class TestExitCodes:
 
 
 class TestImports:
+    def test_star_import_resolves_all(self):
+        namespace = {}
+        exec("from vveis import *", namespace)
+        assert len(set(vveis.__all__)) == len(vveis.__all__)
+        assert all(namespace[name] is getattr(vveis, name)
+                   for name in vveis.__all__)
+
     def test_numpy_not_loaded(self, lat_files):
         # numpy is imported only by count_naive: the CLI, lattice set-up and
         # the enumerations never load it
@@ -372,6 +379,13 @@ class TestSubcommands:
             assert code == 0, err
             assert reads.count(f["w19"]) == 1, argv[0]
             assert len(reads) == len(set(reads)), (argv[0], reads)
+
+    def test_weight_error_names_both_weights(self, lat_files):
+        code, out, err = run_cli(["h-series", lat_files["uu"], "-b", "1",
+                                  "--trunc", "2"])
+        assert (code, out) == (2, "")
+        assert err == ("error (precondition): pole depth 1 needs weight 12; "
+                       "the eisenstein series has weight 2\n")
 
     def test_decompose_at_depth_two(self, tmp_path):
         # E8^3 + <-2>^2: the series provider's only depth is b = 2

@@ -252,13 +252,6 @@ class TestVVQSeries:
         shifted = g.pole_order()
         assert shifted is None or shifted <= po - 1
 
-    def test_scalar_valued_bridge(self):
-        f = VVQSeries(TRIV, 1, -1, Fraction(6), {(-1, ()): 1, (2, ()): 5})
-        g = VVQSeries(TRIV, 1, -1, Fraction(6), {(0, ()): 3})
-        h = f * g
-        assert h.coefficient(-1, ()) == 3
-        assert h.coefficient(2, ()) == 15
-
 
 class TestPrincipalPart:
     def test_from_delta_inverse(self):
