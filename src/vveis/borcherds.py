@@ -45,8 +45,8 @@ from .errors import (
     UnsupportedWeight,
 )
 from .lattice import (
+    admissibility,
     bad_primes,
-    coset_represents,
     disc_of,
     t_max,
     witt_rank_bounded,
@@ -61,10 +61,11 @@ class AdmissibleSetSpec:
     """Search set of index pairs: an explicit list or a filtered grid.
 
     bound_a caps ord_p(m) at every prime dividing twice the level.  Either
-    members lists the pairs explicitly, or every congruence-compatible pair
-    with m <= ceiling is enumerated and filtered through predicate.  The set
-    is always treated as closed under mu <-> -mu, because the divisors
-    indexed by a pair and by its negative coincide.
+    members lists the pairs explicitly, each of which must be admissible,
+    or the grid of congruence-compatible pairs with m <= ceiling, filtered
+    through predicate, stands for its admissible pairs.  The set is closed
+    under mu <-> -mu, since the divisors indexed by a pair and by its
+    negative coincide; ``lattice.admissibility`` gives both one verdict.
     """
 
     bound_a: int
@@ -123,35 +124,22 @@ class AdmissibilityReport:
 def check_admissible(lattice, spec, disc=None):
     """Verify every candidate pair of the spec, itemizing all failures.
 
-    A pair passes when m is positive, congruent to Q(mu) mod 1, has
-    ord_p(m) <= bound_a at each prime dividing twice the level, and the
-    coset actually represents m (an inconclusive bounded search counts as
-    a failure and is reported as such).
+    Each pair is judged by ``lattice.admissibility`` with the spec's bound
+    (an inconclusive bounded search counts as a failure and is reported as
+    such), and each {mu, -mu} orbit once: a witness on either coset accepts
+    both.
     """
     disc = disc_of(lattice, disc)
-    primes = bad_primes(lattice)
-    accepted, rejected = [], []
+    verdicts = {}  # pair -> reason, or None when admissible; candidate order
     for m, mu in _candidate_pairs(spec, disc):
-        if m <= 0:
-            rejected.append(((m, mu), "index must be positive"))
-            continue
-        if (m - disc.q_value(mu)).denominator != 1:
-            rejected.append(
-                ((m, mu), f"{m} is not congruent to Q({mu}) mod 1"))
-            continue
-        bad = next((p for p in primes if valuation(m, p) > spec.bound_a), None)
-        if bad is not None:
-            rejected.append(
-                ((m, mu),
-                 f"ord_{bad}({m}) exceeds the valuation bound {spec.bound_a}"))
-            continue
-        res = coset_represents(lattice, m, mu, disc=disc)
-        if not res.is_yes:
-            rejected.append(
-                ((m, mu), f"representability check returned {res.name}"))
-            continue
-        accepted.append((m, mu))
-    return AdmissibilityReport(tuple(accepted), tuple(rejected))
+        why = verdicts.get((m, disc.neg(mu)), False)
+        if why is False or (why and "congruent" in why):
+            # -mu undecided, or rejected by the one reason that names -mu
+            why = admissibility(lattice, m, mu, spec.bound_a, disc)
+        verdicts[(m, mu)] = why
+    return AdmissibilityReport(
+        tuple(pair for pair, why in verdicts.items() if why is None),
+        tuple((pair, why) for pair, why in verdicts.items() if why is not None))
 
 
 class ModularBasisFixture:
@@ -474,19 +462,24 @@ def _eis(ctx, cache, m, mu):
 def prescribe(lattice, spec, fixture, budget=None, disc=None):
     """Principal part supported on the spec, orthogonal to every cusp element.
 
-    Candidates stream in the declared order; each symmetrized coefficient
-    functional is reduced against the rows accumulated so far (fraction-free
-    elimination over Z on the cusp-pairing vectors, ``linalg.Echelon``).  A
-    candidate whose reduced vector vanishes is a kernel combination, unique
-    up to scale in the earlier independent rows; the first one whose
-    pairing against the Eisenstein series is nonzero becomes the output,
-    scaled to integral entries, with the constant slot set to minus that
-    pairing.  When n = 2 and the lattice certifiably splits two hyperbolic
-    planes, a zero pairing is accepted too and the constant slot is repaired
-    from an invariant vector of the Weil representation, mirroring the
+    A grid is searched over its admissible pairs; members must all be
+    admissible.  Candidates stream in the declared order; each symmetrized
+    coefficient functional is reduced against the rows accumulated so far
+    (fraction-free elimination over Z on the cusp-pairing vectors,
+    ``linalg.Echelon``).  A candidate whose reduced vector vanishes is a
+    kernel combination, unique up to scale in the earlier independent rows;
+    the first one whose pairing against the Eisenstein series is nonzero
+    becomes the output, scaled to integral entries, with the constant slot
+    minus that pairing.  When n = 2 and the lattice certifiably splits two
+    hyperbolic planes, a zero pairing is accepted too and the constant slot
+    is repaired from an invariant vector of the Weil representation, as the
     overlattice argument this case needs.
     """
     disc = disc_of(lattice, disc)
+    report = check_admissible(lattice, spec, disc)
+    if report.rejected and spec.members is not None:
+        raise NotAdmissible("; ".join(
+            f"({m}, {mu}): {why}" for (m, mu), why in report.rejected))
     if lattice.sig_neg != 2 or lattice.sig_pos < 2:
         raise PreconditionError(
             "prescription needs signature (n, 2) with n >= 2")
@@ -498,10 +491,6 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     if fixture.elements and fixture.disc != disc:
         raise IncompatibleDiscriminantForms(
             "fixture lives on a different discriminant form")
-    report = check_admissible(lattice, spec, disc)
-    if report.rejected:
-        raise NotAdmissible("; ".join(
-            f"({m}, {mu}): {why}" for (m, mu), why in report.rejected))
     folded = [(m, mu) for m, mu in report.accepted
               if disc.index(mu) <= disc.index(disc.neg(mu))]
     limit = len(folded) if budget is None else min(int(budget), len(folded))
@@ -576,26 +565,25 @@ def vanish_on(lattice, m, mu, fixture, provider=None, budget=None, pp=None,
               disc=None):
     """Non-negative integral principal part with a positive entry at (m, mu).
 
-    Runs prescribe on the singleton-seeded spec (or validates a caller
-    supplied principal part), then decomposes; the holomorphic side keeps a
-    positive entry at the target because the added series is non-negative
-    with a strictly positive window over the whole pole range.
+    Runs prescribe on the singleton-seeded spec, which decides the pair's
+    admissibility (with a caller supplied principal part, the pair meets
+    ``lattice.admissibility`` without a valuation bound and pp is
+    validated), then decomposes; the holomorphic side keeps a positive
+    entry at the target because the added series is non-negative with a
+    strictly positive window over the whole pole range.
     """
     disc = disc_of(lattice, disc)
     m = Fraction(m)
     mu = disc.check(mu)
-    if m <= 0 or (m - disc.q_value(mu)).denominator != 1:
-        raise NotAdmissible(
-            f"{m} is not a positive value of Q on the coset {mu}")
-    res = coset_represents(lattice, m, mu, disc=disc)
-    if not res.is_yes:
-        raise NotAdmissible(
-            f"({m}, {mu}) representability check returned {res.name}")
     if pp is None:
-        bound = max([1] + [valuation(m, p) for p in bad_primes(lattice)])
+        # a bound the seed meets, so the rule decides everything else
+        bound = max([1] + [valuation(m, p) or 0 for p in bad_primes(lattice)])
         seed = AdmissibleSetSpec(bound_a=bound, members=((m, mu),))
         pp = prescribe(lattice, seed, fixture, budget=budget, disc=disc)
     else:
+        why = admissibility(lattice, m, mu, disc=disc)
+        if why is not None:
+            raise NotAdmissible(f"({m}, {mu}): {why}")
         if pp.disc != disc:
             raise IncompatibleDiscriminantForms(
                 "principal part lives on a different discriminant form")

@@ -38,7 +38,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .borcherds import (
-    AdmissibleSetSpec,
     Provider,
     build_h,
     decompose,
@@ -55,10 +54,12 @@ from .errors import (
 )
 from .formats import (
     canonical_json,
+    is_int,
     parse_fixture,
     parse_lattice,
     parse_principal_part,
     parse_rational,
+    parse_spec,
     principal_part_doc,
     qseries_doc,
     rational_str,
@@ -114,7 +115,7 @@ def load_config(path=None, env=None):
     for name in ("lattice", "cache_dir"):
         if name in values and not isinstance(values[name], str):
             raise PreconditionError(f"config {name} must be a string")
-    if "naive_cap" in values and not _is_int(values["naive_cap"]):
+    if "naive_cap" in values and not is_int(values["naive_cap"]):
         raise PreconditionError("config naive_cap must be an integer")
     if "cross_check" in values and not isinstance(values["cross_check"], bool):
         raise PreconditionError("config cross_check must be a boolean")
@@ -320,47 +321,11 @@ def _cmd_obstruct(args, cfg, err):
     }), 0
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _parse_spec_doc(doc):
-    if not isinstance(doc, dict):
-        raise PreconditionError("spec must be a JSON object")
-    unknown = sorted(set(doc) - {"bound_a", "members", "ceiling"})
-    if unknown:
-        raise PreconditionError(f"spec document has unknown keys {unknown}")
-    if "bound_a" not in doc:
-        raise PreconditionError("spec document needs bound_a")
-    if not _is_int(doc["bound_a"]):
-        raise PreconditionError(
-            f"spec bound_a must be an integer, got {doc['bound_a']!r}")
-    members = None
-    if "members" in doc:
-        rows = doc["members"]
-        if not isinstance(rows, list):
-            raise PreconditionError("spec members must be a list")
-        members = []
-        for row in rows:
-            if not isinstance(row, list) or len(row) != 2:
-                raise PreconditionError("each member must be [m, mu]")
-            mu = row[1]
-            if not isinstance(mu, list) or not all(map(_is_int, mu)):
-                raise PreconditionError(
-                    f"member mu must be a list of integers, got {mu!r}")
-            members.append((parse_rational(row[0], "member index"), tuple(mu)))
-        members = tuple(members)
-    ceiling = parse_rational(doc["ceiling"], "ceiling") \
-        if "ceiling" in doc else None
-    return AdmissibleSetSpec(bound_a=doc["bound_a"], members=members,
-                             ceiling=ceiling)
-
-
 def _cmd_prescribe(args, cfg, err):
     lat, _ = _load_lattice(args, cfg)
     disc = discriminant_form(lat)
     spec_doc = _read_json(args.spec)
-    spec = _parse_spec_doc(spec_doc)
+    spec = parse_spec(spec_doc)
     fixture_doc_ = _read_json(args.fixture)
     fixture = parse_fixture(fixture_doc_, disc)
 

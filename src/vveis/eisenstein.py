@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import exp, log
 
 from . import repnums
@@ -26,7 +27,6 @@ from .arith import (
     l_value_exact,
     moebius,
     sigma,
-    valuation,
     zeta_exact,
 )
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     PositivityViolation,
     PreconditionError,
 )
-from .lattice import RepResult, bad_primes, coset_represents, disc_of
+from .lattice import admissibility, bad_primes, disc_of
 from .qseries import VVQSeries
 
 
@@ -232,28 +232,20 @@ def _log(x):
 def lower_bound_report(lattice, pairs, bound_a, eps=Fraction(1, 10), disc=None):
     """Ratios (-1)^(b-/2) e(m,mu) / m^(kappa-1) with admissibility checks.
 
-    Every pair must have m > 0, be represented by its coset and have
-    ord_p(m) <= bound_a at all p | 2N.  Strict positivity of every ratio is
+    Every pair must pass ``lattice.admissibility`` with bound_a, or
+    NotAdmissible names its reason.  Strict positivity of every ratio is
     decided exactly; the float ratios are advisory.
     """
     ctx = context(lattice, disc)
     exponent = ctx.kappa - 1 - (eps if ctx.hecke_boundary else 0)
     sign = (-1) ** (ctx.b_minus // 2)
     rows = []
-    mins = []
-    cur = None
     for m, mu in pairs:
         m = Fraction(m)
         mu = ctx.disc.check(mu)
-        if m <= 0:
-            raise NotAdmissible(f"m = {m} is not positive")
-        for p in ctx.primes:
-            v = valuation(m, p)
-            if v > bound_a:
-                raise NotAdmissible(f"ord_{p}({m}) = {v} > {bound_a}")
-        rep = coset_represents(lattice, m, mu, disc=ctx.disc)
-        if rep != RepResult.REPRESENTED:
-            raise NotAdmissible(f"({m}, {mu}) not certified represented: {rep.name}")
+        why = admissibility(lattice, m, mu, bound_a, disc=ctx.disc)
+        if why is not None:
+            raise NotAdmissible(f"({m}, {mu}): {why}")
         e = eis_coefficient(lattice, m, mu, disc=ctx.disc, ctx=ctx)
         num = sign * e
         if num <= 0:
@@ -265,7 +257,6 @@ def lower_bound_report(lattice, pairs, bound_a, eps=Fraction(1, 10), disc=None):
         else:
             ratio_exact = None
             ratio = exp(_log(num) - float(exponent) * _log(m))
-        cur = ratio if cur is None else min(cur, ratio)
-        mins.append(cur)
         rows.append(LowerBoundRow(m, mu, e, ratio, ratio_exact))
-    return LowerBoundReport(ctx.kappa, exponent, tuple(rows), tuple(mins))
+    return LowerBoundReport(ctx.kappa, exponent, tuple(rows),
+                            tuple(accumulate((r.ratio for r in rows), min)))

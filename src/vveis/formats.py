@@ -16,6 +16,8 @@ Document shapes:
                    "const_term": "p/q"}
   basis fixture   {"weight": "p/q", "provenance": str,
                    "elements": [{"cusp": bool, "series": <q-series>}, ...]}
+  spec            {"bound_a": n, "members": [["p/q", [..]], ...]}
+                  or {"bound_a": n, "ceiling": "p/q"}
 
 Principal-part coefficient rows reuse the q-series row shape with the
 actual (negative) exponent, so ``exp = -m`` for an index-m entry.
@@ -27,13 +29,18 @@ import json
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .borcherds import ModularBasisFixture
+from .borcherds import AdmissibleSetSpec, ModularBasisFixture
 from .lattice import new_lattice
 from .qseries import PrincipalPart, VVQSeries
 
 
 def rational_str(x):
     return str(Fraction(x))
+
+
+def is_int(x):
+    """True for a JSON integer (a Python int that is not a bool)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_rational(value, what="value"):
@@ -73,7 +80,7 @@ def parse_lattice(doc):
         raise PreconditionError("gram must be a list of rows")
     for row in gram:
         for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
+            if not is_int(x):
                 raise PreconditionError(f"gram entries must be integers, got {x!r}")
     return new_lattice(gram)
 
@@ -91,8 +98,7 @@ def _parse_coeff_row(row, i, what):
     exp = parse_rational(row["exp"], f"{what} exponent {i}")
     c = parse_rational(row["c"], f"{what} coefficient value {i}")
     mu = row["mu"]
-    if not isinstance(mu, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in mu):
+    if not isinstance(mu, list) or not all(map(is_int, mu)):
         raise PreconditionError(f"{what} mu {i} must be a list of integers")
     return exp, tuple(mu), c
 
@@ -113,7 +119,7 @@ def parse_qseries(doc, disc):
     _require_keys(doc, ("den", "trunc", "sign", "coeffs"),
                   ("hecke_boundary",), "q-series")
     den = doc["den"]
-    if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+    if not is_int(den) or den < 1:
         raise PreconditionError(f"den must be a positive integer, got {den!r}")
     if doc["sign"] not in _STR_SIGN:
         raise PreconditionError(f"sign must be '+' or '-', got {doc['sign']!r}")
@@ -189,3 +195,27 @@ def parse_fixture(doc, disc):
         flags.append(entry["cusp"])
     return ModularBasisFixture(weight, elements, flags,
                                doc.get("provenance", ""))
+
+
+def parse_spec(doc):
+    _require_keys(doc, ("bound_a",), ("members", "ceiling"), "spec")
+    if not is_int(doc["bound_a"]):
+        raise PreconditionError(
+            f"spec bound_a must be an integer, got {doc['bound_a']!r}")
+    members = None
+    if "members" in doc:
+        if not isinstance(doc["members"], list):
+            raise PreconditionError("spec members must be a list")
+        members = []
+        for row in doc["members"]:
+            if not isinstance(row, list) or len(row) != 2:
+                raise PreconditionError("each member must be [m, mu]")
+            mu = row[1]
+            if not isinstance(mu, list) or not all(map(is_int, mu)):
+                raise PreconditionError(
+                    f"member mu must be a list of integers, got {mu!r}")
+            members.append((parse_rational(row[0], "member index"), tuple(mu)))
+    ceiling = parse_rational(doc["ceiling"], "ceiling") \
+        if "ceiling" in doc else None
+    return AdmissibleSetSpec(bound_a=doc["bound_a"], members=members,
+                             ceiling=ceiling)

@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import linalg
-from .arith import factorize
+from .arith import factorize, valuation
 from .errors import (
     BudgetExceeded,
     ConsistencyError,
@@ -547,6 +547,32 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
     return RepResult.INCONCLUSIVE
 
 
+def admissibility(lattice, m, mu, bound_a=None, disc=None):
+    """Why the index pair (m, mu) is not admissible, or None when it is.
+
+    The one admissibility rule, checked in order: m > 0, m = Q(mu) mod 1,
+    ord_p(m) <= bound_a at every p | 2N (skipped when bound_a is None), and
+    mu + L represents m.  Q(-x) = Q(x), so (m, mu) and (m, -mu) share one
+    verdict: the search runs on mu, and on -mu only when mu is not
+    REPRESENTED.  An inconclusive bounded search is a rejection.
+    """
+    disc = disc_of(lattice, disc)
+    m, mu = Fraction(m), disc.check(mu)
+    if m <= 0:
+        return "index must be positive"
+    if (m - disc.q_value(mu)).denominator != 1:
+        return f"{m} is not congruent to Q({mu}) mod 1"
+    for p in bad_primes(lattice) if bound_a is not None else ():
+        if valuation(m, p) > bound_a:
+            return f"ord_{p}({m}) exceeds the valuation bound {bound_a}"
+    res = coset_represents(lattice, m, mu, disc=disc)
+    neg = disc.neg(mu)
+    if res.is_yes or (
+            neg != mu and coset_represents(lattice, m, neg, disc=disc).is_yes):
+        return None
+    return f"representability check returned {res.name}"
+
+
 def _widest_radius(cap, n, hi):
     """Largest r < hi with (2r + 1)^n <= cap, by bisection; -1 if none."""
     lo = -1
@@ -569,14 +595,17 @@ def certified_radius(lattice, m, den, s):
     return _frac_sqrt_floor(bound) + max(map(abs, s), default=0) // den + 2
 
 
-def t_mu(lattice, mu, radius=None, cap=64, disc=None):
+_T_MU_CAP = 64  # the largest value t_mu tries before giving up
+
+
+def t_mu(lattice, mu, disc=None):
     """Smallest positive value of -Q on the coset mu + L, for L of signature (n, 2).
 
-    Candidates walk the arithmetic progression forced by -Q(mu) mod 1 and are
-    tested on the negated lattice (signature (2, n), where -Q attains positive
-    values); n = 1 uses the bounded search and may raise
-    InconclusiveBoundedSearch.  Element encoding is shared with the input
-    lattice's discriminant form.
+    Candidates walk the arithmetic progression forced by -Q(mu) mod 1 up to
+    ``_T_MU_CAP`` and are tested on the negated lattice (signature (2, n),
+    where -Q attains positive values); n = 1 uses the bounded search and may
+    raise InconclusiveBoundedSearch.  Element encoding is shared with the
+    input lattice's discriminant form.
     """
     if lattice.sig_neg != 2 or lattice.sig_pos < 1:
         raise PreconditionError("expected a lattice of signature (n, 2), n >= 1")
@@ -587,24 +616,23 @@ def t_mu(lattice, mu, radius=None, cap=64, disc=None):
     v = disc_neg.q_value(mu)  # -Q(mu) mod 1
     if v == 0:
         v = Fraction(1)
-    while v <= cap:
-        res = coset_represents(neg, v, mu, radius=radius, disc=disc_neg)
+    while v <= _T_MU_CAP:
+        res = coset_represents(neg, v, mu, disc=disc_neg)
         if res is RepResult.REPRESENTED:
             return v
         if res is not RepResult.NOT_REPRESENTED:
             raise InconclusiveBoundedSearch(
                 f"bounded search could not decide -Q = {v} on coset {mu}")
         v += 1
-    raise BudgetExceeded(f"no represented value below cap {cap} for coset {mu}")
+    raise BudgetExceeded(f"no represented value below cap {_T_MU_CAP} for coset {mu}")
 
 
 @lru_cache(maxsize=None)
-def t_max(lattice, radius=None, disc=None):
+def t_max(lattice, disc=None):
     """max over mu of ``t_mu``; memoized, since ``decompose`` and its
     ``build_h`` ask for it on the same lattice (one through ``negated()``)."""
     disc = disc_of(lattice, disc)
-    return max(t_mu(lattice, mu, radius=radius, disc=disc)
-               for mu in disc.elements())
+    return max(t_mu(lattice, mu, disc=disc) for mu in disc.elements())
 
 
 @dataclass(frozen=True)

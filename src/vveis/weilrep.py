@@ -241,17 +241,14 @@ class WeilMatrices:
     s_mat: tuple  # rows of Cyclotomic
 
 
-def weil_matrices(disc, signature=None):
+def weil_matrices(disc):
     """T and S matrices: T = diag(e(Q(mu))), S = pref * (e(-(mu,nu))).
 
-    The prefactor is e((b^- - b^+)/8)/sqrt(|L'/L|); signature defaults to the
-    lattice the discriminant form was built from.  With T = diag(zeta_M^t),
-    (mu, nu) = (t[mu+nu] - t[mu] - t[nu]) / M, so each S entry is the
-    prefactor with its exponents shifted.
+    The prefactor is e((b^- - b^+)/8)/sqrt(|L'/L|), (b^+, b^-) the signature
+    of disc.lattice.  With T = diag(zeta_M^t), (mu, nu) = (t[mu+nu] - t[mu]
+    - t[nu]) / M, so each S entry is the prefactor with its exponents shifted.
     """
-    if signature is None:
-        signature = (disc.lattice.sig_pos, disc.lattice.sig_neg)
-    bp, bm = signature
+    bp, bm = disc.lattice.sig_pos, disc.lattice.sig_neg
     n = disc.size
     m_order = lcm(8, disc.lattice.level, 4 * n)
     t_mat = tuple(Cyclotomic.e(disc.q_value(mu), m_order) for mu in disc.elements())

@@ -43,7 +43,7 @@ from vveis.errors import (
     TruncationInsufficient,
     UnsupportedWeight,
 )
-from vveis import lattice
+from vveis import borcherds, lattice
 from vveis.lattice import (
     discriminant_form,
     new_lattice,
@@ -290,6 +290,43 @@ class TestAdmissibleSpec:
             (Fraction(1, 8), (1,)), (Fraction(1, 8), (3,)),
             (Fraction(1, 2), (2,)),
         )
+
+    def test_orbit_shares_one_verdict(self):
+        # L'/L = Z/9: the box around -mu's representative (8, 56)/9 misses
+        # the witness that mu's box finds, so -mu alone is INCONCLUSIVE
+        lat = new_lattice([[2, 1], [1, -4]])
+        m = Fraction(53, 9)
+        for mu in ((1,), (8,)):
+            report = check_admissible(
+                lat, AdmissibleSetSpec(bound_a=1, members=((m, mu),)))
+            assert report.accepted == ((m, (1,)), (m, (8,)))
+            assert report.ok
+
+    @pytest.mark.parametrize("gram", [[[2, 1], [1, -4]], [[2, 0], [0, -6]],
+                                      [[4]], diag([2, -2, -4])])
+    def test_rule_even_in_mu(self, gram):
+        # Q(-x) = Q(x): every pair and its negative get the same verdict
+        lat = new_lattice(gram)
+        disc = discriminant_form(lat)
+        for mu in disc.elements():
+            q, neg = disc.q_value(mu), disc.neg(mu)
+            for m in (q + k for k in range(0 if q else 1, 12)):
+                assert (lattice.admissibility(lat, m, mu, disc=disc) is None) \
+                    == (lattice.admissibility(lat, m, neg, disc=disc) is None)
+
+    def test_rule_order_and_texts(self):
+        lat = fixture_lattice()
+        rule = lattice.admissibility
+        assert rule(lat, 0, ZERO) == rule(lat, -1, MU_A) \
+            == "index must be positive"
+        assert rule(lat, 1, MU_A, bound_a=1) == \
+            "1 is not congruent to Q((0, 0, 0, 1)) mod 1"
+        assert rule(lat, 4, ZERO, bound_a=1) == \
+            "ord_2(4) exceeds the valuation bound 1"
+        assert rule(lat, 4, ZERO) is None
+        doubled = new_lattice([[2 * x for x in row] for row in E8])
+        assert rule(doubled, 1, discriminant_form(doubled).zero()) == \
+            "representability check returned NOT_WITHIN_RADIUS"
 
 
 class TestFixtureValidation:
@@ -684,6 +721,18 @@ class TestPrescribe:
             prescribe(fixture_lattice(), self._spec((4, ZERO), bound=1),
                       empty_fixture())
 
+    def test_grid_searches_its_admissible_pairs(self):
+        # ceiling 4 adds pairs with ord_2(4) = 2 > bound_a: a grid drops
+        # them, where explicit members are refused
+        lat = fixture_lattice()
+        at3, at4 = (prescribe(lat, AdmissibleSetSpec(bound_a=1, ceiling=c),
+                              empty_fixture()) for c in (3, 4))
+        assert at4 == at3
+        assert at3.const_term == Fraction(2, 61)
+        report = check_admissible(lat, AdmissibleSetSpec(bound_a=1, ceiling=4))
+        assert {m for (m, _), _ in report.rejected} == {4}
+        assert all("ord_2" in why for _, why in report.rejected)
+
     def test_weight_mismatch(self):
         spec = self._spec((1, ZERO))
         with pytest.raises(FixtureNotABasis, match="weight"):
@@ -777,6 +826,35 @@ class TestVanishOn:
         zero = discriminant_form(doubled).zero()
         with pytest.raises(NotAdmissible, match="represent"):
             vanish_on(doubled, 1, zero, empty_fixture())
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_index_rejected(self, m):
+        lat, disc = fixture_lattice(), fixture_disc()
+        with pytest.raises(NotAdmissible, match="positive"):
+            vanish_on(lat, m, ZERO, empty_fixture())
+        pp = PrincipalPart(disc, {(1, ZERO): 1}, 0, sign=-1)
+        with pytest.raises(NotAdmissible, match="positive"):
+            vanish_on(lat, m, ZERO, empty_fixture(), pp=pp)
+
+    def test_one_representability_search(self, monkeypatch):
+        # prescribe's admissibility check is the only one; t_mu's searches
+        # run on the negated lattice and are not counted.  Any name bound to
+        # the search in borcherds is counted too.
+        lat = fixture_lattice()
+        calls = []
+        search = lattice.coset_represents
+
+        def counting(lat_, *args, **kwargs):
+            if lat_ == lat:
+                calls.append(args)
+            return search(lat_, *args, **kwargs)
+
+        monkeypatch.setattr(lattice, "coset_represents", counting)
+        monkeypatch.setattr(borcherds, "coset_represents", counting,
+                            raising=False)
+        vanish_on(lat, Fraction(3, 4), MU_A, empty_fixture(),
+                  provider=weight19_provider())
+        assert len(calls) == 1
 
     def test_supplied_pp_validated(self):
         lat, disc = fixture_lattice(), fixture_disc()

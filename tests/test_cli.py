@@ -409,6 +409,14 @@ class TestSubcommands:
         ({"bound_a": [1], "members": [["1", [0, 0, 0, 0]]]}, 2),
         ({"bound_a": 1.5, "members": [["1", [0, 0, 0, 0]]]}, 2),
         ({"bound_a": 1, "members": [["1", [0.5, 0, 0, 0]]]}, 2),
+        ({"bound_a": 1, "ceiling": 2.5}, 2),
+        ({"bound_a": True, "ceiling": "3"}, 2),
+        ({"bound_a": 1}, 2),
+        ({"bound_a": 1, "ceiling": "3", "members": []}, 2),
+        ({"members": [["1", [0, 0, 0, 0]]]}, 2),
+        ({"bound_a": 1, "members": "1"}, 2),
+        ({"bound_a": 1, "members": [["1"]]}, 2),
+        ([1, [[1, [0, 0, 0, 0]]]], 2),
     ])
     def test_spec_types_rejected(self, tmp_path, doc, code):
         # the well-typed spec runs on the fixture with an empty basis; each
@@ -429,6 +437,23 @@ class TestSubcommands:
         assert "Traceback" not in proc.stderr
         if code:
             assert proc.stderr.startswith("error (precondition):")
+
+
+    def test_grid_spec_keeps_its_admissible_pairs(self, tmp_path):
+        # ceiling 4 adds (4, mu) pairs with ord_2(4) > bound_a; the grid
+        # drops them and prints the ceiling-3 bytes
+        acceptance._battery_files(tmp_path)
+        outs = []
+        for ceiling in ("3", "4"):
+            spec = tmp_path / f"grid{ceiling}.json"
+            spec.write_text(json.dumps({"bound_a": 1, "ceiling": ceiling}))
+            code, out, err = run_cli([
+                "prescribe", str(tmp_path / "fixture.json"), "--spec",
+                str(spec), "--fixture", str(tmp_path / "empty_basis.json")])
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["const_term"] == "2/61"
 
 
 class TestCache:

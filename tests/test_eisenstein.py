@@ -310,6 +310,11 @@ class TestLowerBoundReport:
         assert len(str(report.rows[0].coefficient)) == 312
         assert report.rows[0].ratio > 0
 
+    def test_noncongruent_m_rejected(self):
+        # Q((1,)) = 5/8 on D5, so m = 1 is off the coset's exponent grid
+        with pytest.raises(NotAdmissible, match="not congruent"):
+            lower_bound_report(new_lattice(D5), [(1, (1,))], bound_a=4)
+
     def test_nonpositive_m_rejected(self):
         with pytest.raises(NotAdmissible):
             lower_bound_report(new_lattice(E8), [(0, ())], bound_a=4)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from vveis.borcherds import ModularBasisFixture
+from vveis.borcherds import AdmissibleSetSpec, ModularBasisFixture
 from vveis.errors import PreconditionError
 from vveis.formats import (
     canonical_json,
@@ -18,6 +18,7 @@ from vveis.formats import (
     parse_principal_part,
     parse_qseries,
     parse_rational,
+    parse_spec,
     principal_part_doc,
     qseries_doc,
     rational_str,
@@ -173,3 +174,11 @@ class TestFixtureDoc:
                                    "coeffs": []}}]}
         with pytest.raises(PreconditionError, match="boolean"):
             parse_fixture(doc, disc)
+
+
+class TestSpecDoc:
+    def test_shapes(self):
+        assert parse_spec({"bound_a": 2, "members": [["3/4", [0, 1]]]}) == \
+            AdmissibleSetSpec(bound_a=2, members=((Fraction(3, 4), (0, 1)),))
+        assert parse_spec({"bound_a": 1, "ceiling": "5/2"}) == \
+            AdmissibleSetSpec(bound_a=1, ceiling=Fraction(5, 2))
