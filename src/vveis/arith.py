@@ -131,6 +131,13 @@ def _rho(n):
             return g
 
 
+def exact_int(x):
+    """The rational x as an int; ConsistencyError when it is not one."""
+    if x.denominator != 1:
+        raise ConsistencyError(f"{x} is not an integer")
+    return int(x)
+
+
 def valuation(x, p):
     """ord_p(x) of an integer or rational x; None for x = 0."""
     if x == 0:

@@ -27,11 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import lcm
 
 from .arith import valuation
+from .eisenstein import coefficients, eis_expansion
 from .eisenstein import context as eis_context
-from .eisenstein import eis_coefficient, eis_expansion
 from .errors import (
     BudgetExhausted,
     ConsistencyError,
@@ -92,21 +93,15 @@ def _candidate_pairs(spec, disc):
     """Deterministic candidate order: ascending m, then element order.
 
     Explicit members are validated against the discriminant form; grid mode
-    walks each coset's congruence class up to the ceiling.  The result is
+    walks each coset's ``disc.indices`` up to the ceiling.  The result is
     deduplicated and closed under negation.
     """
     if spec.members is not None:
         raw = [(m, disc.check(mu)) for m, mu in spec.members]
     else:
-        raw = []
-        for mu in disc.elements():
-            m = disc.q_value(mu)
-            if m == 0:
-                m = Fraction(1)
-            while m <= spec.ceiling:
-                if spec.predicate is None or spec.predicate(m, mu):
-                    raw.append((m, mu))
-                m += 1
+        raw = [(m, mu) for mu in disc.elements()
+               for m in takewhile(lambda m: m <= spec.ceiling, disc.indices(mu))
+               if spec.predicate is None or spec.predicate(m, mu)]
     pairs = {(m, nu) for m, mu in raw for nu in (mu, disc.neg(mu))}
     return sorted(pairs, key=lambda p: (p[0], disc.index(p[1])))
 
@@ -126,20 +121,20 @@ def check_admissible(lattice, spec, disc=None):
 
     Each pair is judged by ``lattice.admissibility`` with the spec's bound
     (an inconclusive bounded search counts as a failure and is reported as
-    such), and each {mu, -mu} orbit once: a witness on either coset accepts
-    both.
+    such).  Every reason depends on the {mu, -mu} orbit only, so each
+    (m, ``disc.orbit(mu)``) is decided once and both records carry its
+    verdict: a witness on either coset accepts both.
     """
     disc = disc_of(lattice, disc)
-    verdicts = {}  # pair -> reason, or None when admissible; candidate order
+    verdicts, records = {}, []  # (m, orbit) -> reason, or None when admissible
     for m, mu in _candidate_pairs(spec, disc):
-        why = verdicts.get((m, disc.neg(mu)), False)
-        if why is False or (why and "congruent" in why):
-            # -mu undecided, or rejected by the one reason that names -mu
-            why = admissibility(lattice, m, mu, spec.bound_a, disc)
-        verdicts[(m, mu)] = why
+        key = (m, disc.orbit(mu))
+        if key not in verdicts:
+            verdicts[key] = admissibility(lattice, m, mu, spec.bound_a, disc)
+        records.append(((m, mu), verdicts[key]))
     return AdmissibilityReport(
-        tuple(pair for pair, why in verdicts.items() if why is None),
-        tuple((pair, why) for pair, why in verdicts.items() if why is not None))
+        tuple(pair for pair, why in records if why is None),
+        tuple((pair, why) for pair, why in records if why is not None))
 
 
 class ModularBasisFixture:
@@ -258,7 +253,8 @@ def build_h(lminus, b, trunc, provider=None, disc=None):
     exhaustively on the truncation that every coefficient is >= 0 and that
     every on-grid coefficient with exponent >= T - b is strictly positive,
     where T is the largest first represented value over all cosets of the
-    negated (n, 2) side.
+    negated (n, 2) side; each coset's window is its ``disc.exponents`` from
+    T - b up to the truncation.
     """
     b = int(b)
     if b < 1:
@@ -294,13 +290,10 @@ def build_h(lminus, b, trunc, provider=None, disc=None):
                 f"coefficient at ({exp}, {mu}) is negative: {c}")
     window_low = t_max(lminus.negated(), disc=disc.negated()) - b
     for mu in disc.elements():
-        base = disc.q_value(mu)
-        e = base + math.ceil(window_low - base)
-        while e < h.trunc:
+        for e in takewhile(lambda e: e < h.trunc, disc.exponents(mu, window_low)):
             if h.coefficient(e, mu) <= 0:
                 raise PositivityViolation(
                     f"window coefficient at ({e}, {mu}) is not positive")
-            e += 1
     return h
 
 
@@ -446,17 +439,8 @@ def constant_term(pp, lattice, disc=None, override=False):
         raise HypothesisNotVerified(
             "Witt rank below 2 cannot be certified by bounded search; "
             "pass override to assert it")
-    ctx = eis_context(lattice, disc)
-    cache = {}
-    return -sum((c * _eis(ctx, cache, m, mu) for (m, mu), c in pp.items()),
-                Fraction(0))
-
-
-def _eis(ctx, cache, m, mu):
-    key = (m, mu)
-    if key not in cache:
-        cache[key] = eis_coefficient(ctx.lattice, m, mu, ctx=ctx)
-    return cache[key]
+    e = coefficients(eis_context(lattice, disc))
+    return -sum((c * e(m, mu) for (m, mu), c in pp.items()), Fraction(0))
 
 
 def prescribe(lattice, spec, fixture, budget=None, disc=None):
@@ -491,8 +475,7 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     if fixture.elements and fixture.disc != disc:
         raise IncompatibleDiscriminantForms(
             "fixture lives on a different discriminant form")
-    folded = [(m, mu) for m, mu in report.accepted
-              if disc.index(mu) <= disc.index(disc.neg(mu))]
+    folded = [(m, mu) for m, mu in report.accepted if disc.orbit(mu) == mu]
     limit = len(folded) if budget is None else min(int(budget), len(folded))
     witt2 = lattice.sig_pos == 2 and witt_rank_bounded(lattice).lower_bound >= 2
     gs = fixture.cusp_elements()
@@ -500,7 +483,7 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     # and its combination over the candidates, carried along as a tail
     system = Echelon(len(gs))
     zero_evals = []
-    cache = {}
+    e = coefficients(ctx)
     winner = None
     for k, (m, mu) in enumerate(folded[:limit]):
         for g in gs:
@@ -509,7 +492,7 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
                     f"fixture truncation {g.trunc} cannot read index {m}")
         factor = 1 if disc.neg(mu) == mu else 2
         reduced = system.add([factor * g.coefficient(m, mu) for g in gs]
-                             + [factor * _eis(ctx, cache, m, mu)]
+                             + [factor * e(m, mu)]
                              + [int(j == k) for j in range(limit)])
         if reduced is None:
             continue
@@ -533,8 +516,7 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
             entries[(m, mu)] = entries[(m, disc.neg(mu))] = t
     lam = lcm(*[t.denominator for t in entries.values()])
     entries = {key: t * lam for key, t in entries.items()}
-    const = -sum(t * _eis(ctx, cache, m, mu)
-                 for (m, mu), t in entries.items())
+    const = -sum(t * e(m, mu) for (m, mu), t in entries.items())
     if const != -lam * ev:
         raise ConsistencyError("pairing evaluated two ways disagrees")
     if witt2 and const == 0:

@@ -18,7 +18,7 @@ The cross_check key reaches only `repnum --method auto`, whose count()
 then compares the naive and Gauss-sum paths on every prime power.  The
 variable VVEIS_CROSSCHECK sets that key and is also read by
 repnums.local_counts, so it cross-checks every local count behind the
-Eisenstein coefficients as well.
+Eisenstein coefficients as well, both through repnums.crosscheck_flag.
 
 When a cache directory is configured, pure computations are content-
 addressed by (operation, gram matrix, parameters); every payload is stored
@@ -65,7 +65,7 @@ from .formats import (
     rational_str,
 )
 from .lattice import discriminant_form
-from .repnums import count, count_gauss, count_naive
+from .repnums import count, count_gauss, count_naive, crosscheck_flag
 from .weilrep import invariants, is_unitary, verify_relations, weil_matrices
 
 
@@ -85,7 +85,7 @@ _ENV_KEYS = {
     "VVEIS_LATTICE": ("lattice", str),
     "VVEIS_CACHE_DIR": ("cache_dir", str),
     "VVEIS_NAIVE_CAP": ("naive_cap", int),
-    "VVEIS_CROSSCHECK": ("cross_check", None),
+    "VVEIS_CROSSCHECK": ("cross_check", crosscheck_flag),
 }
 
 
@@ -105,13 +105,10 @@ def load_config(path=None, env=None):
         if var not in env:
             continue
         raw = env[var]
-        if conv is None:
-            values[name] = raw not in ("", "0", "false", "no")
-        else:
-            try:
-                values[name] = conv(raw)
-            except ValueError as err:
-                raise PreconditionError(f"{var}={raw!r} is not valid") from err
+        try:
+            values[name] = conv(raw)
+        except ValueError as err:
+            raise PreconditionError(f"{var}={raw!r} is not valid") from err
     for name in ("lattice", "cache_dir"):
         if name in values and not isinstance(values[name], str):
             raise PreconditionError(f"config {name} must be a string")

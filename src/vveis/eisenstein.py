@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, takewhile
 from math import exp, log
 
 from . import repnums
@@ -22,6 +23,7 @@ from .arith import (
     QuadraticCharacter,
     SymbolicReal,
     divisors,
+    exact_int,
     factorize,
     gamma_half,
     l_value_exact,
@@ -99,10 +101,7 @@ def _local_product(ctx, m, mu, extra_odd=False):
 
 def _eis_even(ctx, m, mu):
     kappa = int(ctx.kappa)
-    dmu = ctx.disc.order_of(mu)
-    n = m * dmu * dmu
-    assert n.denominator == 1, "d_mu^2 m is an integer"
-    div_sum = sigma(1 - kappa, int(n), ctx.chi)
+    div_sum = sigma(1 - kappa, exact_int(m * ctx.disc.order_of(mu) ** 2), ctx.chi)
     total = ctx.scale * (m ** (kappa - 1) * div_sum * _local_product(ctx, m, mu))
     if not total.is_rational:
         raise NonRationalResidue(f"even-rank assembly left {total}")
@@ -120,10 +119,7 @@ def _split_square(ctx, n):
 
 def _eis_odd(ctx, m, mu):
     j = ctx.lattice.rank // 2  # kappa = j + 1/2
-    dmu = ctx.disc.order_of(mu)
-    n = m * dmu * dmu
-    assert n.denominator == 1
-    m0, f = _split_square(ctx, int(n))
+    m0, f = _split_square(ctx, exact_int(m * ctx.disc.order_of(mu) ** 2))
     # sign pinned by theta-series oracles on definite lattices (D5, E7, Z^5);
     # it is the discriminant of the quadratic space extended by <-m>
     sign_pow = (ctx.lattice.rank + 3) // 2
@@ -155,10 +151,14 @@ def eis_coefficient(lattice, m, mu, disc=None, ctx=None):
     """Coefficient e(m, mu) of the Eisenstein series, as an exact rational.
 
     m = 0 is the documented constant term (1 at mu = 0, else 0), not a
-    formula evaluation.
+    formula evaluation.  A supplied ``ctx`` must be that of ``lattice``
+    (and of ``disc``, when given), or PreconditionError is raised.
     """
     if ctx is None:
         ctx = context(lattice, disc)
+    elif not (ctx.lattice is lattice or ctx.lattice == lattice) or not (
+            disc is None or disc is ctx.disc or disc == ctx.disc):
+        raise PreconditionError("ctx does not belong to this lattice and disc")
     mu = ctx.disc.check(mu)
     if Fraction(m) < 0:
         raise PreconditionError("m must be non-negative")
@@ -170,35 +170,32 @@ def eis_coefficient(lattice, m, mu, disc=None, ctx=None):
     return _eis_odd(ctx, m, mu)
 
 
+def coefficients(ctx):
+    """e(m, mu) = e(m, -mu), computed once per (m, ``disc.orbit(mu)``) and
+    each mu's orbit once; the memos live as long as the returned function."""
+    orbit = lru_cache(maxsize=None)(ctx.disc.orbit)
+    at_orbit = lru_cache(maxsize=None)(partial(eis_coefficient, ctx.lattice, ctx=ctx))
+    return lambda m, mu: at_orbit(m, orbit(mu))
+
+
 def eis_expansion(lattice, trunc, disc=None):
     """Assemble the series up to exponent trunc (exclusive); sign tag +1.
 
-    Coefficients are computed once per {mu, -mu} orbit; the kappa = 2
-    boundary is recorded on the series as hecke_flag.
+    Each mu's ``disc.exponents`` below trunc, each (m, {mu, -mu}) computed
+    once (``coefficients``); the kappa = 2 boundary is recorded on the
+    series as hecke_flag.
     """
     ctx = context(lattice, disc)
     trunc = Fraction(trunc)
     if trunc <= 0:
         raise PreconditionError("trunc must be positive")
     den = lattice.level
+    coefficient = coefficients(ctx)
     coeffs = {}
-    done = {}
     for mu in ctx.disc.elements():
-        neg = ctx.disc.neg(mu)
-        base = ctx.disc.q_value(mu)  # exponents in base + Z, within [0, trunc)
-        if mu == ctx.disc.zero():
-            coeffs[(0, mu)] = Fraction(1)
-        k = 0 if base > 0 else 1
-        while base + k < trunc:
-            m = base + k
-            key = (m, mu) if (mu <= neg) else (m, neg)
-            if key not in done:
-                done[key] = eis_coefficient(lattice, m, key[1], disc=ctx.disc,
-                                            ctx=ctx)
-            c = done[key]
-            if c:
+        for m in takewhile(lambda m: m < trunc, ctx.disc.exponents(mu)):
+            if c := coefficient(m, mu):
                 coeffs[(int(m * den), mu)] = c
-            k += 1
     return VVQSeries(ctx.disc, den, 1, trunc, coeffs,
                      hecke_flag=ctx.hecke_boundary)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import ceil, gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import linalg
@@ -156,10 +156,12 @@ class DiscriminantForm:
     is the position in it.  Each element has one representative sum_k mu_k
     gens[k] in L', held as s / den in integers with den minimal
     (``coset``); Q(mu), the exact Q of that representative (``q_exact``)
-    and ``bilinear`` come from the integer s^T G s.  The index tables
-    (``strides``, ``shifts``, ``negs``, ``sums``) are built when first
-    read.  ``negated()`` reuses the same generators over the negated
-    lattice so element encodings agree between L and L^- pipelines.
+    and ``bilinear`` come from the integer s^T G s.  The index-pair grid is
+    decided here alone: ``exponents`` and ``indices`` walk m = Q(mu) mod 1,
+    and ``orbit`` names the one of {mu, -mu} standing for both.  The tables
+    (``strides``, ``shifts``, ``negs``, ``sums``) are built when first read.
+    ``negated()`` reuses the same generators over the negated lattice so
+    element encodings agree between L and L^- pipelines.
     """
 
     def __init__(self, lattice, orders=None, gens=None):
@@ -253,6 +255,19 @@ class DiscriminantForm:
     def neg(self, mu):
         mu = self.check(mu)
         return tuple((d - a) % d for a, d in zip(mu, self.orders))
+
+    def orbit(self, mu):
+        """The member of {mu, -mu} that comes first in ``elements()``."""
+        return min(self.check(mu), self.neg(mu))
+
+    def exponents(self, mu, low=0):
+        """The m = Q(mu) mod 1 with m >= low, ascending and endless."""
+        q = self.q_value(mu)
+        return itertools.count(q + ceil(Fraction(low) - q))
+
+    def indices(self, mu):
+        """The positive m = Q(mu) mod 1, ascending and endless."""
+        return itertools.count(self.q_value(mu) or Fraction(1))
 
     @cached_property
     def strides(self):
@@ -561,7 +576,7 @@ def admissibility(lattice, m, mu, bound_a=None, disc=None):
     if m <= 0:
         return "index must be positive"
     if (m - disc.q_value(mu)).denominator != 1:
-        return f"{m} is not congruent to Q({mu}) mod 1"
+        return f"{m} is not congruent to Q(mu) mod 1"
     for p in bad_primes(lattice) if bound_a is not None else ():
         if valuation(m, p) > bound_a:
             return f"ord_{p}({m}) exceeds the valuation bound {bound_a}"
@@ -601,10 +616,10 @@ _T_MU_CAP = 64  # the largest value t_mu tries before giving up
 def t_mu(lattice, mu, disc=None):
     """Smallest positive value of -Q on the coset mu + L, for L of signature (n, 2).
 
-    Candidates walk the arithmetic progression forced by -Q(mu) mod 1 up to
-    ``_T_MU_CAP`` and are tested on the negated lattice (signature (2, n),
-    where -Q attains positive values); n = 1 uses the bounded search and may
-    raise InconclusiveBoundedSearch.  Element encoding is shared with the
+    Candidates are the negated form's ``indices(mu)`` up to ``_T_MU_CAP``,
+    tested on the negated lattice (signature (2, n), where -Q attains
+    positive values); n = 1 uses the bounded search and may raise
+    InconclusiveBoundedSearch.  Element encoding is shared with the
     input lattice's discriminant form.
     """
     if lattice.sig_neg != 2 or lattice.sig_pos < 1:
@@ -613,17 +628,13 @@ def t_mu(lattice, mu, disc=None):
     mu = disc.check(mu)
     neg = lattice.negated()
     disc_neg = disc.negated()
-    v = disc_neg.q_value(mu)  # -Q(mu) mod 1
-    if v == 0:
-        v = Fraction(1)
-    while v <= _T_MU_CAP:
+    for v in itertools.takewhile(lambda v: v <= _T_MU_CAP, disc_neg.indices(mu)):
         res = coset_represents(neg, v, mu, disc=disc_neg)
         if res is RepResult.REPRESENTED:
             return v
         if res is not RepResult.NOT_REPRESENTED:
             raise InconclusiveBoundedSearch(
                 f"bounded search could not decide -Q = {v} on coset {mu}")
-        v += 1
     raise BudgetExceeded(f"no represented value below cap {_T_MU_CAP} for coset {mu}")
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import ceil, lcm
 
 from .errors import (
+    ConsistencyError,
     IncompatibleDiscriminantForms,
     PreconditionError,
 )
@@ -103,7 +104,8 @@ def delta_power(b, trunc):
             if k > n:
                 break
             s += (alpha * k - n) * ak * g[n - k]
-        assert s % n == 0, "delta powers have integer coefficients"
+        if s % n:
+            raise ConsistencyError("delta powers have integer coefficients")
         g.append(s // n)
     return ScalarQSeries({b + n: c for n, c in enumerate(g)}, trunc)
 

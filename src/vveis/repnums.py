@@ -26,7 +26,7 @@ from math import inf
 from operator import mul
 
 from . import linalg
-from .arith import factorize, kronecker, valuation
+from .arith import exact_int, factorize, kronecker, valuation
 from .errors import (
     BudgetExceeded,
     ConsistencyError,
@@ -60,7 +60,8 @@ class RepCount:
     method: str
 
     def __post_init__(self):
-        assert 0 <= self.count
+        if self.count < 0:
+            raise ConsistencyError(f"negative representation count {self.count}")
 
     def __int__(self):
         return self.count
@@ -90,9 +91,7 @@ def count_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
     disc = disc_of(lattice, disc)
     m, mu = disc.check_pair(m, mu)
     den, s = disc.coset(mu)
-    t0 = 2 * den * den * m
-    assert t0.denominator == 1
-    t0 = int(t0)
+    t0 = exact_int(2 * den * den * m)  # m = Q(mu) mod 1
     n = lattice.rank
     if a ** n > cap:
         raise BudgetExceeded(f"{a}^{n} residues exceed cap {cap}")
@@ -422,9 +421,7 @@ def count_gauss(lattice, m, mu, p, w, disc=None):
     disc = disc_of(lattice, disc)
     m, mu = disc.check_pair(m, mu)
     blocks = _gauss_frame(lattice, *disc.coset(mu), p)
-    c0 = disc.q_exact(mu) - m
-    assert c0.denominator == 1, "precondition checked above"
-    c0 = int(c0)
+    c0 = exact_int(disc.q_exact(mu) - m)
     q = p ** w
     phis = [None if b[4] is None else _reduce_mod(b[4], p, w) for b in blocks]
     n = lattice.rank
@@ -445,8 +442,13 @@ def count_gauss(lattice, m, mu, p, w, disc=None):
     return RepCount(m, mu, q, n_val, "gauss")
 
 
+def crosscheck_flag(raw):
+    """VVEIS_CROSSCHECK's one reading: "", "0", "false" and "no" are off."""
+    return raw not in ("", "0", "false", "no")
+
+
 def _crosscheck_env():
-    return os.environ.get("VVEIS_CROSSCHECK", "") not in ("", "0")
+    return crosscheck_flag(os.environ.get("VVEIS_CROSSCHECK", ""))
 
 
 def _crosscheck(lattice, m, mu, p, w, disc, cap=10 ** 8):

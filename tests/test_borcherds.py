@@ -43,7 +43,8 @@ from vveis.errors import (
     TruncationInsufficient,
     UnsupportedWeight,
 )
-from vveis import borcherds, lattice
+from vveis import borcherds, eisenstein, lattice
+from vveis.acceptance import D4, E8, U, diag, direct_sum
 from vveis.lattice import (
     discriminant_form,
     new_lattice,
@@ -51,44 +52,6 @@ from vveis.lattice import (
     witt_rank_bounded,
 )
 from vveis.qseries import PrincipalPart, ScalarQSeries, VVQSeries, delta_power
-
-E8 = [
-    [2, 0, -1, 0, 0, 0, 0, 0],
-    [0, 2, 0, -1, 0, 0, 0, 0],
-    [-1, 0, 2, -1, 0, 0, 0, 0],
-    [0, -1, -1, 2, -1, 0, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0, 0],
-    [0, 0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, 0, -1, 2, -1],
-    [0, 0, 0, 0, 0, 0, -1, 2],
-]
-
-D4 = [
-    [2, -1, 0, 0],
-    [-1, 2, -1, -1],
-    [0, -1, 2, 0],
-    [0, -1, 0, 2],
-]
-
-U = [[0, 1], [1, 0]]
-
-
-def direct_sum(*grams):
-    n = sum(len(g) for g in grams)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for g in grams:
-        k = len(g)
-        for i in range(k):
-            for j in range(k):
-                out[off + i][off + j] = g[i][j]
-        off += k
-    return out
-
-
-def diag(entries):
-    n = len(entries)
-    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -291,6 +254,17 @@ class TestAdmissibleSpec:
             (Fraction(1, 2), (2,)),
         )
 
+    def test_orbit_shares_one_reason(self):
+        # Q((1,)) = Q((8,)) = 8/9 on [[2, 1], [1, -4]]: both records of the
+        # orbit carry the one verdict, which names no element
+        lat = new_lattice([[2, 1], [1, -4]])
+        report = check_admissible(
+            lat, AdmissibleSetSpec(bound_a=1, members=((1, (1,)),)))
+        assert not report.accepted
+        assert report.rejected == tuple(
+            ((Fraction(1), mu), "1 is not congruent to Q(mu) mod 1")
+            for mu in ((1,), (8,)))
+
     def test_orbit_shares_one_verdict(self):
         # L'/L = Z/9: the box around -mu's representative (8, 56)/9 misses
         # the witness that mu's box finds, so -mu alone is INCONCLUSIVE
@@ -320,7 +294,7 @@ class TestAdmissibleSpec:
         assert rule(lat, 0, ZERO) == rule(lat, -1, MU_A) \
             == "index must be positive"
         assert rule(lat, 1, MU_A, bound_a=1) == \
-            "1 is not congruent to Q((0, 0, 0, 1)) mod 1"
+            "1 is not congruent to Q(mu) mod 1"
         assert rule(lat, 4, ZERO, bound_a=1) == \
             "ord_2(4) exceeds the valuation bound 1"
         assert rule(lat, 4, ZERO) is None
@@ -621,6 +595,58 @@ class TestObstruction:
         pp = PrincipalPart(fixture_disc(), {(1, ZERO): 1}, 0, sign=-1)
         with pytest.raises(IncompatibleDiscriminantForms):
             obstruction_check(pp, self._delta_fixture())
+
+
+@lru_cache(maxsize=None)
+def a2uu_lattice():
+    """A2 + U + U: signature (4, 2), L'/L = Z/3, Q = 1/3 on both nonzero
+    elements, so {(1,), (2,)} is one orbit."""
+    return new_lattice(direct_sum([[2, -1], [-1, 2]], U, U))
+
+
+class TestOneCoefficientPerOrbit:
+    """e(m, mu) = e(m, -mu): each (m, {mu, -mu}) coefficient is evaluated
+    once per call, however many of the orbit's pairs the caller reads."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = Counter()
+        inner = eisenstein._eis_even  # rank 6: every m > 0 evaluation
+
+        def counted(ctx, m, mu):
+            calls[m, min(mu, ctx.disc.neg(mu))] += 1
+            return inner(ctx, m, mu)
+
+        monkeypatch.setattr(eisenstein, "_eis_even", counted)
+        return calls
+
+    def test_constant_term(self, computed):
+        lat = a2uu_lattice()
+        third, four = Fraction(1, 3), Fraction(4, 3)
+        entries = {(m, mu): 1 for m in (third, four) for mu in ((1,), (2,))}
+        value = constant_term(
+            PrincipalPart(discriminant_form(lat), entries, 0, sign=-1), lat)
+        assert computed == Counter({(third, (1,)): 1, (four, (1,)): 1})
+        assert value == -2 * (eis_coefficient(lat, third, (1,))
+                              + eis_coefficient(lat, four, (1,)))
+
+    def test_prescribe(self, computed):
+        lat, third = a2uu_lattice(), Fraction(1, 3)
+        spec = AdmissibleSetSpec(bound_a=2, members=((third, (1,)),
+                                                     (third + 1, (2,))))
+        pp = prescribe(lat, spec, empty_fixture(weight=3))
+        # the first candidate wins: its row and the constant slot read the
+        # orbit's coefficient three times
+        assert computed == Counter({(third, (1,)): 1})
+        assert pp.entries == {(third, (1,)): 1, (third, (2,)): 1}
+
+    def test_expansion(self, computed):
+        series = eis_expansion(a2uu_lattice(), 4)
+        assert computed and set(computed.values()) == {1}
+        assert {m for m, _ in computed} == {
+            Fraction(k, 3) for k in range(1, 12) if k % 3 != 2}
+        assert series.coefficient(Fraction(1, 3), (1,)) == \
+            series.coefficient(Fraction(1, 3), (2,)) != 0
 
 
 class TestConstantTerm:

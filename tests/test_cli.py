@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import vveis
-from vveis import acceptance, cli
+from vveis import acceptance, cli, repnums
 from vveis.errors import PreconditionError
 
 E8 = acceptance.E8
@@ -247,9 +247,13 @@ class TestConfig:
             assert code == 2 and out == ""
             assert err.count("\n") == 1 and "cache_dir must be a string" in err
 
-    def test_crosscheck_env_parsing(self):
-        assert cli.load_config(env={"VVEIS_CROSSCHECK": "1"}).cross_check
-        assert not cli.load_config(env={"VVEIS_CROSSCHECK": "0"}).cross_check
+    def test_crosscheck_env_parsing(self, monkeypatch):
+        # the config and the local counts behind every coefficient agree
+        for raw in ("", "0", "false", "no", "1", "yes", "true"):
+            monkeypatch.setenv("VVEIS_CROSSCHECK", raw)
+            on = raw not in ("", "0", "false", "no")
+            assert cli.load_config(env={"VVEIS_CROSSCHECK": raw}).cross_check is on
+            assert repnums._crosscheck_env() is on
 
     def test_bad_env_integer(self):
         with pytest.raises(PreconditionError, match="VVEIS_NAIVE_CAP"):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from vveis import eisenstein
+from vveis.acceptance import D4, D5, E7, E8, U, diag, direct_sum
 from vveis.eisenstein import (
     context,
     eis_coefficient,
@@ -28,32 +29,6 @@ from vveis.errors import (
 )
 from vveis.lattice import discriminant_form, new_lattice
 
-E8 = [
-    [2, 0, -1, 0, 0, 0, 0, 0],
-    [0, 2, 0, -1, 0, 0, 0, 0],
-    [-1, 0, 2, -1, 0, 0, 0, 0],
-    [0, -1, -1, 2, -1, 0, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0, 0],
-    [0, 0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, 0, -1, 2, -1],
-    [0, 0, 0, 0, 0, 0, -1, 2],
-]
-
-D4 = [
-    [2, -1, 0, 0],
-    [-1, 2, -1, -1],
-    [0, -1, 2, 0],
-    [0, -1, 0, 2],
-]
-
-D5 = [
-    [2, -1, 0, 0, 0],
-    [-1, 2, -1, 0, 0],
-    [0, -1, 2, -1, -1],
-    [0, 0, -1, 2, 0],
-    [0, 0, -1, 0, 2],
-]
-
 D6 = [
     [2, -1, 0, 0, 0, 0],
     [-1, 2, -1, 0, 0, 0],
@@ -63,37 +38,8 @@ D6 = [
     [0, 0, 0, -1, 0, 2],
 ]
 
-E7 = [
-    [2, -1, 0, 0, 0, 0, 0],
-    [-1, 2, -1, 0, 0, 0, 0],
-    [0, -1, 2, -1, 0, 0, -1],
-    [0, 0, -1, 2, -1, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, -1, 2, 0],
-    [0, 0, -1, 0, 0, 0, 2],
-]
-
-
-def diag(entries):
-    n = len(entries)
-    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def direct_sum(*grams):
-    n = sum(len(g) for g in grams)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for g in grams:
-        for i, row in enumerate(g):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
-        off += len(g)
-    return out
-
 
 FIXTURE = direct_sum(E8, D4, [[-2]], [[-2]])
-U = [[0, 1], [1, 0]]
-
 
 def sigma3(m):
     return sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
@@ -266,6 +212,19 @@ class TestGeneralBehavior:
         assert series.coefficient(Fraction(5, 8), (1,)) == 16
         assert series.coefficient(Fraction(13, 8), (3,)) == 80
         assert series.coefficient(Fraction(1, 2), (2,)) == 10
+
+    def test_ctx_must_match_lattice_and_disc(self):
+        fixture = new_lattice(FIXTURE)
+        ctx = context(fixture)
+        zero = ctx.disc.zero()
+        with pytest.raises(PreconditionError, match="ctx"):
+            eis_coefficient(new_lattice(E8), 1, zero, ctx=ctx)
+        with pytest.raises(PreconditionError, match="ctx"):
+            eis_coefficient(fixture, 1, zero, disc=ctx.disc.negated(), ctx=ctx)
+        # an equal lattice, built again, is the same lattice
+        assert eis_coefficient(new_lattice(FIXTURE), 1, zero, ctx=ctx) == \
+            eis_coefficient(fixture, 1, zero, disc=ctx.disc, ctx=ctx) == \
+            eis_coefficient(fixture, 1, zero)
 
 
 class TestLowerBoundReport:

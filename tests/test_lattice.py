@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from vveis import lattice as lattice_mod
 from vveis import linalg
+from vveis.acceptance import D4, E8, U, diag, direct_sum
 from vveis.errors import (
     BudgetExceeded,
     ConsistencyError,
@@ -40,7 +41,6 @@ from vveis.lattice import (
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-U = [[0, 1], [1, 0]]
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
 
@@ -55,36 +55,6 @@ def transpose(m):
 
 
 A1M = [[-2]]
-
-E8 = [
-    [2, 0, -1, 0, 0, 0, 0, 0],
-    [0, 2, 0, -1, 0, 0, 0, 0],
-    [-1, 0, 2, -1, 0, 0, 0, 0],
-    [0, -1, -1, 2, -1, 0, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0, 0],
-    [0, 0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, 0, -1, 2, -1],
-    [0, 0, 0, 0, 0, 0, -1, 2],
-]
-
-D4 = [
-    [2, -1, 0, 0],
-    [-1, 2, -1, -1],
-    [0, -1, 2, 0],
-    [0, -1, 0, 2],
-]
-
-
-def direct_sum(*grams):
-    n = sum(len(g) for g in grams)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for g in grams:
-        for i, row in enumerate(g):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
-        off += len(g)
-    return out
 
 
 # References over Q for the one integer elimination: Gauss-Jordan inversion,
@@ -560,6 +530,25 @@ class TestEvenLattice:
 
 
 class TestDiscriminantForm:
+    @pytest.mark.parametrize("gram", [[[2, 1], [1, -4]], [[2, 0], [0, -6]],
+                                      [[4]], diag([2, -2, -4])])
+    def test_index_grid(self, gram):
+        disc = discriminant_form(new_lattice(gram))
+        for mu in disc.elements():
+            q, neg = disc.q_value(mu), disc.neg(mu)
+            for low in (Fraction(-7, 3), 0, Fraction(1, 9), Fraction(1, 2), 1, 5):
+                ms = list(itertools.islice(disc.exponents(mu, low), 5))
+                assert all((m - q).denominator == 1 for m in ms)
+                assert all(b - a == 1 for a, b in zip(ms, ms[1:]))
+                assert ms[0] >= low > ms[0] - 1
+            ms = list(itertools.islice(disc.indices(mu), 5))
+            assert all((m - q).denominator == 1 for m in ms)
+            assert all(b - a == 1 for a, b in zip(ms, ms[1:]))
+            assert ms[0] > 0 >= ms[0] - 1
+            orbit = disc.orbit(mu)
+            assert orbit == disc.orbit(neg) and orbit in (mu, neg)
+            assert disc.index(orbit) == min(disc.index(mu), disc.index(neg))
+
     def test_unimodular_trivial(self):
         for g in (U, E8):
             disc = discriminant_form(new_lattice(g))

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from vveis import acceptance, eisenstein, lattice, linalg, repnums
+from vveis.acceptance import E8, U
 from vveis.arith import kronecker, valuation
 from vveis.errors import (
     BudgetExceeded,
@@ -27,19 +28,7 @@ from vveis.errors import (
 from vveis.eisenstein import eis_coefficient
 from vveis.lattice import RepResult, coset_represents, discriminant_form, new_lattice
 
-U = [[0, 1], [1, 0]]
 A1 = [[2]]
-
-E8 = [
-    [2, 0, -1, 0, 0, 0, 0, 0],
-    [0, 2, 0, -1, 0, 0, 0, 0],
-    [-1, 0, 2, -1, 0, 0, 0, 0],
-    [0, -1, -1, 2, -1, 0, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0, 0],
-    [0, 0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, 0, -1, 2, -1],
-    [0, 0, 0, 0, 0, 0, -1, 2],
-]
 
 
 def mat_mul(a, b):
@@ -580,6 +569,11 @@ class TestCountGauss:
 
 
 class TestCount:
+    def test_negative_count_is_a_consistency_error(self):
+        # raised, not asserted: it holds under python -O too
+        with pytest.raises(ConsistencyError, match="negative"):
+            repnums.RepCount(Fraction(1), (), 1, -5, "naive")
+
     def test_modulus_one(self):
         assert repnums.count(new_lattice(U), 0, (), 1).count == 1
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vveis import acceptance, linalg, weilrep
+from vveis.acceptance import D4, E8, U, direct_sum
 from vveis.errors import PreconditionError
 from vveis.lattice import discriminant_form, new_lattice
 from vveis.weilrep import (
@@ -21,33 +22,6 @@ from vveis.weilrep import (
     verify_relations,
     weil_matrices,
 )
-
-E8 = [
-    [2, 0, -1, 0, 0, 0, 0, 0],
-    [0, 2, 0, -1, 0, 0, 0, 0],
-    [-1, 0, 2, -1, 0, 0, 0, 0],
-    [0, -1, -1, 2, -1, 0, 0, 0],
-    [0, 0, 0, -1, 2, -1, 0, 0],
-    [0, 0, 0, 0, -1, 2, -1, 0],
-    [0, 0, 0, 0, 0, -1, 2, -1],
-    [0, 0, 0, 0, 0, 0, -1, 2],
-]
-
-D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-
-U = [[0, 1], [1, 0]]
-
-
-def direct_sum(*grams):
-    n = sum(len(g) for g in grams)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for g in grams:
-        for i, row in enumerate(g):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
-        off += len(g)
-    return out
 
 
 def mat_mul_cyc(a, b):
