@@ -20,6 +20,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 
 from . import repnums
@@ -46,7 +47,7 @@ from .formats import (
     principal_part_doc,
     qseries_doc,
 )
-from .lattice import discriminant_form, new_lattice, t_mu, theta_counts
+from .lattice import discriminant_form, new_lattice, t_max, theta_counts
 from .qseries import PrincipalPart, ScalarQSeries, VVQSeries
 from .weilrep import invariants, is_unitary, verify_relations, weil_matrices
 
@@ -248,18 +249,13 @@ def criterion_5_window():
     for exp, mu, c in h.items():
         _check(c >= 0, f"negative coefficient {c} at ({exp}, {mu})")
         n_nonneg += 1
-    t_top = max(t_mu(lat, mu, disc=disc) for mu in disc.elements())
+    t_top = t_max(lat, disc=disc)
     window_checked = 0
     for mu in dneg.elements():
-        base = dneg.q_value(mu)
-        e = base
-        while e < t_top - 1:
-            e += 1
-        while e < h.trunc:
+        for e in takewhile(lambda e: e < h.trunc, dneg.exponents(mu, t_top - 1)):
             _check(h.coefficient(e, mu) > 0,
                    f"window violation at ({e}, {mu})")
             window_checked += 1
-            e += 1
     _check(window_checked >= 60, f"window only had {window_checked} points")
     return (f"{n_nonneg} stored coefficients >= 0; {window_checked} window "
             f"points > 0 on [T-1, 5) with T = {t_top}")
@@ -282,8 +278,7 @@ def criterion_6_decompose_round_trip():
            "f1 - f2 does not reproduce f")
     _check(res.f1.const_term - res.f2.const_term == f.const_term,
            "constant terms do not subtract")
-    hpp = {(Fraction(-n, res.h.den), mu): c
-           for (n, mu), c in res.h.coeffs.items() if n < 0}
+    hpp = res.h.principal_part().entries
     c1 = res.c - 1
     nonneg = all(cf + c1 * hpp.get(k, Fraction(0)) >= 0
                  for k, cf in f.entries.items())
@@ -381,6 +376,32 @@ def _battery_files(root):
         (root / name).write_text(text)
 
 
+def _cli_invocations(root):
+    """One invocation of each lattice subcommand on the ``_battery_files``
+    in ``root``."""
+    return [
+        ["info", str(root / "fixture.json")],
+        ["repnum", str(root / "uu.json"), "-m", "1", "-a", "12"],
+        ["eis", str(root / "e8.json"), "--max-exp", "3"],
+        ["weil", str(root / "m2.json")],
+        ["h-series", str(root / "fixture.json"), "-b", "1",
+         "--trunc", "2"],
+        ["decompose", str(root / "fixture.json"),
+         "--pp", str(root / "mixed_pp.json"),
+         "--provider", str(root / "w19.json")],
+        ["obstruct", str(root / "uu.json"),
+         "--pp", str(root / "delta_pp.json"),
+         "--fixture", str(root / "delta_basis.json")],
+        ["prescribe", str(root / "fixture.json"),
+         "--spec", str(root / "spec.json"),
+         "--fixture", str(root / "empty_basis.json")],
+        ["vanish-on", str(root / "fixture.json"), "-m", "3/4",
+         "--mu", "0,0,0,1",
+         "--fixture", str(root / "empty_basis.json"),
+         "--provider", str(root / "w19.json")],
+    ]
+
+
 def criterion_9_determinism():
     """CLI outputs byte-identical across runs; JSON round-trips losslessly."""
     from . import cli
@@ -388,28 +409,7 @@ def criterion_9_determinism():
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         _battery_files(root)
-        invocations = [
-            ["info", str(root / "fixture.json")],
-            ["repnum", str(root / "uu.json"), "-m", "1", "-a", "12"],
-            ["eis", str(root / "e8.json"), "--max-exp", "3"],
-            ["weil", str(root / "m2.json")],
-            ["h-series", str(root / "fixture.json"), "-b", "1",
-             "--trunc", "2"],
-            ["decompose", str(root / "fixture.json"),
-             "--pp", str(root / "mixed_pp.json"),
-             "--provider", str(root / "w19.json")],
-            ["obstruct", str(root / "uu.json"),
-             "--pp", str(root / "delta_pp.json"),
-             "--fixture", str(root / "delta_basis.json")],
-            ["prescribe", str(root / "fixture.json"),
-             "--spec", str(root / "spec.json"),
-             "--fixture", str(root / "empty_basis.json")],
-            ["vanish-on", str(root / "fixture.json"), "-m", "3/4",
-             "--mu", "0,0,0,1",
-             "--fixture", str(root / "empty_basis.json"),
-             "--provider", str(root / "w19.json")],
-        ]
-        for argv in invocations:
+        for argv in _cli_invocations(root):
             outputs = []
             for _ in range(2):
                 out, err = io.StringIO(), io.StringIO()

@@ -332,7 +332,7 @@ class SymbolicReal:
 
     a is a Fraction with denominator at most 2 (half pi-powers arise from
     Gamma at half-integers); normalization extracts square factors of the
-    radicand into q.  Addition requires matching (a, d).
+    radicand into q.
     """
 
     q: Fraction
@@ -370,17 +370,6 @@ class SymbolicReal:
         if isinstance(other, SymbolicReal):
             return self * other.inverse()
         return SymbolicReal.make(self.q / Fraction(other), self.a, self.d)
-
-    def __add__(self, other):
-        if not isinstance(other, SymbolicReal):
-            other = SymbolicReal.make(Fraction(other))
-        if self.q == 0:
-            return other
-        if other.q == 0:
-            return self
-        if (self.a, self.d) != (other.a, other.d):
-            raise PreconditionError("cannot add SymbolicReals of unlike shape")
-        return SymbolicReal.make(self.q + other.q, self.a, self.d)
 
     @property
     def is_rational(self):

@@ -20,12 +20,17 @@ variable VVEIS_CROSSCHECK sets that key and is also read by
 repnums.local_counts, so it cross-checks every local count behind the
 Eisenstein coefficients as well, both through repnums.crosscheck_flag.
 
-When a cache directory is configured, pure computations are content-
-addressed by (operation, gram matrix, parameters); every payload is stored
-with its own digest, and a tampered or unreadable entry is discarded with
-a warning and recomputed.  Entries are written to a private temporary
-file and renamed into place, so concurrent writers never mix payloads.
-Outputs are deterministic, so hits are byte-identical to misses.
+Every subcommand but `battery` goes through one dispatcher, which reads
+the lattice and every document option (--pp, --provider, --fixture,
+--spec) once and keys the cache by the subcommand, the Gram matrix, every
+other argument as typed, every document and every setting except the
+file locations lattice and cache_dir.  The discriminant form is built and
+the documents are parsed only on a miss.  Each entry stores its payload's
+digest; a tampered or unreadable entry is discarded with a warning and
+recomputed.  Entries are written to a private temporary file and renamed
+into place, so concurrent writers never mix payloads.  Outputs are
+deterministic and the key holds every input, so a hit answers exactly as
+a miss does; entries of an earlier key format miss once.
 """
 
 import argparse
@@ -132,7 +137,11 @@ def cached_text(cfg, key_doc, produce, warn=None):
     """Content-addressed text cache; corrupt entries recompute loudly."""
     if not cfg.cache_dir:
         return produce()
-    digest = hashlib.sha256(canonical_json(key_doc).encode()).hexdigest()
+    try:
+        key_text = canonical_json(key_doc)
+    except RecursionError:  # a document the decoder took but the encoder cannot
+        return produce()
+    digest = hashlib.sha256(key_text.encode()).hexdigest()
     root = Path(cfg.cache_dir)
     path = root / f"{digest}.json"
     if path.exists():
@@ -160,12 +169,43 @@ def cached_text(cfg, key_doc, produce, warn=None):
     return text
 
 
-def _load_lattice(args, cfg):
-    path = getattr(args, "lattice", None) or cfg.lattice
+# Settings that locate files rather than shape a payload; every other one
+# enters the cache key.
+_LOCATIONS = ("lattice", "cache_dir")
+# Options naming a JSON document; the key holds the document, not its path.
+_DOCUMENTS = ("pp", "provider", "fixture", "spec")
+# Parsed arguments left out of the key's "args": the root flags, the
+# dispatch fields and the paths (the lattice and documents enter by content).
+_NOT_INPUTS = {"config", "out", "command", "handler", "payload", "lattice",
+               *_DOCUMENTS}
+
+
+def _dispatch(args, cfg, warn):
+    """A lattice subcommand's output: its inputs read and keyed once, the
+    payload computed (with the discriminant form) only on a cache miss."""
+    path = args.lattice or cfg.lattice
     if not path:
         raise PreconditionError(
             "no lattice file given (positional argument or config)")
-    return parse_lattice(_read_json(path)), path
+    lat = parse_lattice(_read_json(path))
+    # vars(args) keeps the declaration order: documents are read in the
+    # order the subcommand lists its options
+    docs = {name: _read_json(value) for name, value in vars(args).items()
+            if name in _DOCUMENTS and value is not None}
+    key = {
+        "command": args.command,
+        "gram": lat.gram,
+        "args": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
+        "documents": docs,
+        "settings": {f.name: getattr(cfg, f.name) for f in fields(Config)
+                     if f.name not in _LOCATIONS},
+    }
+
+    def produce():
+        disc = discriminant_form(lat)
+        return canonical_json(args.payload(args, lat, disc, docs, cfg))
+
+    return cached_text(cfg, key, produce, warn), 0
 
 
 def _parse_mu(text, disc):
@@ -179,186 +219,111 @@ def _parse_mu(text, disc):
     return disc.check(mu)
 
 
-def _provider_from(args, lat, disc):
-    """(provider, document) for --provider, the file read once; the
-    Eisenstein provider of the negated lattice and None without it."""
-    path = getattr(args, "provider", None)
-    if not path:
-        return Provider.eisenstein(lat.negated()), None
-    doc = _read_json(path)
-    return Provider.fixture(parse_fixture(doc, disc.negated())), doc
+def _provider(docs, lat, disc):
+    """The --provider fixture's first element, or without it the Eisenstein
+    provider of the negated lattice."""
+    if "provider" not in docs:
+        return Provider.eisenstein(lat.negated())
+    return Provider.fixture(parse_fixture(docs["provider"], disc.negated()))
 
 
-def _cmd_info(args, cfg, err):
-    lat, _ = _load_lattice(args, cfg)
-    disc = discriminant_form(lat)
-    return canonical_json({
+def _info(args, lat, disc, docs, cfg):
+    return {
         "rank": lat.rank,
         "signature": [lat.sig_pos, lat.sig_neg],
         "det": lat.det,
         "level": lat.level,
         "disc_group": list(disc.orders),
         "disc_order": disc.size,
-    }), 0
+    }
 
 
-def _cmd_repnum(args, cfg, err):
-    lat, path = _load_lattice(args, cfg)
-    disc = discriminant_form(lat)
+def _repnum(args, lat, disc, docs, cfg):
     m = parse_rational(args.m, "-m")
     mu = _parse_mu(args.mu, disc)
     if args.a < 1:
         raise PreconditionError("modulus -a must be >= 1")
-
-    def produce():
-        if args.method == "naive":
-            rc = count_naive(lat, m, mu, args.a, cap=cfg.naive_cap, disc=disc)
-        elif args.method == "gauss":
-            from .arith import factorize
-            fac = factorize(args.a)
-            if len(fac) != 1:
-                raise PreconditionError(
-                    f"--method gauss needs a prime power, got {args.a}")
-            ((p, w),) = fac.items()
-            rc = count_gauss(lat, m, mu, p, w, disc=disc)
-        else:
-            rc = count(lat, m, mu, args.a, cap=cfg.naive_cap, disc=disc,
-                       crosscheck=cfg.cross_check)
-        return canonical_json({
-            "m": rational_str(m), "mu": list(mu), "a": args.a,
-            "count": rc.count, "method": rc.method,
-        })
-
-    key = {"op": "repnum", "gram": lat.gram, "m": rational_str(m),
-           "mu": list(mu), "a": args.a, "method": args.method}
-    return cached_text(cfg, key, produce, err), 0
+    if args.method == "naive":
+        rc = count_naive(lat, m, mu, args.a, cap=cfg.naive_cap, disc=disc)
+    elif args.method == "gauss":
+        from .arith import factorize
+        fac = factorize(args.a)
+        if len(fac) != 1:
+            raise PreconditionError(
+                f"--method gauss needs a prime power, got {args.a}")
+        ((p, w),) = fac.items()
+        rc = count_gauss(lat, m, mu, p, w, disc=disc)
+    else:
+        rc = count(lat, m, mu, args.a, cap=cfg.naive_cap, disc=disc,
+                   crosscheck=cfg.cross_check)
+    return {"m": rational_str(m), "mu": list(mu), "a": args.a,
+            "count": rc.count, "method": rc.method}
 
 
-def _cmd_eis(args, cfg, err):
-    lat, _ = _load_lattice(args, cfg)
-    if args.negate:
-        lat = lat.negated()
+def _eis(args, lat, disc, docs, cfg):
     trunc = parse_rational(args.max_exp, "--max-exp")
-
-    def produce():
-        series = eis_expansion(lat, trunc)
-        return canonical_json(qseries_doc(series))
-
-    key = {"op": "eis", "gram": lat.gram, "max_exp": rational_str(trunc)}
-    return cached_text(cfg, key, produce, err), 0
+    if args.negate:
+        return qseries_doc(eis_expansion(lat.negated(), trunc))
+    return qseries_doc(eis_expansion(lat, trunc, disc=disc))
 
 
-def _cmd_weil(args, cfg, err):
-    lat, _ = _load_lattice(args, cfg)
-
-    def produce():
-        w = weil_matrices(discriminant_form(lat))
-        doc = {}
-        if args.relations or not args.invariants:
-            doc["relations"] = verify_relations(w)
-            doc["unitary"] = is_unitary(w)
-        if args.invariants or not args.relations:
-            doc["invariants"] = [[rational_str(x) for x in vec]
-                                 for vec in invariants(w)]
-        return canonical_json(doc)
-
-    key = {"op": "weil", "gram": lat.gram, "relations": args.relations,
-           "invariants": args.invariants}
-    return cached_text(cfg, key, produce, err), 0
+def _weil(args, lat, disc, docs, cfg):
+    w = weil_matrices(disc)
+    doc = {}
+    if args.relations or not args.invariants:
+        doc["relations"] = verify_relations(w)
+        doc["unitary"] = is_unitary(w)
+    if args.invariants or not args.relations:
+        doc["invariants"] = [[rational_str(x) for x in vec]
+                             for vec in invariants(w)]
+    return doc
 
 
-def _cmd_h_series(args, cfg, err):
-    lat, _ = _load_lattice(args, cfg)
-    disc = discriminant_form(lat)
+def _h_series(args, lat, disc, docs, cfg):
     trunc = parse_rational(args.trunc, "--trunc")
-    provider, provider_doc = _provider_from(args, lat, disc)
-
-    def produce():
-        h = build_h(lat.negated(), args.b, trunc, provider=provider,
-                    disc=disc.negated())
-        return canonical_json(qseries_doc(h))
-
-    key = {"op": "h-series", "gram": lat.gram, "b": args.b,
-           "trunc": rational_str(trunc), "provider": provider_doc}
-    return cached_text(cfg, key, produce, err), 0
+    h = build_h(lat.negated(), args.b, trunc,
+                provider=_provider(docs, lat, disc), disc=disc.negated())
+    return qseries_doc(h)
 
 
-def _cmd_decompose(args, cfg, err):
-    lat, _ = _load_lattice(args, cfg)
-    disc = discriminant_form(lat)
-    pp_doc = _read_json(args.pp)
-    f = parse_principal_part(pp_doc, disc)
-    provider, provider_doc = _provider_from(args, lat, disc)
-
-    def produce():
-        res = decompose(f, lat, provider=provider, minimal=args.minimal,
-                        disc=disc)
-        return canonical_json({
-            "b": res.b, "c": res.c,
+def _decompose(args, lat, disc, docs, cfg):
+    f = parse_principal_part(docs["pp"], disc)
+    res = decompose(f, lat, provider=_provider(docs, lat, disc),
+                    minimal=args.minimal, disc=disc)
+    return {"b": res.b, "c": res.c,
             "f1": principal_part_doc(res.f1),
-            "f2": principal_part_doc(res.f2),
-        })
-
-    key = {"op": "decompose", "gram": lat.gram, "pp": pp_doc,
-           "minimal": args.minimal, "provider": provider.name,
-           "provider_doc": provider_doc}
-    return cached_text(cfg, key, produce, err), 0
+            "f2": principal_part_doc(res.f2)}
 
 
-def _cmd_obstruct(args, cfg, err):
-    lat, _ = _load_lattice(args, cfg)
-    disc = discriminant_form(lat)
-    pp = parse_principal_part(_read_json(args.pp), disc)
-    fixture = parse_fixture(_read_json(args.fixture), disc)
-    report = obstruction_check(pp, fixture)
-    return canonical_json({
+def _obstruct(args, lat, disc, docs, cfg):
+    pp = parse_principal_part(docs["pp"], disc)
+    report = obstruction_check(pp, parse_fixture(docs["fixture"], disc))
+    return {
         "ok": report.ok,
         "values": [rational_str(v) for v in report.values],
         "violations": [[i, rational_str(v)] for i, v in report.violations],
-    }), 0
+    }
 
 
-def _cmd_prescribe(args, cfg, err):
-    lat, _ = _load_lattice(args, cfg)
-    disc = discriminant_form(lat)
-    spec_doc = _read_json(args.spec)
-    spec = parse_spec(spec_doc)
-    fixture_doc_ = _read_json(args.fixture)
-    fixture = parse_fixture(fixture_doc_, disc)
-
-    def produce():
-        pp = prescribe(lat, spec, fixture, budget=args.budget, disc=disc)
-        return canonical_json(principal_part_doc(pp))
-
-    key = {"op": "prescribe", "gram": lat.gram, "spec": spec_doc,
-           "fixture": fixture_doc_, "budget": args.budget}
-    return cached_text(cfg, key, produce, err), 0
+def _prescribe(args, lat, disc, docs, cfg):
+    spec = parse_spec(docs["spec"])
+    fixture = parse_fixture(docs["fixture"], disc)
+    return principal_part_doc(
+        prescribe(lat, spec, fixture, budget=args.budget, disc=disc))
 
 
-def _cmd_vanish_on(args, cfg, err):
-    lat, _ = _load_lattice(args, cfg)
-    disc = discriminant_form(lat)
+def _vanish_on(args, lat, disc, docs, cfg):
     m = parse_rational(args.m, "-m")
     mu = _parse_mu(args.mu, disc)
-    fixture_doc_ = _read_json(args.fixture)
-    fixture = parse_fixture(fixture_doc_, disc)
-    provider, provider_doc = _provider_from(args, lat, disc)
-    pp_doc = _read_json(args.pp) if args.pp else None
-    pp = parse_principal_part(pp_doc, disc) if pp_doc else None
-
-    def produce():
-        out = vanish_on(lat, m, mu, fixture, provider=provider,
-                        budget=args.budget, pp=pp, disc=disc)
-        return canonical_json(principal_part_doc(out))
-
-    key = {"op": "vanish-on", "gram": lat.gram, "m": rational_str(m),
-           "mu": list(mu), "fixture": fixture_doc_, "pp": pp_doc,
-           "budget": args.budget, "provider": provider.name,
-           "provider_doc": provider_doc}
-    return cached_text(cfg, key, produce, err), 0
+    fixture = parse_fixture(docs["fixture"], disc)
+    provider = _provider(docs, lat, disc)
+    pp = parse_principal_part(docs["pp"], disc) if "pp" in docs else None
+    return principal_part_doc(vanish_on(
+        lat, m, mu, fixture, provider=provider, budget=args.budget, pp=pp,
+        disc=disc))
 
 
-def _cmd_battery(args, cfg, err):
+def _battery(args, cfg, warn):
     from . import acceptance
     numbers = None
     if args.criteria:
@@ -371,7 +336,7 @@ def _cmd_battery(args, cfg, err):
         bad = sorted(set(numbers) - known)
         if bad:
             raise PreconditionError(f"unknown criterion numbers {bad}")
-    results = acceptance.run_all(numbers, log=err)
+    results = acceptance.run_all(numbers, log=warn)
     doc = {
         "ok": all(r.ok for r in results),
         "criteria": [{
@@ -391,56 +356,55 @@ def _build_parser():
     parser.add_argument("--out", help="write output to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_, lattice_arg=True):
+    def add(name, payload, help_):
         p = sub.add_parser(name, help=help_)
-        if lattice_arg:
-            p.add_argument("lattice", nargs="?",
-                           help="lattice JSON file {\"gram\": [[...]]}")
-        p.set_defaults(handler=handler)
+        p.add_argument("lattice", nargs="?",
+                       help="lattice JSON file {\"gram\": [[...]]}")
+        p.set_defaults(handler=_dispatch, payload=payload)
         return p
 
-    add("info", _cmd_info, "signature, determinant, level, group invariants")
+    add("info", _info, "signature, determinant, level, group invariants")
 
-    p = add("repnum", _cmd_repnum, "representation count modulo a")
+    p = add("repnum", _repnum, "representation count modulo a")
     p.add_argument("-m", required=True, help="target value, rational 'p/q'")
     p.add_argument("--mu", help="coset as comma-separated integers (default 0)")
     p.add_argument("-a", type=int, required=True, help="modulus")
     p.add_argument("--method", choices=("auto", "naive", "gauss"),
                    default="auto")
 
-    p = add("eis", _cmd_eis, "Eisenstein expansion up to an exponent bound")
+    p = add("eis", _eis, "Eisenstein expansion up to an exponent bound")
     p.add_argument("--max-exp", required=True, help="exclusive exponent bound")
     p.add_argument("--negate", action="store_true",
                    help="expand on the sign-flipped lattice")
 
-    p = add("weil", _cmd_weil, "Weil representation checks")
+    p = add("weil", _weil, "Weil representation checks")
     p.add_argument("--relations", action="store_true")
     p.add_argument("--invariants", action="store_true")
 
-    p = add("h-series", _cmd_h_series,
+    p = add("h-series", _h_series,
             "non-negative auxiliary series for a (n,2) lattice")
     p.add_argument("-b", type=int, required=True, help="pole depth")
     p.add_argument("--trunc", required=True, help="exclusive exponent bound")
     p.add_argument("--provider", help="basis fixture JSON for the weight data")
 
-    p = add("decompose", _cmd_decompose,
+    p = add("decompose", _decompose,
             "split a principal part into non-negative integral halves")
     p.add_argument("--pp", required=True, help="principal-part JSON file")
     p.add_argument("--provider", help="basis fixture JSON for the weight data")
     p.add_argument("--minimal", action="store_true",
                    help="return f itself when it is already non-negative")
 
-    p = add("obstruct", _cmd_obstruct, "pair a principal part against cusp data")
+    p = add("obstruct", _obstruct, "pair a principal part against cusp data")
     p.add_argument("--pp", required=True)
     p.add_argument("--fixture", required=True, help="cusp basis JSON file")
 
-    p = add("prescribe", _cmd_prescribe,
+    p = add("prescribe", _prescribe,
             "principal part with nonzero constant term on an admissible set")
     p.add_argument("--spec", required=True, help="admissible-set JSON file")
     p.add_argument("--fixture", required=True, help="cusp basis JSON file")
     p.add_argument("--budget", type=int)
 
-    p = add("vanish-on", _cmd_vanish_on,
+    p = add("vanish-on", _vanish_on,
             "non-negative integral input singling out one divisor datum")
     p.add_argument("-m", required=True)
     p.add_argument("--mu")
@@ -449,9 +413,9 @@ def _build_parser():
     p.add_argument("--pp", help="start from this principal part")
     p.add_argument("--budget", type=int)
 
-    p = add("battery", _cmd_battery,
-            "run the acceptance criteria and report machine-readably",
-            lattice_arg=False)
+    p = sub.add_parser(
+        "battery", help="run the acceptance criteria and report machine-readably")
+    p.set_defaults(handler=_battery)
     p.add_argument("--criteria", help="comma-separated criterion numbers")
 
     return parser

@@ -63,18 +63,6 @@ class RepCount:
         if self.count < 0:
             raise ConsistencyError(f"negative representation count {self.count}")
 
-    def __int__(self):
-        return self.count
-
-    def __eq__(self, other):
-        if isinstance(other, RepCount):
-            return (self.m, self.mu, self.a, self.count) == \
-                (other.m, other.mu, other.a, other.count)
-        return self.count == other
-
-    def __hash__(self):
-        return hash((self.m, self.mu, self.a, self.count))
-
 
 def count_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
     """Exhaustive count of {r in L/aL : Q(r+mu) = m mod a}.

@@ -184,6 +184,9 @@ class Cyclotomic:
         return (self - other).is_zero()
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash((self.order, tuple(sorted(self.canonical().items()))))
 
     def __repr__(self):

@@ -135,6 +135,28 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["count"] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--pp", ""],
+        ["h-series", "-b", "1", "--trunc", "2", "--provider", ""],
+    ], ids=["required", "optional"])
+    def test_empty_document_path_is_io(self, lat_files, argv):
+        # every document option given is read: an empty path names the
+        # working directory, an I/O error rather than a silent default
+        code, out, err = run_cli([argv[0], lat_files["uu"], *argv[1:]])
+        assert (code, out) == (1, "") and err.startswith("error (io): ")
+
+    def test_empty_start_document_rejected(self, tmp_path):
+        # vanish-on's optional --pp document is parsed like any other: an
+        # empty object is not a principal part
+        acceptance._battery_files(tmp_path)
+        (tmp_path / "empty.json").write_text("{}")
+        code, out, err = run_cli([
+            "vanish-on", str(tmp_path / "fixture.json"), "-m", "3/4",
+            "--mu", "0,0,0,1", "--fixture", str(tmp_path / "empty_basis.json"),
+            "--pp", str(tmp_path / "empty.json")])
+        assert (code, out) == (2, "")
+        assert err.startswith("error (precondition): principal-part document")
+
     def test_no_lattice_anywhere(self):
         code, _, err = run_cli(["info"])
         assert code == 2
@@ -528,6 +550,86 @@ class TestCache:
         # the flags are part of the key: another selection is a miss
         with pytest.raises(AssertionError, match="cache hit"):
             run_cli(["weil", lat_files["zn4"]])
+
+    def test_battery_invocations_hit_as_they_miss(self, tmp_path, monkeypatch):
+        # every lattice subcommand goes through the cache, and its hit answers
+        # with the miss's stdout, stderr and exit code
+        acceptance._battery_files(tmp_path)
+        monkeypatch.setenv("VVEIS_CACHE_DIR", str(tmp_path / "cache"))
+        computed = []  # per cached_text call: did it run produce?
+        cached_text = cli.cached_text
+
+        def counting(cfg, key_doc, produce, warn=None):
+            ran = []
+            text = cached_text(cfg, key_doc, lambda: ran.append(1) or produce(),
+                               warn)
+            computed.append(bool(ran))
+            return text
+
+        monkeypatch.setattr(cli, "cached_text", counting)
+        for argv in acceptance._cli_invocations(tmp_path):
+            computed.clear()
+            miss, hit = run_cli(argv), run_cli(argv)
+            assert computed == [True, False], argv[0]
+            assert miss[0] == 0 and hit == miss, argv[0]
+
+    def test_naive_cap_reaches_the_key(self, lat_files, tmp_path, monkeypatch):
+        # a cap too small for a^rank residues is a budget error on a hit as
+        # on a miss
+        argv = ["repnum", lat_files["q4"], "-m", "1/8", "--mu", "1", "-a", "72",
+                "--method", "naive"]
+        monkeypatch.delenv("VVEIS_NAIVE_CAP", raising=False)
+        uncached = run_cli(argv)
+        monkeypatch.setenv("VVEIS_CACHE_DIR", str(tmp_path / "cache"))
+        assert run_cli(argv) == uncached and uncached[0] == 0
+        monkeypatch.setenv("VVEIS_NAIVE_CAP", "10")
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "") and "budget" in err
+        monkeypatch.delenv("VVEIS_CACHE_DIR")
+        assert run_cli(argv) == (code, out, err)
+
+    def test_cross_check_reaches_the_key(self, lat_files, tmp_path,
+                                         monkeypatch):
+        argv = ["repnum", lat_files["q4"], "-m", "1/8", "--mu", "1", "-a", "8"]
+        monkeypatch.delenv("VVEIS_CROSSCHECK", raising=False)
+        monkeypatch.setenv("VVEIS_CACHE_DIR", str(tmp_path / "cache"))
+        first = run_cli(argv)
+        assert first[0] == 0
+        checks = []
+        crosscheck = repnums._crosscheck
+
+        def counting(*args, **kwargs):
+            checks.append(args[3:5])
+            return crosscheck(*args, **kwargs)
+
+        monkeypatch.setattr(repnums, "_crosscheck", counting)
+        monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
+        assert run_cli(argv) == first
+        assert checks == [(2, 3)]
+
+    def test_document_too_deep_to_key(self, tmp_path, monkeypatch):
+        # just inside the decoder's depth limit a document parses yet can be
+        # too deep for the key's encoder; it is answered uncached, so the
+        # precondition error reads as it does without a cache
+        lattice = tmp_path / "m2.json"
+        lattice.write_text(json.dumps({"gram": [[-2]]}))
+        pp = tmp_path / "pp.json"
+        monkeypatch.setenv("VVEIS_CACHE_DIR", str(tmp_path / "cache"))
+
+        def answer(depth):
+            pp.write_text("[" * depth + "]" * depth)
+            return run_cli(["decompose", str(lattice), "--pp", str(pp)])
+
+        low, high = 1, 4000  # the deepest document that parses is in [low, high)
+        while high - low > 1:
+            mid = (low + high) // 2
+            if "not valid JSON" in answer(mid)[2]:
+                high = mid
+            else:
+                low = mid
+        for depth in range(low - 10, low + 1):
+            assert answer(depth) == (2, "", "error (precondition): principal-"
+                                     "part document must be a JSON object\n")
 
     def test_stale_temp_directory_does_not_block_write(self, lat_files,
                                                        tmp_path, monkeypatch):

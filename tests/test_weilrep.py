@@ -269,6 +269,22 @@ class TestCyclotomic:
         with pytest.raises(PreconditionError):
             Cyclotomic.e(Fraction(1, 3), 8)
 
+    def test_hash_agrees_with_eq(self):
+        # equal elements hash equally, a rational one as its Fraction
+        three = Cyclotomic.from_rational(3, 4)
+        assert three == 3 and hash(three) == hash(3) and three in {3}
+        z = Cyclotomic.root(4)
+        assert z * z == -1 and hash(z * z) == hash(Cyclotomic.from_rational(-1, 4))
+        assert Cyclotomic.from_rational(Fraction(1, 2), 4) in {Fraction(1, 2)}
+        assert len({z, z * z * z * z * z, Cyclotomic.root(4, 3)}) == 2
+
+    def test_rsub(self):
+        z = Cyclotomic.root(4)
+        diff = 1 - z
+        assert isinstance(diff, Cyclotomic)
+        assert diff == Cyclotomic.from_rational(1, 4) - z
+        assert (diff * diff.conj()).rational_value() == 2  # |1 - i|^2
+
     def test_sqrt(self):
         for d, order in ((2, 8), (3, 24), (5, 40), (12, 24), (16, 8), (15, 120)):
             s = sqrt_int(d, order)
