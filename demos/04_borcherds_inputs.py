@@ -64,7 +64,7 @@ print(f"lattice: signature ({lat.sig_pos}, {lat.sig_neg}), "
 # h = E * Delta^{-1} has a simple pole, non-negative coefficients, and is
 # strictly positive on a tail window; that positivity is what later lets
 # us fix signs by adding multiples of h
-h = build_h(lat.negated(), 1, 3, disc=disc.negated())
+h = build_h(lat.negated(), 1, 3)
 print(f"\nh = E * Delta^(-1): pole coefficient "
       f"{h.coefficient(-1, (0, 0, 0, 0))}, "
       f"constant {h.coefficient(0, (0, 0, 0, 0))}")
@@ -72,7 +72,7 @@ print(f"\nh = E * Delta^(-1): pole coefficient "
 # --- step 2: splitting a mixed-sign principal part ------------------------
 # a deeper pole needs weight 19 = 1 - 6 + 24 data; an honest source is the
 # weight-7 series times E4^3 (both factors have non-negative coefficients)
-base = eis_expansion(lat.negated(), 4, disc=disc.negated())
+base = eis_expansion(lat.negated(), 4)
 e4 = ScalarQSeries({k: 1 if k == 0 else 240 * sigma(3, k) for k in range(5)}, 5)
 provider = Provider.fixture(ModularBasisFixture(
     19, (base * (e4 * e4 * e4),), (False,), "weight-7 series times E4^3"))

@@ -72,7 +72,7 @@ from .qseries import (
     delta_power,
     zero_series,
 )
-from .repnums import count, count_gauss, count_naive, jordan_decompose, w_p
+from .repnums import count, count_gauss, count_naive, w_p
 from .weilrep import (
     Cyclotomic,
     invariants,
@@ -97,7 +97,7 @@ __all__ = [
     "theta_counts", "witt_rank_bounded",
     "PrincipalPart", "ScalarQSeries", "VVQSeries", "delta_power",
     "zero_series",
-    "count", "count_gauss", "count_naive", "jordan_decompose", "w_p",
+    "count", "count_gauss", "count_naive", "w_p",
     "Cyclotomic", "invariants", "is_unitary", "verify_relations",
     "weil_matrices",
 ]

@@ -141,9 +141,8 @@ def _fixture_lattice():
     return new_lattice(FIXTURE_GRAM)
 
 
-def _weight19_provider(lat, disc):
-    dneg = disc.negated()
-    base = eis_expansion(lat.negated(), 4, disc=dneg)
+def _weight19_provider(lat):
+    base = eis_expansion(lat.negated(), 4)
     e4 = ScalarQSeries({n: 1 if n == 0 else 240 * sigma(3, n)
                         for n in range(5)}, 5)
     fix = ModularBasisFixture(19, (base * (e4 * e4 * e4),), (False,),
@@ -242,17 +241,15 @@ def criterion_4_growth():
 def criterion_5_window():
     """Auxiliary series is non-negative, positive on the tail window."""
     lat = _fixture_lattice()
-    disc = discriminant_form(lat)
-    dneg = disc.negated()
-    h = build_h(lat.negated(), 1, 5, disc=dneg)
+    h = build_h(lat.negated(), 1, 5)
     n_nonneg = 0
     for exp, mu, c in h.items():
         _check(c >= 0, f"negative coefficient {c} at ({exp}, {mu})")
         n_nonneg += 1
-    t_top = t_max(lat, disc=disc)
+    t_top = t_max(lat)
     window_checked = 0
-    for mu in dneg.elements():
-        for e in takewhile(lambda e: e < h.trunc, dneg.exponents(mu, t_top - 1)):
+    for mu in h.disc.elements():
+        for e in takewhile(lambda e: e < h.trunc, h.disc.exponents(mu, t_top - 1)):
             _check(h.coefficient(e, mu) > 0,
                    f"window violation at ({e}, {mu})")
             window_checked += 1
@@ -267,7 +264,7 @@ def criterion_6_decompose_round_trip():
     disc = discriminant_form(lat)
     f = PrincipalPart(disc, {(Fraction(3, 4), _MU_A): -3,
                              (Fraction(1, 2), _MU_AB): 5}, 0, sign=-1)
-    res = decompose(f, lat, provider=_weight19_provider(lat, disc), disc=disc)
+    res = decompose(f, lat, provider=_weight19_provider(lat), disc=disc)
     _check(res.f1.integral and res.f2.integral, "halves are not integral")
     _check(all(v >= 0 for v in res.f1.entries.values()), "f1 has a negative entry")
     _check(all(v >= 0 for v in res.f2.entries.values()), "f2 has a negative entry")
@@ -344,7 +341,7 @@ def _battery_files(root):
     """Fixed inputs for the CLI determinism run."""
     lat = _fixture_lattice()
     disc = discriminant_form(lat)
-    provider = _weight19_provider(lat, disc)
+    provider = _weight19_provider(lat)
     files = {
         "e8.json": canonical_json(lattice_doc(new_lattice(E8))),
         "uu.json": canonical_json(lattice_doc(new_lattice(direct_sum(U, U)))),

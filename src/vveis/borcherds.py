@@ -288,7 +288,7 @@ def build_h(lminus, b, trunc, provider=None, disc=None):
         if c < 0:
             raise PositivityViolation(
                 f"coefficient at ({exp}, {mu}) is negative: {c}")
-    window_low = t_max(lminus.negated(), disc=disc.negated()) - b
+    window_low = t_max(lminus.negated()) - b
     for mu in disc.elements():
         for e in takewhile(lambda e: e < h.trunc, disc.exponents(mu, window_low)):
             if h.coefficient(e, mu) <= 0:
@@ -328,7 +328,7 @@ def decompose(f, lattice, provider=None, minimal=False, disc=None):
     lminus = lattice.negated()
     if provider is None:
         provider = Provider.eisenstein(lminus)
-    T = t_max(lattice, disc=disc)
+    T = t_max(lattice)
     pole = f.pole_order() or Fraction(0)
     b = provider.pole_depth(lminus.sig_neg)
     if b is None or b - T <= pole:
@@ -337,8 +337,7 @@ def decompose(f, lattice, provider=None, minimal=False, disc=None):
             f"no provider-legal pole depth clears T = {T} plus the pole "
             f"order {pole}: the {provider.name} series of weight "
             f"{provider.weight} has {has}")
-    h = build_h(lminus, b, Fraction(1), provider=provider,
-                disc=disc.negated())
+    h = build_h(lminus, b, Fraction(1), provider=provider)
     hpp = h.principal_part()
     neg_entries, h0 = hpp.entries, hpp.const_term
     if minimal and all(cf >= 0 for cf in f.entries.values()):
@@ -457,8 +456,11 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     minus that pairing.  When n = 2 and the lattice certifiably splits two
     hyperbolic planes, a zero pairing is accepted too and the constant slot
     is repaired from an invariant vector of the Weil representation, as the
-    overlattice argument this case needs.
+    overlattice argument this case needs.  A budget caps the candidates
+    examined and must not be negative.
     """
+    if budget is not None and budget < 0:
+        raise PreconditionError(f"budget must be >= 0, got {budget}")
     disc = disc_of(lattice, disc)
     report = check_admissible(lattice, spec, disc)
     if report.rejected and spec.members is not None:

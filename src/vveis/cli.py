@@ -282,7 +282,7 @@ def _weil(args, lat, disc, docs, cfg):
 def _h_series(args, lat, disc, docs, cfg):
     trunc = parse_rational(args.trunc, "--trunc")
     h = build_h(lat.negated(), args.b, trunc,
-                provider=_provider(docs, lat, disc), disc=disc.negated())
+                provider=_provider(docs, lat, disc))
     return qseries_doc(h)
 
 
@@ -375,7 +375,8 @@ def _build_parser():
     p = add("eis", _eis, "Eisenstein expansion up to an exponent bound")
     p.add_argument("--max-exp", required=True, help="exclusive exponent bound")
     p.add_argument("--negate", action="store_true",
-                   help="expand on the sign-flipped lattice")
+                   help="expand on the sign-flipped lattice, which keeps "
+                        "this lattice's coset labels")
 
     p = add("weil", _weil, "Weil representation checks")
     p.add_argument("--relations", action="store_true")

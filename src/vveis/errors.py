@@ -49,10 +49,6 @@ class BudgetExceeded(BudgetError):
     """Enumeration would exceed the configured iteration cap."""
 
 
-class PrecisionTooLow(PreconditionError):
-    """Requested p-adic working precision cannot support the computation."""
-
-
 class NonIntegralResult(ConsistencyError):
     """A quantity proved to be a non-negative integer failed the check."""
 

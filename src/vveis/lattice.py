@@ -8,7 +8,8 @@ determinant, the signature, the level, the diagonal of G^-1 behind the
 certified search radius, and the LDL^T frame of the enumeration walk; the
 discriminant group comes from the Smith normal form, bounded by
 D = |det| (``linalg.smith_normal_form``), whose element encoding is that
-of the unbounded elimination wherever its entries stay within +-D^2.
+of the unbounded elimination wherever its entries stay within +-D^2; a
+lattice and its negation share one encoding (``discriminant_form``).
 Vector searches (coset representation, theta counts, Witt witnesses)
 share that one walk: Fincke-Pohst intervals on the scaled LDL^T frame for
 definite lattices, a sup-norm box for indefinite ones (U. Fincke and
@@ -146,33 +147,25 @@ def bad_primes(lattice):
 class DiscriminantForm:
     """The finite quadratic module L'/L with a fixed element encoding.
 
-    Elements are residue tuples against the nontrivial invariant factors of
-    the Smith normal form of the Gram matrix, computed with entries bounded
-    by D = |det| (``linalg.smith_normal_form``): the generators, and so the
-    encoding, are those of the unbounded elimination wherever its entries
-    stay within +-D^2, and another valid choice elsewhere (some GL_n(Z)
-    conjugates, and E7 + A1 among the root lattices).  The tuple of all
-    zeros is the zero element, enumeration is lexicographic and ``index``
-    is the position in it.  Each element has one representative sum_k mu_k
-    gens[k] in L', held as s / den in integers with den minimal
+    Elements are residue tuples against ``orders``, the coordinates of an
+    element on ``gens``.  ``discriminant_form`` builds the one form of each
+    lattice and so fixes its labels: the lattice or its negation, whichever
+    has more positive directions (on equal signature, the larger Gram
+    matrix as a tuple of rows), takes the generators of its Smith normal
+    form, and the other side reuses them through ``negated()``, so L and
+    L(-1) label their cosets alike however either was built.  The tuple of
+    all zeros is the zero element, enumeration is lexicographic and
+    ``index`` is the position in it.  Each element has one representative
+    sum_k mu_k gens[k] in L', held as s / den in integers with den minimal
     (``coset``); Q(mu), the exact Q of that representative (``q_exact``)
     and ``bilinear`` come from the integer s^T G s.  The index-pair grid is
     decided here alone: ``exponents`` and ``indices`` walk m = Q(mu) mod 1,
     and ``orbit`` names the one of {mu, -mu} standing for both.  The tables
     (``strides``, ``shifts``, ``negs``, ``sums``) are built when first read.
-    ``negated()`` reuses the same generators over the negated lattice so
-    element encodings agree between L and L^- pipelines.
     """
 
-    def __init__(self, lattice, orders=None, gens=None):
+    def __init__(self, lattice, orders, gens):
         self.lattice = lattice
-        if orders is None:
-            diag, v = linalg.smith_normal_form([list(r) for r in lattice.gram],
-                                               lattice.det)
-            orders = tuple(d for d in diag if d > 1)
-            # only the class mod L matters: keep coordinates in [0, 1)
-            gens = tuple(tuple(Fraction(row[i] % d, d) for row in v)
-                         for i, d in enumerate(diag) if d > 1)
         self.orders = tuple(orders)
         self.gens = tuple(gens)
         # vector(mu)_r = sum_k mu_k cols[r][k] / den, gens[k][r] = cols[r][k] / den
@@ -314,7 +307,26 @@ class DiscriminantForm:
 
 @lru_cache(maxsize=None)
 def discriminant_form(lattice):
-    disc = DiscriminantForm(lattice)
+    """The one discriminant form of ``lattice``, which fixes its coset labels.
+
+    Of the lattice and its negation, the side with more positive directions
+    (on equal signature, the larger Gram matrix as a tuple of rows) runs the
+    Smith normal form of its Gram matrix, bounded by D = |det|
+    (``linalg.smith_normal_form``): its generators are those of the
+    unbounded elimination wherever the entries stay within +-D^2, and
+    another valid choice elsewhere (some GL_n(Z) conjugates, and E7 + A1
+    among the root lattices).  The other side is that form's ``negated()``,
+    so ``discriminant_form(L.negated()) is discriminant_form(L).negated()``
+    for every lattice.
+    """
+    if (lattice.sig_pos, lattice.gram) < (lattice.sig_neg, lattice.negated().gram):
+        return discriminant_form(lattice.negated()).negated()
+    diag, v = linalg.smith_normal_form([list(r) for r in lattice.gram], lattice.det)
+    # only the class mod L matters: keep coordinates in [0, 1)
+    disc = DiscriminantForm(
+        lattice, tuple(d for d in diag if d > 1),
+        tuple(tuple(Fraction(row[i] % d, d) for row in v)
+              for i, d in enumerate(diag) if d > 1))
     if disc.size != abs(lattice.det):
         raise ConsistencyError(
             f"|L'/L| = {disc.size} but |det G| = {abs(lattice.det)}")
@@ -322,13 +334,13 @@ def discriminant_form(lattice):
 
 
 def disc_of(lattice, disc=None):
-    """``disc``, or the lattice's own discriminant form when it is None; a
-    form of another lattice raises PreconditionError."""
-    if disc is None:
-        return discriminant_form(lattice)
-    if disc.lattice != lattice:
+    """The lattice's one discriminant form: ``disc`` is only a handle on it,
+    so a form of another lattice, or one labelling this lattice's cosets
+    another way, raises PreconditionError."""
+    own = discriminant_form(lattice)
+    if disc is not None and disc is not own and disc != own:
         raise PreconditionError("disc does not belong to this lattice")
-    return disc
+    return own
 
 
 class RepResult(Enum):
@@ -618,18 +630,16 @@ def t_mu(lattice, mu, disc=None):
 
     Candidates are the negated form's ``indices(mu)`` up to ``_T_MU_CAP``,
     tested on the negated lattice (signature (2, n), where -Q attains
-    positive values); n = 1 uses the bounded search and may raise
-    InconclusiveBoundedSearch.  Element encoding is shared with the
-    input lattice's discriminant form.
+    positive values, and mu labels the same coset); n = 1 uses the bounded
+    search and may raise InconclusiveBoundedSearch.
     """
     if lattice.sig_neg != 2 or lattice.sig_pos < 1:
         raise PreconditionError("expected a lattice of signature (n, 2), n >= 1")
-    disc = disc_of(lattice, disc)
-    mu = disc.check(mu)
+    mu = disc_of(lattice, disc).check(mu)
     neg = lattice.negated()
-    disc_neg = disc.negated()
-    for v in itertools.takewhile(lambda v: v <= _T_MU_CAP, disc_neg.indices(mu)):
-        res = coset_represents(neg, v, mu, disc=disc_neg)
+    for v in itertools.takewhile(lambda v: v <= _T_MU_CAP,
+                                 discriminant_form(neg).indices(mu)):
+        res = coset_represents(neg, v, mu)
         if res is RepResult.REPRESENTED:
             return v
         if res is not RepResult.NOT_REPRESENTED:
@@ -641,7 +651,8 @@ def t_mu(lattice, mu, disc=None):
 @lru_cache(maxsize=None)
 def t_max(lattice, disc=None):
     """max over mu of ``t_mu``; memoized, since ``decompose`` and its
-    ``build_h`` ask for it on the same lattice (one through ``negated()``)."""
+    ``build_h`` ask for it on the same lattice (one through ``negated()``),
+    both without ``disc``, so on one key."""
     disc = disc_of(lattice, disc)
     return max(t_mu(lattice, mu, disc=disc) for mu in disc.elements())
 

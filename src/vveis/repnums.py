@@ -32,7 +32,6 @@ from .errors import (
     ConsistencyError,
     NegativeValuation,
     NonIntegralResult,
-    PrecisionTooLow,
     PreconditionError,
 )
 from .lattice import bad_primes, disc_of
@@ -113,21 +112,6 @@ def count_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
 
 # ---------------------------------------------------------------------------
 # Jordan decomposition over Z_p
-
-
-@dataclass(frozen=True)
-class JordanBlock:
-    scale_exp: int  # quadratic scale p^scale_exp
-    dim: int
-    data: tuple  # dim 1: (u,); dim 2 (p=2 only): (a, b, c) with b odd
-
-
-@dataclass(frozen=True)
-class JordanDecomposition:
-    p: int
-    e: int
-    blocks: tuple  # JordanBlock with integer data reduced mod p^e
-    basechange: tuple  # rational, p-integral, p-unit determinant
 
 
 @lru_cache(maxsize=None)
@@ -212,33 +196,6 @@ def _jordan_exact(lattice, p):
         raise ConsistencyError("elimination left a stray entry")
     ctg = tuple(tuple(lattice.gram_times(col)) for col in zip(*c))
     return tuple(blocks), tuple(tuple(row) for row in c), ctg
-
-
-def jordan_decompose(lattice, p, e):
-    """Public Jordan decomposition with integer block data reduced mod p^e."""
-    if e < 1:
-        raise PreconditionError("precision e must be >= 1")
-    blocks, c, _ = _jordan_exact(lattice, p)
-    max_k = max((b[0] for b in blocks), default=0)
-    if e < max_k + 3:
-        raise PrecisionTooLow(f"e = {e} < max scale depth {max_k} + 3")
-    out = []
-    for kv, dim, data in blocks:
-        ints = tuple(_reduce_mod(x, p, e) for x in data)
-        out.append(JordanBlock(kv, dim, ints))
-    order = sorted(range(len(out)), key=lambda i: (out[i].scale_exp, out[i].dim,
-                                                   out[i].data))
-    # permute basechange columns consistently with the sorted block order
-    starts = []
-    pos = 0
-    for b in blocks:
-        starts.append(pos)
-        pos += b[1]
-    perm = []
-    for i in order:
-        perm.extend(range(starts[i], starts[i] + blocks[i][1]))
-    cc = tuple(tuple(Fraction(row[j]) for j in perm) for row in c)
-    return JordanDecomposition(p, e, tuple(out[i] for i in order), cc)
 
 
 def _reduce_mod(x, p, e):

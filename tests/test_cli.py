@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, config layering, caching, outputs."""
 
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +12,16 @@ from pathlib import Path
 import pytest
 
 import vveis
-from vveis import acceptance, cli, repnums
+from vveis import acceptance, cli, linalg, repnums
 from vveis.errors import PreconditionError
 
 E8 = acceptance.E8
 U = [[0, 1], [1, 0]]
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+WORKLOADS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
 
 
 def child_env():
@@ -480,6 +487,64 @@ class TestSubcommands:
             outs.append(out)
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["const_term"] == "2/61"
+
+    @pytest.mark.parametrize("budget", ["-1", "-3"])
+    @pytest.mark.parametrize("command", ["prescribe", "vanish-on"])
+    def test_negative_budget_rejected(self, tmp_path, command, budget):
+        acceptance._battery_files(tmp_path)
+        f = {name: str(tmp_path / f"{name}.json") for name in
+             ("fixture", "spec", "empty_basis")}
+        args = (["--spec", f["spec"]] if command == "prescribe"
+                else ["-m", "1", "--mu", "0,0,0,0"])
+        code, out, err = run_cli([command, f["fixture"], *args, "--fixture",
+                                  f["empty_basis"], f"--budget={budget}"])
+        assert (code, out) == (2, "")
+        assert err == f"error (precondition): budget must be >= 0, got {budget}\n"
+
+
+def fixture_conjugate(seed, k):
+    """The k-th GL_n(Z) conjugate U^T G U of the fixture lattice drawn with
+    perfbench's ``random_unimodular`` from random.Random(seed)."""
+    rng = random.Random(seed)
+    gram = WORKLOADS.BASES["fixture"]
+    return [WORKLOADS.conjugate(gram, WORKLOADS.random_unimodular(rng, len(gram)))
+            for _ in range(k + 1)][k]
+
+
+class TestNegatedLabels:
+    # the conjugate's Smith form and that of its negation label the cosets
+    # differently, so the negated side must reuse the conjugate's generators
+
+    def test_provider_round_trip(self, tmp_path):
+        # the Eisenstein series of the negated conjugate, read back as a
+        # weight-7 provider, is the default provider's series
+        lat = tmp_path / "conj.json"
+        lat.write_text(json.dumps({"gram": fixture_conjugate(22, 1)}))
+        code, series, err = run_cli(["eis", str(lat), "--negate", "--max-exp", "3"])
+        assert code == 0, err
+        provider = tmp_path / "provider.json"
+        provider.write_text(json.dumps({"weight": "7", "elements": [
+            {"cusp": False, "series": json.loads(series)}]}))
+        argv = ["h-series", str(lat), "-b", "1", "--trunc", "2"]
+        code, plain, err = run_cli(argv)
+        assert code == 0, err
+        assert run_cli([*argv, "--provider", str(provider)]) == (0, plain, "")
+
+    def test_negated_expansion_runs_one_smith_form(self, tmp_path, monkeypatch):
+        # a conjugate no other test builds, so its form is not cached yet
+        lat = tmp_path / "conj.json"
+        lat.write_text(json.dumps({"gram": fixture_conjugate(27, 0)}))
+        calls = []
+        snf = linalg.smith_normal_form
+
+        def counting(a, det):
+            calls.append(det)
+            return snf(a, det)
+
+        monkeypatch.setattr(linalg, "smith_normal_form", counting)
+        code, _, err = run_cli(["eis", str(lat), "--negate", "--max-exp", "2"])
+        assert code == 0, err
+        assert len(calls) == 1
 
 
 class TestCache:

@@ -623,6 +623,52 @@ class TestDiscriminantForm:
             total = disc.q_value(mu) + neg.q_value(mu)
             assert total.denominator == 1
 
+    @staticmethod
+    def one_labelling_grams():
+        """Random even Gram matrices of rank 1-6 and three GL_n(Z) conjugates
+        of each benchmark base: on several of them the Smith normal forms of
+        G and -G label the cosets differently."""
+        rng = random.Random(0)
+        grams = []
+        while len(grams) < 300:
+            n = rng.randint(1, 6)
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                g[i][i] = 2 * rng.randint(-3, 3)
+                for j in range(i):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+            if ref_det(g):
+                grams.append(g)
+        rng = random.Random(22)
+        for _, base in sorted(WORKLOADS.BASES.items()):
+            grams += [WORKLOADS.conjugate(base, WORKLOADS.random_unimodular(
+                rng, len(base))) for _ in range(3)]
+        return grams
+
+    def test_one_labelling_for_a_lattice_and_its_negation(self):
+        for g in self.one_labelling_grams():
+            lat = new_lattice(g)
+            neg = new_lattice([[-x for x in row] for row in g])
+            disc, dneg = discriminant_form(lat), discriminant_form(neg)
+            assert (dneg.orders, dneg.gens) == (disc.negated().orders,
+                                                disc.negated().gens), g
+            assert discriminant_form(lat.negated()) is disc.negated()
+            assert discriminant_form(neg.negated()) is dneg.negated()
+            assert dneg.negated().negated() is dneg
+
+    def test_computing_side_keeps_its_smith_generators(self):
+        # the side with more positive directions, or on equal signature the
+        # larger Gram matrix, takes the generators of its own Smith form
+        for g in self.one_labelling_grams()[::7]:
+            lat = new_lattice(g)
+            neg = lat.negated()
+            own = lat if (lat.sig_pos, lat.gram) > (neg.sig_pos, neg.gram) else neg
+            diag, v = linalg.smith_normal_form([list(r) for r in own.gram], own.det)
+            gens = tuple(tuple(Fraction(row[i] % d, d) for row in v)
+                         for i, d in enumerate(diag) if d > 1)
+            assert discriminant_form(own).gens == gens
+            assert discriminant_form(own).lattice == own
+
 
 class TestThetaCounts:
     def test_a1(self):
