@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from itertools import compress
+from math import comb, gcd, isqrt
+from operator import mul, neg
 
 from .errors import (
     BudgetExceeded,
@@ -261,16 +263,26 @@ CHI_TRIVIAL = QuadraticCharacter(1)
 
 
 def sigma(s, a, chi=None):
-    """Divisor sum sum_{d | a} chi(d) d^s, exact rational (s may be negative)."""
+    """Divisor sum sum_{d | a} chi(d) d^s, as an exact Fraction.
+
+    chi is a character (completely multiplicative; None is the trivial
+    one), so the sum is the product over p^e || a of sum_k chi(p)^k p^(ks),
+    one chi value per prime.  It is taken in ints: for s < 0 as sum_{d | a}
+    chi(d) (a/d)^(-s), whose factors are sum_k chi(p)^k p^((e-k)(-s)), and
+    divided by a^(-s) once at the end.
+    """
     a = int(a)
     if a < 1:
         raise PreconditionError("sigma needs a >= 1")
-    total = Fraction(0)
-    for d in divisors(a):
-        c = chi(d) if chi is not None else 1
-        if c:
-            total += c * Fraction(d) ** s
-    return total
+    if s != int(s):
+        raise PreconditionError(f"sigma needs an integer exponent, got {s}")
+    s = int(s)
+    t = max(-s, 0)
+    total = 1
+    for p, e in factorize(a).items():
+        c = chi(p) if chi is not None else 1
+        total *= sum(c ** k * p ** ((e - k) * t if t else k * s) for k in range(e + 1))
+    return Fraction(total, a ** t)
 
 
 @lru_cache(maxsize=None)
@@ -282,28 +294,66 @@ def bernoulli(n):
     return -sum(comb(n + 1, j) * bernoulli(j) for j in range(n)) / (n + 1)
 
 
+def character_table(d, n):
+    """[(d|a) for 0 <= a <= n], evaluated only at the primes.
+
+    (d|.) is completely multiplicative on the positive integers: (d|a) is
+    the product of (d|p) over the prime powers p^k dividing a.  A sieve
+    lists the primes up to n; each p with (d|p) = 0 zeroes its multiples,
+    and each with (d|p) = -1 negates the multiples of every p^k <= n, as
+    slice operations.  At an odd prime p, (d|p) is Euler's criterion
+    d^((p-1)/2) mod p, one built-in ``pow``.
+    """
+    prime = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    table = [kronecker(d, 0)] + [1] * n
+    for p in compress(range(n + 1), prime):
+        c = kronecker(d, 2) if p == 2 else pow(d, (p - 1) // 2, p)
+        if c == 0:
+            table[p::p] = bytes(len(range(p, n + 1, p)))
+        elif c != 1:  # -1, or p - 1 from Euler's criterion
+            pk = p
+            while pk <= n:
+                table[pk::pk] = map(neg, table[pk::pk])
+                pk *= p
+    return table
+
+
 @lru_cache(maxsize=None)
 def bernoulli_gen(n, chi):
     """Generalized Bernoulli number B_{n,chi} for primitive chi.
 
     B_{n,chi} = q^{n-1} sum_{a=1}^{q} chi(a) B_n(a/q) = sum_k C(n,k) B_k
     q^{k-1} S_{n-k}, with the power sums S_j = sum_{a=1}^{q} chi(a) a^j
-    taken in Python ints, so the O(q) part is integer arithmetic.  The
-    parity vanishing B_{n,chi} = 0 for chi(-1) != (-1)^n is checked
-    (except the classical B_1 = -1/2 edge at the trivial character).
+    taken in Python ints.  The residues pair up, chi(q - a) = chi(-1)
+    chi(a), so the O(q) work, a ``character_table`` of chi and its power
+    sums, covers a <= q/2 only: with T_i = sum_{a<q/2} chi(a) a^i, S_j =
+    T_j + chi(-1) sum_i C(j,i) q^(j-i) (-1)^i T_i plus the unpaired a = q/2
+    and a = q.  The parity vanishing B_{n,chi} = 0 for chi(-1) != (-1)^n
+    is checked (except the classical B_1 = -1/2 edge at the trivial
+    character).
     """
     if n < 1:
         raise PreconditionError("bernoulli_gen needs n >= 1")
     if not chi.is_primitive:
         raise NonPrimitive(f"chi_{chi.d} is not primitive (D0 = {chi.d0})")
     q = chi.conductor
-    sums = [0] * (n + 1)
-    for a in range(1, q + 1):
-        x = chi(a)
-        if x:
-            for j in range(n + 1):
-                sums[j] += x
-                x *= a
+    table = character_table(chi.d0, q // 2)
+    half = (q - 1) // 2
+
+    def power_sums(lo, hi):  # sum_{lo <= a < hi} chi(a) a^j, j = 0..n
+        terms, sums = table[lo:hi], []
+        for _ in range(n + 1):
+            sums.append(sum(terms))
+            terms = list(map(mul, terms, range(lo, hi)))
+        return sums
+
+    low, mid = power_sums(1, half + 1), power_sums(half + 1, q - half)
+    sums = [low[j] + mid[j] + chi(q) * q ** j + chi.parity * sum(
+        comb(j, i) * q ** (j - i) * (-1) ** i * low[i] for i in range(j + 1))
+        for j in range(n + 1)]
     val = sum(comb(n, k) * bernoulli(k) * q ** k * sums[n - k]
               for k in range(n + 1)) / q
     if not (q == 1 and n == 1):
@@ -357,9 +407,15 @@ class SymbolicReal:
         if isinstance(other, SymbolicReal):
             return SymbolicReal.make(self.q * other.q, self.a + other.a,
                                      self.d * other.d)
-        return SymbolicReal.make(self.q * Fraction(other), self.a, self.d)
+        return self._times(Fraction(other))
 
     __rmul__ = __mul__
+
+    def _times(self, x):
+        """self * x for a rational x: pi^a and the squarefree radicand stay,
+        so nothing is normalized again."""
+        q = self.q * x
+        return SymbolicReal(q, self.a, self.d) if q else SymbolicReal.make(0)
 
     def inverse(self):
         if self.q == 0:
@@ -369,7 +425,7 @@ class SymbolicReal:
     def __truediv__(self, other):
         if isinstance(other, SymbolicReal):
             return self * other.inverse()
-        return SymbolicReal.make(self.q / Fraction(other), self.a, self.d)
+        return self._times(1 / Fraction(other))
 
     @property
     def is_rational(self):

@@ -89,14 +89,22 @@ def _sym_sqrt(x):
 
 
 def _local_product(ctx, m, mu, extra_odd=False):
-    """prod over p | 2N of N_{m,mu}(p^{w_p}) / p^{(2k-1)w_p}, exact."""
-    two_kappa = int(2 * ctx.kappa)
-    out = Fraction(1)
+    """prod over p | 2N of N_{m,mu}(p^{w_p}) / p^{(2k-1)w_p}, exact.
+
+    Numerator and denominator are multiplied as ints, one Fraction at the
+    end; in odd rank each prime also contributes 1 / (1 - p^(1-2k)) =
+    p^(2k-1) / (p^(2k-1) - 1).
+    """
+    e = ctx.lattice.rank - 1  # 2 kappa - 1
+    num = den = 1
     for p, wp, n_p in repnums.local_counts(ctx.lattice, m, mu, ctx.disc):
-        out *= Fraction(n_p, p ** ((two_kappa - 1) * wp))
+        num *= n_p
+        den *= p ** (e * wp)
         if extra_odd:
-            out /= 1 - Fraction(p) ** (1 - two_kappa)
-    return out
+            pe = p ** e
+            num *= pe
+            den *= pe - 1
+    return Fraction(num, den)
 
 
 def _eis_even(ctx, m, mu):
@@ -159,8 +167,8 @@ def eis_coefficient(lattice, m, mu, disc=None, ctx=None):
     elif not (ctx.lattice is lattice or ctx.lattice == lattice) or not (
             disc is None or disc is ctx.disc or disc == ctx.disc):
         raise PreconditionError("ctx does not belong to this lattice and disc")
-    mu = ctx.disc.check(mu)
-    if Fraction(m) < 0:
+    mu, m = ctx.disc.check(mu), Fraction(m)
+    if m < 0:
         raise PreconditionError("m must be non-negative")
     m, mu = ctx.disc.check_pair(m, mu)
     if m == 0:

@@ -66,6 +66,7 @@ class EvenLattice:
                 if Fraction(x) != rows[i][j]:
                     raise PreconditionError("gram entries must be integers")
         self.gram = tuple(rows)
+        self._hash = hash(self.gram)  # every lattice-keyed cache hashes it
         self.rank = n
         # one Bareiss pass: c^T G c = diag(D_k D_{k+1}), G^-1 = c diag(1/steps) c^T
         minors, _, c = self._elim = linalg.sym_eliminate(rows)
@@ -110,6 +111,7 @@ class EvenLattice:
         if self._neg is None:
             neg = object.__new__(EvenLattice)
             neg.gram = tuple(tuple(-x for x in row) for row in self.gram)
+            neg._hash = hash(neg.gram)
             neg.rank = self.rank
             neg.det = self.det * (-1) ** self.rank
             neg.sig_pos, neg.sig_neg = self.sig_neg, self.sig_pos
@@ -128,7 +130,7 @@ class EvenLattice:
         return isinstance(other, EvenLattice) and self.gram == other.gram
 
     def __hash__(self):
-        return hash(self.gram)
+        return self._hash
 
     def __repr__(self):
         return f"EvenLattice(rank={self.rank}, sig=({self.sig_pos},{self.sig_neg}), det={self.det})"
@@ -139,8 +141,10 @@ def new_lattice(gram):
     return EvenLattice(gram)
 
 
+@lru_cache(maxsize=None)
 def bad_primes(lattice):
-    """The primes dividing 2N (N the level), ascending."""
+    """The primes dividing 2N (N the level), ascending; factored once per
+    lattice."""
     return tuple(sorted(factorize(2 * lattice.level)))
 
 
@@ -162,6 +166,8 @@ class DiscriminantForm:
     decided here alone: ``exponents`` and ``indices`` walk m = Q(mu) mod 1,
     and ``orbit`` names the one of {mu, -mu} standing for both.  The tables
     (``strides``, ``shifts``, ``negs``, ``sums``) are built when first read.
+    ``check`` validates an element once: after that the element is one
+    dict lookup, and every method that takes an element goes through it.
     """
 
     def __init__(self, lattice, orders, gens):
@@ -172,6 +178,7 @@ class DiscriminantForm:
         self._den, flat = linalg.integral([x for g in self.gens for x in g])
         self._cols = tuple(tuple(flat[r::lattice.rank]) for r in range(lattice.rank))
         self._elements = None
+        self._checked = {}
         self._reps = {}
         self._neg = None
 
@@ -189,16 +196,39 @@ class DiscriminantForm:
         return tuple(0 for _ in self.orders)
 
     def check(self, mu):
+        """mu as the canonical int tuple of an element, or PreconditionError.
+
+        An element seen before is one lookup in ``_checked``, which maps
+        each validated tuple to itself.  An input tuple equal to it (bools,
+        integral floats and Fractions, other int types) finds it and gets
+        the int tuple that ``int`` would give; a complex entry with zero
+        imaginary part, which ``int`` refuses, also finds it.  Any other
+        input, lists included, is converted with ``int`` and range-checked,
+        and recorded when valid.  ``elements()`` is never listed for this.
+        """
+        try:
+            return self._checked[mu]
+        except (KeyError, TypeError):  # unseen, or unhashable like a list
+            pass
         mu = tuple(int(a) for a in mu)
         if len(mu) != len(self.orders) or any(
                 not (0 <= a < d) for a, d in zip(mu, self.orders)):
             raise PreconditionError(f"not a discriminant element: {mu}")
+        self._checked[mu] = mu
         return mu
 
     def check_pair(self, m, mu):
-        """(Fraction(m), mu) for an element mu and m = Q(mu) mod 1."""
-        mu, m = self.check(mu), Fraction(m)
-        if (m - self.q_value(mu)).denominator != 1:
+        """(Fraction(m), mu) for an element mu and m = Q(mu) mod 1.
+
+        Both fractions are in lowest terms, so m - Q(mu) is an integer
+        exactly when they share a denominator that divides the difference
+        of their numerators: an int test, with no Fraction built.
+        """
+        mu = self.check(mu)
+        if type(m) is not Fraction:
+            m = Fraction(m)
+        q = self.q_value(mu)
+        if m.denominator != q.denominator or (m.numerator - q.numerator) % q.denominator:
             raise PreconditionError("m must be congruent to Q(mu) mod 1")
         return m, mu
 
@@ -242,8 +272,9 @@ class DiscriminantForm:
         return (self.q_value(total) - self.q_value(mu) - self.q_value(nu)) % 1
 
     def order_of(self, mu):
-        mu = self.check(mu)
-        return lcm(*[d // gcd(a, d) for a, d in zip(mu, self.orders)]) if mu else 1
+        """The order of mu in L'/L: k vector(mu) lies in L exactly when den
+        divides k, so it is the representative's minimal denominator."""
+        return self._rep(mu)[0]
 
     def neg(self, mu):
         mu = self.check(mu)

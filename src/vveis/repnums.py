@@ -41,10 +41,11 @@ _NAIVE_CHUNK = 1 << 18
 
 def w_p(m, d_mu, p):
     """Hensel exponent 1 + 2 ord_p(2 d_mu m); stabilization depth for counts."""
-    t = 2 * d_mu * Fraction(m)
+    m = Fraction(m)
+    t = 2 * d_mu * m.numerator  # ord_p(2 d_mu m) = ord_p(t) - ord_p(den m), in ints
     if t == 0:
         raise PreconditionError("w_p needs m != 0")
-    v = valuation(t, p)
+    v = valuation(t, p) - valuation(m.denominator, p)
     if v < 0:
         raise NegativeValuation(f"2*{d_mu}*{m} is not {p}-integral")
     return 1 + 2 * v

@@ -20,6 +20,7 @@ from vveis.arith import (
     SymbolicReal,
     bernoulli,
     bernoulli_gen,
+    character_table,
     factorize,
     gamma_half,
     kronecker,
@@ -175,6 +176,22 @@ class TestDivisorSums:
         for a, b in ((3, 4), (5, 8), (9, 2), (25, 8)):
             assert sigma(-2, a * b, chi) == sigma(-2, a, chi) * sigma(-2, b, chi)
 
+    @given(st.integers(-8, 8), st.integers(1, 10 ** 4),
+           st.sampled_from([None, 1, -3, -4, 5, 8, -8, 12, -84, 1020]))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_sum_matches_fractions(self, s, a, d):
+        chi = None if d is None else QuadraticCharacter(d)
+        small = [k for k in range(1, isqrt(a) + 1) if a % k == 0]
+        divs = sorted(set(small + [a // k for k in small]))
+        want = sum((1 if chi is None else chi(k)) * Fraction(k) ** s for k in divs)
+        got = sigma(s, a, chi)
+        assert type(got) is Fraction and got == want
+
+    def test_exponent_must_be_an_integer(self):
+        assert sigma(Fraction(-2), 6) == sigma(-2, 6)
+        with pytest.raises(PreconditionError):
+            sigma(Fraction(1, 2), 6)
+
     def test_moebius(self):
         assert moebius(12) == 0
         assert moebius(6) == 1
@@ -223,6 +240,16 @@ class TestBernoulli:
             assert chi.is_primitive
             for n in (1, 2, 3, 4):
                 assert bernoulli_gen(n, chi) == ref_bernoulli_gen(n, chi), (d, n)
+
+    def test_character_table(self):
+        # against the Kronecker symbol at every residue, for every
+        # fundamental discriminant |d0| <= 2000, and past the conductor
+        for d in fundamental_discriminants(2001):
+            q = abs(d)
+            assert character_table(d, q) == [kronecker(d, a) for a in range(q + 1)], d
+        for d in (-7, 12, 1, -3):
+            assert character_table(d, 50) == [kronecker(d, a) for a in range(51)]
+        assert character_table(5, 0) == [0] and character_table(1, 1) == [1, 1]
 
     def test_parity_violation_is_a_consistency_error(self, monkeypatch):
         # wrong Bernoulli numbers break the vanishing at the wrong parity;

@@ -8,11 +8,12 @@ theta equals the Eisenstein series exactly and the comparison is integer
 against Fraction.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from vveis import eisenstein
+from vveis import eisenstein, repnums
 from vveis.acceptance import D4, D5, E7, E8, U, diag, direct_sum
 from vveis.eisenstein import (
     context,
@@ -181,6 +182,23 @@ class TestGeneralBehavior:
                 m = ctx.disc.q_value(mu) + 1
                 assert (eis_coefficient(lat, m, mu, ctx=ctx)
                         == eis_coefficient(lat, m, neg, ctx=ctx))
+
+    @pytest.mark.parametrize("gram", [D5, D6, E7, direct_sum(U, U, [[6]]),
+                                      direct_sum(U, U, [[6]], [[10]]), FIXTURE])
+    def test_local_product_matches_fraction_reference(self, gram):
+        # the int product against prod N / p^((2k-1)w), and in odd rank
+        # divided by 1 - p^(1-2k), taken factor by factor in Fractions
+        ctx = context(new_lattice(gram))
+        odd = ctx.kappa.denominator == 2
+        for mu in ctx.disc.elements():
+            for m in itertools.islice(ctx.disc.indices(mu), 3):
+                want = Fraction(1)
+                for p, w, n in repnums.local_counts(ctx.lattice, m, mu, ctx.disc):
+                    want *= Fraction(n, p ** ((2 * ctx.kappa - 1) * w))
+                    if odd:
+                        want /= 1 - Fraction(p) ** (1 - 2 * ctx.kappa)
+                got = eisenstein._local_product(ctx, m, mu, extra_odd=odd)
+                assert type(got) is Fraction and got == want, (gram, m, mu)
 
     def test_kappa_too_small(self):
         with pytest.raises(KappaTooSmall):

@@ -380,6 +380,8 @@ class TestIntegerCosets:
                       for r in range(n))
             den, s = disc.coset(mu)
             assert den == math.lcm(1, *(x.denominator for x in v))
+            assert disc.order_of(mu) == den == math.lcm(
+                1, *(d // math.gcd(a, d) for a, d in zip(mu, disc.orders)))
             assert tuple(Fraction(x, den) for x in s) == v == disc.vector(mu)
             q = q_ref(v)
             assert disc.q_exact(mu) == q == lat.q_value(v)
@@ -521,6 +523,30 @@ class TestEvenLattice:
                         (lat.level // p * disc.q_value(mu)).denominator != 1
                         for mu in disc.elements())
 
+    def test_hash_computed_once(self):
+        # equal Gram matrices hash alike, and negating twice returns the same
+        # lattice with its hash unchanged
+        g = direct_sum(D4, A1M)
+        lat, twin = new_lattice(g), new_lattice([list(row) for row in g])
+        assert lat == twin and hash(lat) == hash(twin) == hash(lat.gram)
+        h = hash(lat)
+        neg = lat.negated()
+        fresh = new_lattice([[-x for x in row] for row in g])
+        assert neg == fresh and hash(neg) == hash(fresh) == hash(neg.gram)
+        assert neg.negated() is lat and hash(lat) == h
+        assert lattice_mod.discriminant_form(neg) is lattice_mod.discriminant_form(fresh)
+
+    def test_bad_primes_factored_once(self, monkeypatch):
+        lat = new_lattice(direct_sum(U, [[12]]))
+        assert lattice_mod.bad_primes(lat) == (2, 3)
+
+        def no_factoring(n):
+            raise AssertionError("bad_primes factored again")
+
+        monkeypatch.setattr(lattice_mod, "factorize", no_factoring)
+        assert lattice_mod.bad_primes(lat) == (2, 3)
+        assert lattice_mod.bad_primes(new_lattice(direct_sum(U, [[12]]))) == (2, 3)
+
     def test_det_level_same_primes(self):
         for g in (A1, D4, E8, direct_sum(A1, [[6]])):
             lat = new_lattice(g)
@@ -529,7 +555,65 @@ class TestEvenLattice:
                 assert (d % p == 0) == (n % p == 0) or d == 1
 
 
+def old_check(disc, mu):
+    """The element check before its memo: convert with int, then range-check."""
+    mu = tuple(int(a) for a in mu)
+    if len(mu) != len(disc.orders) or any(
+            not (0 <= a < d) for a, d in zip(mu, disc.orders)):
+        raise PreconditionError(f"not a discriminant element: {mu}")
+    return mu
+
+
+def outcome(f, *args):
+    """("ok", result) or ("raise", exception type and message)."""
+    try:
+        return "ok", f(*args)
+    except Exception as err:  # the exception is the outcome compared
+        return "raise", (type(err), str(err))
+
+
+CHECK_FORM = discriminant_form(new_lattice(direct_sum(A1M, [[4]], D4)))
+check_entries = st.one_of(
+    st.integers(-2, 6), st.booleans(),
+    st.floats(min_value=-2, max_value=6, allow_nan=False),
+    st.fractions(min_value=-2, max_value=6, max_denominator=4))
+
+
 class TestDiscriminantForm:
+    @given(st.lists(check_entries, min_size=0, max_size=len(CHECK_FORM.orders) + 1),
+           st.booleans(), st.lists(st.integers(0, 7), max_size=6))
+    @example([1, 0, 1, 1], True, [])
+    @example([True, False, 1, 0], False, [1, 0, 1, 0])
+    @example([1.0, 0, 0, 0], False, [1, 0, 0, 0])
+    @example([2, 0, 0, 0], False, [])
+    @settings(max_examples=300, deadline=None)
+    def test_check_matches_int_conversion(self, entries, as_tuple, seen):
+        # the same canonical int tuple or the same exception as the plain
+        # conversion rule, on a fresh form, after the element was seen, and
+        # after other elements were
+        disc = lattice_mod.DiscriminantForm(
+            CHECK_FORM.lattice, CHECK_FORM.orders, CHECK_FORM.gens)
+        mu = tuple(entries) if as_tuple else list(entries)
+        want = outcome(old_check, disc, mu)
+        for other in (seen, seen[::-1]):
+            outcome(disc.check, tuple(other))
+        for _ in range(2):
+            got = outcome(disc.check, mu)
+            assert got == want
+            if got[0] == "ok":
+                assert type(got[1]) is tuple
+                assert all(type(a) is int for a in got[1])
+        assert disc._elements is None
+
+    def test_check_does_not_enumerate(self):
+        # a large form checks one element without listing its elements
+        disc = discriminant_form(new_lattice(direct_sum(U, [[2 * 3 ** 12]])))
+        assert disc.size == 2 * 3 ** 12
+        assert disc.check((5,)) == (5,) and disc.check([5]) == (5,)
+        with pytest.raises(PreconditionError):
+            disc.check((disc.size,))
+        assert disc._elements is None
+
     @pytest.mark.parametrize("gram", [[[2, 1], [1, -4]], [[2, 0], [0, -6]],
                                       [[4]], diag([2, -2, -4])])
     def test_index_grid(self, gram):
