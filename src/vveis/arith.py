@@ -1,20 +1,19 @@
 """Factorization, quadratic characters, Bernoulli numbers and exact L-values.
 
 L(s, chi) is evaluated for quadratic chi whose primitive part has the
-parity of s, through the functional equation and generalized Bernoulli
-numbers.  pi-powers and square roots are carried symbolically
-(SymbolicReal), so that the Eisenstein assembly can assert an exactly
-rational outcome.  The Eisenstein series only asks for L-values of that
-parity (see vveis.eisenstein), so no approximate route exists.
+parity of s, from the closed form in generalized Bernoulli numbers, as
+the pair (r, q) with L(s, chi) = r * pi^s * sqrt(q): r rational, q the
+conductor.  The Eisenstein assembly cancels pi^s and sqrt(q) on paper
+(see vveis.eisenstein).  It only asks for L-values of that parity, so no
+approximate route exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import comb, gcd, isqrt
+from math import comb, factorial, gcd, isqrt
 from operator import mul, neg
 
 from .errors import (
@@ -242,7 +241,7 @@ class QuadraticCharacter:
         return self.d == self.d0 or (self.d == 1 and self.d0 == 1)
 
     def primitive_part(self):
-        return QuadraticCharacter(self.d0)
+        return self if self.is_primitive else QuadraticCharacter(self.d0)
 
     @property
     def modulus(self):
@@ -363,128 +362,20 @@ def bernoulli_gen(n, chi):
 
 
 # ---------------------------------------------------------------------------
-# SymbolicReal: q * pi^a * sqrt(d)
-
-
-def _squarefree_split(d):
-    """d = s * f^2 with s squarefree; returns (s, f)."""
-    s, f = 1, 1
-    for p, e in factorize(d).items():
-        f *= p ** (e // 2)
-        if e % 2:
-            s *= p
-    return s, f
-
-
-@dataclass(frozen=True)
-class SymbolicReal:
-    """Exact real of the form q * pi^a * sqrt(d), d squarefree positive.
-
-    a is a Fraction with denominator at most 2 (half pi-powers arise from
-    Gamma at half-integers); normalization extracts square factors of the
-    radicand into q.
-    """
-
-    q: Fraction
-    a: Fraction
-    d: int
-
-    @staticmethod
-    def make(q, a=0, d=1):
-        q = Fraction(q)
-        a = Fraction(a)
-        d = int(d)
-        if d <= 0:
-            raise PreconditionError("radicand must be positive")
-        if a.denominator > 2:
-            raise PreconditionError("pi-exponent denominator must divide 2")
-        if q == 0:
-            return SymbolicReal(Fraction(0), Fraction(0), 1)
-        s, f = _squarefree_split(d)
-        return SymbolicReal(q * f, a, s)
-
-    def __mul__(self, other):
-        if isinstance(other, SymbolicReal):
-            return SymbolicReal.make(self.q * other.q, self.a + other.a,
-                                     self.d * other.d)
-        return self._times(Fraction(other))
-
-    __rmul__ = __mul__
-
-    def _times(self, x):
-        """self * x for a rational x: pi^a and the squarefree radicand stay,
-        so nothing is normalized again."""
-        q = self.q * x
-        return SymbolicReal(q, self.a, self.d) if q else SymbolicReal.make(0)
-
-    def inverse(self):
-        if self.q == 0:
-            raise ZeroDivisionError("SymbolicReal zero")
-        return SymbolicReal.make(Fraction(1) / (self.q * self.d), -self.a, self.d)
-
-    def __truediv__(self, other):
-        if isinstance(other, SymbolicReal):
-            return self * other.inverse()
-        return self._times(1 / Fraction(other))
-
-    @property
-    def is_rational(self):
-        return self.q == 0 or (self.a == 0 and self.d == 1)
-
-    def rational_value(self):
-        if not self.is_rational:
-            raise PreconditionError(f"not rational: {self}")
-        return self.q
-
-    def __repr__(self):
-        return f"SymbolicReal({self.q}, pi^{self.a}, sqrt({self.d}))"
-
-
-def gamma_half(z):
-    """Gamma(z) for z in (1/2)Z, z not a non-positive integer, as SymbolicReal."""
-    z = Fraction(z)
-    if z.denominator == 1:
-        if z < 1:
-            raise PreconditionError("Gamma pole at non-positive integer")
-        val = Fraction(1)
-        for k in range(2, int(z)):
-            val *= k
-        return SymbolicReal.make(val)
-    if z.denominator != 2:
-        raise PreconditionError("gamma_half handles (1/2)Z only")
-    # walk to Gamma(1/2) = sqrt(pi)
-    coeff = Fraction(1)
-    zz = z
-    while zz > Fraction(1, 2):
-        zz -= 1
-        coeff *= zz
-    while zz < Fraction(1, 2):
-        coeff /= zz
-        zz += 1
-    return SymbolicReal.make(coeff, Fraction(1, 2), 1)
-
-
-# ---------------------------------------------------------------------------
 # L-values
 
 
-def _euler_correction_exact(chi, s):
-    """Finite Euler factors converting L(s, chi_{D0}) to L(s, chi_D), exact."""
-    chi0 = chi.primitive_part()
-    corr = Fraction(1)
-    for p in factorize(chi.modulus):
-        if chi0.conductor % p != 0:
-            corr *= 1 - chi0(p) * Fraction(1, p) ** s
-    return corr
-
-
+@lru_cache(maxsize=None)
 def l_value_exact(s, chi):
-    """L(s, chi_D) as SymbolicReal, for integer s >= 1 with matching parity.
+    """L(s, chi_D) = r * pi^s * sqrt(q) as the pair (r, q), memoized on (s, chi).
 
-    Functional equation route: L(s, chi) = (q/pi)^(1/2-s) *
-    Gamma((1-s+a)/2)/Gamma((s+a)/2) * (-B_{s,chi}/s) for the primitive part,
-    times the finite Euler corrections for imprimitivity.  Root numbers of
-    real primitive characters are +1, so no radicand beyond sqrt(q) appears.
+    s is an integer >= 1 and chi's primitive part chi0, of conductor q, has
+    the parity (-1)^s.  A real primitive chi0 with chi0(-1) = (-1)^a has the
+    Gauss sum i^a sqrt(q), so the closed form of Washington, Cyclotomic
+    Fields, Thm 4.2, reads L(s, chi0) = (-1)^(1+(s-a)/2) 2^(s-1) B_{s,chi0}
+    / (s! q^s) * pi^s sqrt(q).  The rational r also carries the finite Euler
+    factors 1 - chi0(p) p^-s at the primes of chi's modulus outside q, which
+    turn L(s, chi0) into L(s, chi_D).
     """
     s = int(s)
     if s < 1:
@@ -495,14 +386,14 @@ def l_value_exact(s, chi):
             f"chi_{chi.d} has parity {chi0.parity}, needs (-1)^{s}")
     q = chi0.conductor
     a = 0 if chi0.parity == 1 else 1
-    b = bernoulli_gen(s, chi0)
-    qpi = SymbolicReal.make(Fraction(1, q) ** s, Fraction(s) - Fraction(1, 2), q)
-    num = gamma_half(Fraction(1 - s + a, 2))
-    den = gamma_half(Fraction(s + a, 2))
-    val = qpi * num / den * Fraction(-b, s)
-    return val * _euler_correction_exact(chi, s)
+    r = (-1) ** (1 + (s - a) // 2) * 2 ** (s - 1) * bernoulli_gen(s, chi0) / (
+        factorial(s) * q ** s)
+    for p in factorize(chi.modulus):
+        if q % p:
+            r *= 1 - Fraction(chi0(p), p ** s)
+    return r, q
 
 
 def zeta_exact(s):
-    """zeta(s) for positive even integer s, as SymbolicReal."""
-    return l_value_exact(s, CHI_TRIVIAL)
+    """The rational zeta(s) / pi^s, for a positive even integer s."""
+    return l_value_exact(s, CHI_TRIVIAL)[0]

@@ -1,13 +1,18 @@
 """Exact Fourier coefficients of the weight-(rank/2) Eisenstein series.
 
-Both ranks assemble in SymbolicReal arithmetic: the pi powers and radicals
-cancel by construction and the result must collapse to a rational.  In odd
-rank the L-value is taken at s = kappa - 1/2 for the character of the
-quadratic space extended by <-m>.  That character always has the parity of
-s (the negative signature is even, so the Gram determinant is positive),
-so the Bernoulli closed form applies; Bruinier-Kuss, manuscripta math. 106
-(2001).  A parity mismatch there is a broken invariant and raises
-ConsistencyError.  Every returned coefficient is an exact Fraction.
+Both ranks assemble in Fractions: the Bruinier-Kuss formula (manuscripta
+math. 106 (2001)) carries pi powers, Gamma values at half-integers and
+square roots that cancel for every input, and ``context`` cancels them on
+paper, with each L-value given as r * pi^s * sqrt(q).  What is left is
+one square root of a rational, once per lattice in even rank and once per
+coefficient in odd rank; ``_sqrt_exact`` takes it and raises
+NonRationalResidue if it is not rational.  In odd rank the L-value is
+taken at s = kappa - 1/2 for the character of the quadratic space
+extended by <-m>.  That character always has the parity of s (the
+negative signature is even, so the Gram determinant is positive), so the
+Bernoulli closed form applies.  A parity mismatch there is a broken
+invariant and raises ConsistencyError.  Every returned coefficient is an
+exact Fraction.
 """
 
 from __future__ import annotations
@@ -16,16 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, takewhile
-from math import exp, log
+from math import exp, factorial, isqrt, log
 
 from . import repnums
 from .arith import (
     QuadraticCharacter,
-    SymbolicReal,
     divisors,
     exact_int,
     factorize,
-    gamma_half,
     l_value_exact,
     moebius,
     sigma,
@@ -53,14 +56,27 @@ class EisensteinContext:
     primes: tuple  # primes dividing 2N
     hecke_boundary: bool  # kappa == 2: constant term needs the Hecke trick
     chi: object  # even rank: the character of (-1)^kappa det; None in odd rank
-    scale: SymbolicReal  # the factor of every coefficient free of m
+    scale: Fraction  # the factor of every coefficient free of m (see context)
 
 
 def context(lattice, disc=None):
     """The lattice's data for its coefficients, with the factors that do not
-    depend on m computed once: (-1)^(b-/2) 2^(rank//2) pi^kappa /
-    (Gamma(kappa) sqrt|L'/L|), divided by L(kappa, chi) in even rank and
-    multiplied by sqrt(2) / zeta(2 kappa - 1) in odd rank."""
+    depend on m computed once.
+
+    Bruinier-Kuss give every coefficient the factor (-1)^(b-/2)
+    2^(rank//2) pi^kappa / (Gamma(kappa) sqrt|det|), divided by
+    L(kappa, chi) in even rank and multiplied by sqrt(2) / zeta(2 kappa - 1)
+    in odd rank.  With each L-value as r pi^s sqrt(q) (``l_value_exact``):
+
+    - even kappa = k: Gamma(k) = (k-1)! and L(k, chi) = r pi^k sqrt(q), so
+      the pi^k cancels and scale = (-1)^(b-/2) 2^k / ((k-1)! r
+      sqrt(|det| q)).  |det| q is a square, since q is the conductor of
+      4 (-1)^k det.
+    - odd kappa = j + 1/2: Gamma(j + 1/2) = (2j)! sqrt(pi) / (4^j j!) and
+      zeta(2j) = r_zeta pi^(2j), so the factor is scale * pi^(-j)
+      sqrt(2/|det|) with scale = (-1)^(b-/2) 2^j 4^j j! / ((2j)! r_zeta).
+      ``_eis_odd`` cancels pi^(-j) with the pi^j of its own L-value.
+    """
     disc = disc_of(lattice, disc)
     kappa = Fraction(lattice.rank, 2)
     if kappa < 2:
@@ -68,24 +84,30 @@ def context(lattice, disc=None):
     if lattice.sig_neg % 2:
         raise PreconditionError(
             "negative signature must be even for a nonzero series of this weight")
-    scale = SymbolicReal.make(
-        (-1) ** (lattice.sig_neg // 2) * 2 ** (lattice.rank // 2), kappa, 1)
-    scale = scale / gamma_half(kappa) / _sym_sqrt(abs(lattice.det))
+    sign = (-1) ** (lattice.sig_neg // 2)
     if kappa.denominator == 1:
-        chi = QuadraticCharacter(4 * (-1) ** int(kappa) * lattice.det)
-        scale = scale / l_value_exact(int(kappa), chi)
+        k = int(kappa)
+        chi = QuadraticCharacter(4 * (-1) ** k * lattice.det)
+        r, q = l_value_exact(k, chi)
+        scale = sign * 2 ** k / (
+            factorial(k - 1) * r * _sqrt_exact(abs(lattice.det) * q))
     else:
+        j = lattice.rank // 2
         chi = None
-        scale = scale * _sym_sqrt(2) / zeta_exact(lattice.rank - 1)
+        scale = sign * 2 ** j * 4 ** j * factorial(j) / (
+            factorial(2 * j) * zeta_exact(2 * j))
     return EisensteinContext(lattice, disc, kappa, lattice.sig_neg,
                              bad_primes(lattice), kappa == 2, chi, scale)
 
 
-def _sym_sqrt(x):
-    """sqrt of a positive rational as a SymbolicReal."""
+def _sqrt_exact(x):
+    """The square root of a positive rational x, which the assembly has
+    proved to be a square; NonRationalResidue when it is not one."""
     x = Fraction(x)
-    return SymbolicReal.make(Fraction(1, x.denominator), 0,
-                             x.numerator * x.denominator)
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
+        raise NonRationalResidue(f"sqrt({x}) is not rational")
+    return Fraction(num, den)
 
 
 def _local_product(ctx, m, mu, extra_odd=False):
@@ -110,10 +132,7 @@ def _local_product(ctx, m, mu, extra_odd=False):
 def _eis_even(ctx, m, mu):
     kappa = int(ctx.kappa)
     div_sum = sigma(1 - kappa, exact_int(m * ctx.disc.order_of(mu) ** 2), ctx.chi)
-    total = ctx.scale * (m ** (kappa - 1) * div_sum * _local_product(ctx, m, mu))
-    if not total.is_rational:
-        raise NonRationalResidue(f"even-rank assembly left {total}")
-    return total.rational_value()
+    return ctx.scale * m ** (kappa - 1) * div_sum * _local_product(ctx, m, mu)
 
 
 def _split_square(ctx, n):
@@ -144,15 +163,15 @@ def _eis_odd(ctx, m, mu):
     if rational_part == 0:
         return Fraction(0)
     try:
-        lval = l_value_exact(j, chi)  # s = kappa - 1/2
+        r, q = l_value_exact(j, chi)  # s = kappa - 1/2
     except ParityMismatch as err:
         raise ConsistencyError(
             f"odd-rank character has the wrong parity at (m={m}, mu={mu}): "
             f"{err}") from err
-    total = ctx.scale * _sym_sqrt(m) * (m ** (j - 1) * rational_part) * lval
-    if not total.is_rational:
-        raise NonRationalResidue(f"odd-rank exact assembly left {total}")
-    return total.rational_value()
+    # m^(kappa-1) L(j, chi) pi^(-j) sqrt(2/|det|) = m^(j-1) r sqrt(2 m q/|det|),
+    # a square since q is the conductor of 2 m0 det up to sign
+    return (ctx.scale * m ** (j - 1) * rational_part * r
+            * _sqrt_exact(2 * m * q / abs(ctx.lattice.det)))
 
 
 def eis_coefficient(lattice, m, mu, disc=None, ctx=None):

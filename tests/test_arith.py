@@ -1,4 +1,4 @@
-"""Characters, Bernoulli numbers, exact L-values and symbolic reals.
+"""Characters, Bernoulli numbers and exact L-values.
 
 Expected values were frozen from hand derivations (finite sums, functional
 equation instances) before implementation.  Exact L-values are also checked
@@ -17,12 +17,10 @@ from vveis import arith
 from vveis.arith import (
     CHI_TRIVIAL,
     QuadraticCharacter,
-    SymbolicReal,
     bernoulli,
     bernoulli_gen,
     character_table,
     factorize,
-    gamma_half,
     kronecker,
     l_value_exact,
     moebius,
@@ -51,14 +49,28 @@ def dirichlet_bracket(s, chi, n_terms):
             Fraction(floored + n_terms, scale) + tail)
 
 
-def symbolic_bracket(x):
-    """Rationals lo <= q * pi^a * sqrt(d) <= hi for an integral pi-power a >= 0."""
-    assert x.a.denominator == 1 and x.a >= 0
+def closed_form_bracket(s, value):
+    """Rationals lo <= r * pi^s * sqrt(q) <= hi for value = (r, q), s >= 0."""
+    r, q = value
     digits = 10 ** 40
-    root = isqrt(x.d * digits * digits)
-    lo = PI_LO ** int(x.a) * Fraction(root, digits)
-    hi = PI_HI ** int(x.a) * Fraction(root + 1, digits)
-    return (x.q * lo, x.q * hi) if x.q > 0 else (x.q * hi, x.q * lo)
+    root = isqrt(q * digits * digits)
+    lo = PI_LO ** s * Fraction(root, digits)
+    hi = PI_HI ** s * Fraction(root + 1, digits)
+    return (r * lo, r * hi) if r > 0 else (r * hi, r * lo)
+
+
+def is_fundamental(d):
+    """d = 1, d = 1 mod 4 squarefree, or d = 4n with n = 2, 3 mod 4 squarefree."""
+    def squarefree(n):
+        return all(n % (p * p) for p in range(2, isqrt(abs(n)) + 1))
+    if d % 4 == 1:
+        return squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+
+# (d, s) for each fundamental |d| <= 200 and 2 <= s <= 6 with chi_d(-1) = (-1)^s
+FUNDAMENTAL_PAIRS = [(d, s) for d in range(-200, 201) if is_fundamental(d)
+                     for s in range(2, 7) if (d > 0) == (s % 2 == 0)]
 
 
 R23 = (10 ** 23 - 1) // 9  # the repunit 11...1 (23 ones), a prime
@@ -282,14 +294,15 @@ class TestValuation:
 
 class TestLValues:
     def test_zeta2(self):
-        assert zeta_exact(2) == SymbolicReal.make(Fraction(1, 6), 2, 1)
+        assert zeta_exact(2) == Fraction(1, 6)
+        assert l_value_exact(2, CHI_TRIVIAL) == (Fraction(1, 6), 1)
 
     def test_zeta4(self):
-        assert zeta_exact(4) == SymbolicReal.make(Fraction(1, 90), 4, 1)
+        assert zeta_exact(4) == Fraction(1, 90)
 
     def test_l1_chi_minus4(self):
-        v = l_value_exact(1, QuadraticCharacter(-4))
-        assert v == SymbolicReal.make(Fraction(1, 4), 1, 1)
+        # L(1, chi_-4) = pi/4 = (1/8) pi sqrt(4)
+        assert l_value_exact(1, QuadraticCharacter(-4)) == (Fraction(1, 8), 4)
 
     def test_parity_mismatch(self):
         with pytest.raises(ParityMismatch):
@@ -300,7 +313,7 @@ class TestLValues:
     def test_interval_zeta2(self):
         # zeta(2) = pi^2/6 inside a rational enclosure of the Dirichlet series
         lo, hi = dirichlet_bracket(2, CHI_TRIVIAL, 4000)
-        ex_lo, ex_hi = symbolic_bracket(zeta_exact(2))
+        ex_lo, ex_hi = closed_form_bracket(2, (zeta_exact(2), 1))
         assert lo <= ex_lo <= ex_hi <= hi
         assert hi - lo < Fraction(1, 1000)
 
@@ -314,10 +327,19 @@ class TestLValues:
                 if chi.primitive_part().parity != (-1) ** s:
                     continue
                 lo, hi = dirichlet_bracket(s, chi, 4000 if s == 2 else 1000)
-                ex_lo, ex_hi = symbolic_bracket(l_value_exact(s, chi))
+                ex_lo, ex_hi = closed_form_bracket(s, l_value_exact(s, chi))
                 assert lo <= ex_hi and ex_lo <= hi, (d, s)
                 pairs += 1
         assert pairs >= 30
+
+    @given(st.sampled_from(FUNDAMENTAL_PAIRS))
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_inside_dirichlet_series(self, pair):
+        d, s = pair
+        chi = QuadraticCharacter(d)
+        lo, hi = dirichlet_bracket(s, chi, 4000 if s == 2 else 1000)
+        ex_lo, ex_hi = closed_form_bracket(s, l_value_exact(s, chi))
+        assert lo <= ex_lo <= ex_hi <= hi
 
     def test_dirichlet_catalan(self):
         # the oracle itself, on a value with no closed form:
@@ -332,23 +354,3 @@ class TestLValues:
         a = l_value_exact(2, QuadraticCharacter(48))
         b = l_value_exact(2, QuadraticCharacter(12))
         assert a == b
-
-
-class TestSymbolicReal:
-    def test_normalization(self):
-        x = SymbolicReal.make(1, 0, 12)
-        assert (x.q, x.d) == (Fraction(2), 3)
-
-    def test_mul_div(self):
-        a = SymbolicReal.make(Fraction(3, 2), 1, 2)
-        b = SymbolicReal.make(Fraction(1, 3), -1, 2)
-        assert (a * b) == SymbolicReal.make(1, 0, 1)
-        assert (a / a).rational_value() == 1
-
-    def test_gamma(self):
-        assert gamma_half(Fraction(5)) == SymbolicReal.make(24)
-        assert gamma_half(Fraction(1, 2)) == SymbolicReal.make(1, Fraction(1, 2), 1)
-        assert gamma_half(Fraction(7, 2)) == SymbolicReal.make(
-            Fraction(15, 8), Fraction(1, 2), 1)
-        assert gamma_half(Fraction(-1, 2)) == SymbolicReal.make(
-            -2, Fraction(1, 2), 1)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from vveis import eisenstein, repnums
+from vveis import arith, eisenstein, repnums
 from vveis.acceptance import D4, D5, E7, E8, U, diag, direct_sum
 from vveis.eisenstein import (
     context,
@@ -24,6 +24,7 @@ from vveis.eisenstein import (
 from vveis.errors import (
     ConsistencyError,
     KappaTooSmall,
+    NonRationalResidue,
     NotAdmissible,
     ParityMismatch,
     PreconditionError,
@@ -157,6 +158,23 @@ class TestOddRank:
 
 
 class TestGeneralBehavior:
+    def test_wrong_conductor_is_nonrational_residue(self, monkeypatch):
+        # an L-value with sqrt(3q) for sqrt(q) leaves a radical: the exact
+        # square root rejects it in the even-rank scale and in each
+        # odd-rank coefficient
+        exact = arith.l_value_exact
+
+        def wrong_conductor(s, chi):
+            r, q = exact(s, chi)
+            return r, 3 * q
+
+        monkeypatch.setattr(arith, "l_value_exact", wrong_conductor)
+        monkeypatch.setattr(eisenstein, "l_value_exact", wrong_conductor)
+        with pytest.raises(NonRationalResidue):
+            context(new_lattice(direct_sum(E8, D4)))
+        with pytest.raises(NonRationalResidue):
+            eis_coefficient(new_lattice(D5), 1, (0,))
+
     def test_constant_term(self):
         lat = new_lattice(D5)
         disc = discriminant_form(lat)

@@ -230,6 +230,18 @@ def module_damages(w):
     return out
 
 
+VANISHING_ORDERS = (3, 4, 6, 8, 12, 24, 40, 60)
+SMALL = st.fractions(-3, 3, max_denominator=4)
+
+
+def _vanishing(order, data):
+    """sum_k zeta^(r + k order/p) over k < p, for a drawn prime p | order:
+    zero, written with p nonzero coefficients."""
+    p = data.draw(st.sampled_from([p for p in (2, 3, 5) if order % p == 0]))
+    r = data.draw(st.integers(0, order - 1))
+    return Cyclotomic(order, {r + k * order // p: 1 for k in range(p)})
+
+
 class TestCyclotomic:
     def test_ring_identities(self):
         z = Cyclotomic.root(12)
@@ -277,6 +289,21 @@ class TestCyclotomic:
         assert z * z == -1 and hash(z * z) == hash(Cyclotomic.from_rational(-1, 4))
         assert Cyclotomic.from_rational(Fraction(1, 2), 4) in {Fraction(1, 2)}
         assert len({z, z * z * z * z * z, Cyclotomic.root(4, 3)}) == 2
+
+    @given(st.sampled_from(VANISHING_ORDERS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_elements_hash_equally(self, order, data):
+        x = Cyclotomic(order, data.draw(
+            st.dictionaries(st.integers(0, order - 1), SMALL, max_size=4)))
+        y = x + data.draw(SMALL) * _vanishing(order, data)
+        assert x == y and hash(x) == hash(y)
+        assert 3 - x == -(x - 3)
+
+    @given(st.sampled_from(VANISHING_ORDERS), SMALL, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rational_element_hashes_as_its_fraction(self, order, f, data):
+        x = f + data.draw(SMALL) * _vanishing(order, data)
+        assert x == f and hash(x) == hash(f)
 
     def test_rsub(self):
         z = Cyclotomic.root(4)
