@@ -5,17 +5,17 @@ zeta_M^j.  The canonical form works axis-by-axis over the prime-power
 factorization of M (tensor basis of Q(zeta_M)), which makes equality,
 rationality and conjugation exact.
 
-The Weil matrices are fixed by one finite quadratic module: T = diag(e(Q))
-and S = c * e(-B).  verify_relations and is_unitary first read (Q, B, c) off
-the matrices they are given, proving exactly that the matrices have that
-shape, and then decide every relation by character orthogonality and one
-Gauss sum (Milgram's formula), in O(|L'/L|^2) with no matrix product; input
-of any other shape raises PreconditionError.  invariants eliminates over the
-coordinates where T = 1 only, fraction-free over Z, expanding each distinct
-matrix entry once.  On <2>^6 + <-2>^2 (|L'/L| = 256) the matrices take
-0.12-0.40 s of CPU, the relations 0.06-0.10 s, unitarity 0.06-0.09 s and the
-invariants 0.09-0.14 s, where a Fraction RREF took 1.2-1.7 s (Python 3.11,
-shared 2-vCPU VM).
+The Weil representation is fixed by one finite quadratic module: T =
+diag(e(Q)) and S = c * e(-B).  ``WeilMatrices`` holds that module, the
+exponents t of T and the prefactor c; the dense T and S are views, built
+only when read.  verify_relations and is_unitary check that t/M is a
+quadratic form, in O(|L'/L| gens^2), and then decide every relation by
+character orthogonality and one Gauss sum (Milgram's formula), with no
+matrix entry built; a t that is no quadratic form raises
+PreconditionError.  invariants eliminates over the coordinates where T = 1
+only, fraction-free over Z, reading the S entries it needs one at a time.
+On <2048> + U + U (|L'/L| = 2048) ``vveis weil`` takes 0.6 s of CPU, where
+building the dense S alone took 12.7 s (Python 3.11, shared 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from . import linalg
@@ -234,101 +234,88 @@ def _sqrt_prime(p, order):
 
 @dataclass(frozen=True)
 class WeilMatrices:
-    """Generator matrices of the Weil representation on C[L'/L]."""
+    """The Weil representation on C[L'/L], held as its quadratic module.
+
+    T = diag(zeta_M^t[i]) and S[i][j] = c * zeta_M^-B(i, j), with B(i, j) =
+    t[i+j] - t[i] - t[j] mod M and M = ``order``: the int exponents ``t``
+    and the prefactor ``c`` are the data.  The dense ``t_mat`` and ``s_mat``
+    are views, built when first read; ``s_entry`` gives one entry of S.
+    """
 
     disc: object
     sig_pos: int
     sig_neg: int
     order: int
-    t_mat: tuple  # diagonal entries, Cyclotomic
-    s_mat: tuple  # rows of Cyclotomic
+    t: tuple  # T[i] = zeta_order^t[i]
+    c: Cyclotomic  # S[0][0]
+
+    def pairing(self, i, j):
+        """B(i, j) = t[i+j] - t[i] - t[j] mod M, so S[i][j] = c * zeta_M^-B(i, j)."""
+        t = self.t
+        return (t[self.disc.sums[i][j]] - t[i] - t[j]) % self.order
+
+    def s_entry(self, i, j):
+        """S[i][j] alone: c with its exponents shifted by -B(i, j)."""
+        e, m = self.pairing(i, j), self.order
+        return self.c._with({(k - e) % m: a for k, a in self.c.coeffs.items()})
+
+    @cached_property
+    def t_mat(self):
+        """The diagonal of T, Cyclotomic entries."""
+        return tuple(Cyclotomic.root(self.order, x) for x in self.t)
+
+    @cached_property
+    def s_mat(self):
+        """The dense S, rows of Cyclotomic: |L'/L|^2 entries."""
+        n = len(self.t)
+        return tuple(tuple(self.s_entry(i, j) for j in range(n)) for i in range(n))
 
 
 def weil_matrices(disc):
-    """T and S matrices: T = diag(e(Q(mu))), S = pref * (e(-(mu,nu))).
+    """The Weil representation of disc: T = diag(e(Q(mu))), S = c * (e(-(mu, nu))).
 
-    The prefactor is e((b^- - b^+)/8)/sqrt(|L'/L|), (b^+, b^-) the signature
-    of disc.lattice.  With T = diag(zeta_M^t), (mu, nu) = (t[mu+nu] - t[mu]
-    - t[nu]) / M, so each S entry is the prefactor with its exponents shifted.
+    The prefactor is c = e((b^- - b^+)/8)/sqrt(|L'/L|), (b^+, b^-) the
+    signature of disc.lattice.  Only c and the exponents t of T =
+    diag(zeta_M^t) are computed: (mu, nu) = (t[mu+nu] - t[mu] - t[nu]) / M
+    fixes S from them.
     """
     bp, bm = disc.lattice.sig_pos, disc.lattice.sig_neg
     n = disc.size
     m_order = lcm(8, disc.lattice.level, 4 * n)
-    t_mat = tuple(Cyclotomic.e(disc.q_value(mu), m_order) for mu in disc.elements())
-    t = [next(iter(x.coeffs)) for x in t_mat]
-    pref = (Cyclotomic.root(m_order, (bm - bp) * m_order // 8)
-            * sqrt_int(n, m_order) * Fraction(1, n))
-    sums = disc.sums
-    s_mat = tuple(
-        tuple(pref._with({(j - t[z] + ti + tj) % m_order: a
-                          for j, a in pref.coeffs.items()})
-              for z, tj in zip(sums[i], t))
-        for i, ti in enumerate(t))
-    return WeilMatrices(disc, bp, bm, m_order, t_mat, s_mat)
+    t = tuple(next(iter(Cyclotomic.e(disc.q_value(mu), m_order).coeffs))
+              for mu in disc.elements())
+    c = (Cyclotomic.root(m_order, (bm - bp) * m_order // 8)
+         * sqrt_int(n, m_order) * Fraction(1, n))
+    return WeilMatrices(disc, bp, bm, m_order, t, c)
 
 
-def _module(w):
-    """(t, b, c) if w has the shape of ``weil_matrices`` output, else None.
+def _form(w):
+    """(t mod M, whether B is non-degenerate), checking that t/M is a
+    quadratic form on L'/L; anything else raises PreconditionError.
 
-    The shape, checked exactly: every T[i] is zeta_M^t[i] with coefficient 1,
-    t[0] = 0 and t[-i] = t[i]; B(i, j) = t[i+j] - t[i] - t[j] mod M is
-    additive in j on every generator; and every S[i][j] is c * zeta_M^-B(i, j)
-    with c = S[0][0].  Additivity makes B(i, .) a character for every i, so B
-    is a symmetric bilinear form, B(i, i) = -B(i, -i) = 2 t[i], and t/M is a
-    quadratic form polarizing to B/M: the matrices are the Weil matrices of a
-    finite quadratic module, up to the scalar c.  b[i] lists B(i, g) over
-    the generators g, which determine B(i, .).
+    The checks: t has one entry per element and c lies in Q(zeta_M); t[0] =
+    0 and t[-x] = t[x]; and for each generator g, f_g(x) = t[x+g] - t[x] -
+    t[g] satisfies f_g(x + h) = f_g(x) + f_g(h) for every generator h, in
+    O(|L'/L| gens^2).  That is enough.  Every element is a sum of
+    generators and f_g(0) = -t[0] = 0, so f_g is additive.  Then B(x, y + g)
+    - B(x, y) = f_g(x + y) - f_g(y) = f_g(x) = B(x, g) and B(x, 0) = 0, so
+    B(x, .) is additive for every x: B is a symmetric bilinear form, B(x, x)
+    = -B(x, -x) = 2 t[x], and t/M polarizes to B/M.  B(x, .) vanishes
+    exactly when it vanishes on every generator, which decides
+    non-degeneracy.
     """
     disc, m = w.disc, w.order
     n = disc.size
-    s = w.s_mat
-    if len(w.t_mat) != n or len(s) != n or any(len(row) != n for row in s):
-        return None
-    t = []
-    for x in w.t_mat:
-        if x.order != m or len(x.coeffs) != 1:
-            return None
-        (j, a), = x.coeffs.items()
-        if a != 1:
-            return None
-        t.append(j)
-    gens, shifts, sums, negs = disc.strides, disc.shifts, disc.sums, disc.negs
-    if t[0] or any(t[negs[i]] != ti for i, ti in enumerate(t)):
-        return None
-    c = s[0][0]
-    if c.order != m:
-        return None
-    wants = {}  # exponent e -> coefficients of c * zeta^-e
-    b = []
-    for i, ti in enumerate(t):
-        row = [(t[z] - ti - tj) % m for z, tj in zip(sums[i], t)]
-        for g, shift in zip(gens, shifts):
-            bg = row[g]
-            if any(row[y] != (bx + bg) % m for bx, y in zip(row, shift)):
-                return None
-        for x, e in zip(s[i], row):
-            want = wants.get(e)
-            if want is None:
-                want = wants[e] = {(j - e) % m: a for j, a in c.coeffs.items()}
-            if x.order != m:
-                return None
-            if x.coeffs != want and not (x - c._with(want)).is_zero():
-                return None
-        b.append(tuple(row[g] for g in gens))
-    return t, b, c
-
-
-def _nondegenerate(b):
-    """Every nonzero element pairs nontrivially with some generator."""
-    return all(any(row) for row in b[1:])
-
-
-def _weil_module(w):
-    """``_module(w)``, raising where w is not of the Weil shape."""
-    mod = _module(w)
-    if mod is None:
-        raise PreconditionError("not the Weil matrices of a finite quadratic module")
-    return mod
+    if len(w.t) == n and isinstance(w.c, Cyclotomic) and w.c.order == m:
+        t = [x % m for x in w.t]
+        gens = tuple(zip(disc.strides, disc.shifts))
+        cols = [[(t[y] - x - t[g]) % m for x, y in zip(t, shift)]  # f_g
+                for g, shift in gens]
+        if not (t[0] or any(t[j] != x for j, x in zip(disc.negs, t)) or any(
+                f[y] != (fx + f[h]) % m for f in cols
+                for h, shift in gens for fx, y in zip(f, shift))):
+            return t, all(any(f[x] for f in cols) for x in range(1, n))
+    raise PreconditionError("not the Weil matrices of a finite quadratic module")
 
 
 def verify_relations(w):
@@ -346,22 +333,19 @@ def verify_relations(w):
     - S^2 then is central: it commutes with S, with (ST)^3 = S^2 and so
       with ST, hence with T = S^-1 (ST).
 
-    The input must have the shape of ``weil_matrices`` output: ``_module``
-    reads the quadratic module (t, B, c) off the matrices, proving their
-    shape, and anything else raises PreconditionError (a relabelled copy of
-    Weil matrices satisfies every relation, so False would be wrong there).
-    The facts are then decided in O(|L'/L|^2) with no matrix product.
-    Character orthogonality gives S^2 = c^2 |L'/L| [mu + nu in rad B], a
-    phase times F iff B is non-degenerate, with phi = c^2 |L'/L|.
-    Completing the square gives TSTST = c G S with the Gauss sum G =
-    sum_gamma zeta^t[gamma], so TSTST = S iff c G = 1 (Milgram: G =
-    sqrt|L'/L| e((b^+ - b^-)/8)).  On <2>^k this takes about 0.5 ms, 0.6 ms
-    and 2 ms of CPU at |L'/L| = 8, 16 and 32, and 0.1 s at 256 (Python
-    3.11, shared 2-vCPU VM).
+    The facts are decided on the module (t, c) with no matrix entry built.
+    ``_form`` proves that t/M is a quadratic form with polarization B, and
+    raises PreconditionError for any other t, where the argument below
+    does not hold and no boolean would be proved.  Character
+    orthogonality gives S^2 = c^2 |L'/L| [mu + nu in rad B], a phase times
+    F iff B is non-degenerate, with phi = c^2 |L'/L|.  Completing the square
+    gives TSTST = c G S with the Gauss sum G = sum_gamma zeta^t[gamma], so
+    TSTST = S iff c G = 1 (Milgram: G = sqrt|L'/L| e((b^+ - b^-)/8)).
     """
-    t, b, c = _weil_module(w)
-    if not _nondegenerate(b):
+    t, nondegenerate = _form(w)
+    if not nondegenerate:
         return False
+    c = w.c
     phase = c * c * len(t)
     sign = (-1) ** ((w.sig_neg - w.sig_pos) % 2)
     if not (phase * phase - sign).is_zero():
@@ -373,15 +357,13 @@ def verify_relations(w):
 def is_unitary(w):
     """S * conj(S)^T = I, exactly.
 
-    The input must have the shape of ``weil_matrices`` output, as for
-    ``verify_relations``: anything else raises PreconditionError (S stays
-    unitary when only T is damaged).  For the shape read by ``_module``,
-    (S conj(S)^T)[mu][nu] is c conj(c) |L'/L| [mu - nu in rad B], so S is
-    unitary iff B is non-degenerate and c conj(c) |L'/L| = 1: O(|L'/L|^2),
-    about 0.3 ms at |L'/L| = 8 and 0.07 s at 256.
+    As for ``verify_relations``, ``_form`` proves that t/M is a quadratic
+    form and raises PreconditionError for any other t.  Then
+    (S conj(S)^T)[mu][nu] = c conj(c) |L'/L| [mu - nu in rad B], so S is
+    unitary iff B is non-degenerate and c conj(c) |L'/L| = 1.
     """
-    t, b, c = _weil_module(w)
-    return _nondegenerate(b) and (c * c.conj() * len(t) - 1).is_zero()
+    t, nondegenerate = _form(w)
+    return nondegenerate and (w.c * w.c.conj() * len(t) - 1).is_zero()
 
 
 def invariants(w):
@@ -396,25 +378,29 @@ def invariants(w):
     rational unknowns the expansion loses nothing).  The basis is the RREF
     basis of the full system in T and S, whose free columns are the same,
     each vector scaled to a primitive integer vector with a positive
-    leading entry; ``linalg.Echelon`` computes it without a fraction.  Each
-    distinct entry is expanded once: the S entries of Weil matrices are c
-    times roots of unity, so at most M of them differ.
+    leading entry; ``linalg.Echelon`` computes it without a fraction.  No
+    dense S is built: the entries on the isotropic columns are read one at
+    a time, and each canonical expansion is cached by its exponent B(i, j)
+    (and whether it sits on the diagonal, where 1 is subtracted), since
+    every entry is c times a root of unity.  Rows stop once the system has
+    full rank: the kernel is zero from there on.
     """
-    n = len(w.t_mat)
-    one = Cyclotomic.from_rational(1, w.order)
-    canons = {}  # (order, coefficients) -> canonical form
-
-    def canonical(x):
-        key = (x.order, frozenset(x.coeffs.items()))
-        got = canons.get(key)
-        if got is None:
-            got = canons[key] = x.canonical()
-        return got
-
-    cols = [j for j in range(n) if not canonical(w.t_mat[j] - one)]
+    m, t = w.order, w.t
+    n = len(t)
+    cols = [j for j, x in enumerate(t) if x % m == 0]
+    canons = {}  # (B(i, j), i == j) -> canonical form of S[i][j] - [i == j]
     system = linalg.Echelon(len(cols))
-    for i, srow in enumerate(w.s_mat):
-        row = [canonical(srow[j] - one if j == i else srow[j]) for j in cols]
+    for i in range(n):
+        if system.rank == len(cols):
+            break  # the kernel is already zero
+        row = []
+        for j in cols:
+            key = (w.pairing(i, j), i == j)
+            got = canons.get(key)
+            if got is None:
+                x = w.s_entry(i, j)
+                got = canons[key] = (x - 1 if i == j else x).canonical()
+            row.append(got)
         for key in sorted(set().union(*row)):
             system.add([c.get(key, 0) for c in row])
     out = []

@@ -64,34 +64,21 @@ def reference_relations(w):
 
 
 def perturbations(w, rng):
-    """(name, WeilMatrices) pairs: w itself and eight kinds of damage."""
-    n, order = len(w.t_mat), w.order
-    i, j = rng.randrange(n), rng.randrange(n)
-    zeta = Cyclotomic.root(order, rng.randrange(1, order))
-    s = [list(row) for row in w.s_mat]
-    s[i][j] = s[i][j] * zeta
-    swapped = list(w.s_mat)
-    k = rng.randrange(n)
-    swapped[i], swapped[k] = swapped[k], swapped[i]
-    t = list(w.t_mat)
-    t[i] = t[i] * zeta
-    one, zero = Cyclotomic.from_rational(1, order), Cyclotomic(order)
-    # T = I and S the projection onto the zero element: (ST)^3 = S^2 and
-    # (S^2)[0][0]^2 = 1, but S^2 is no phase times the flip
-    projection = tuple(tuple(one if a == b == 0 else zero for b in range(n))
-                       for a in range(n))
+    """(name, WeilMatrices) pairs: w itself and six kinds of damage to its
+    module (t, c) or its signature."""
+    m = w.order
+    t = list(w.t)
+    i, r = rng.randrange(len(t)), rng.randrange(1, m)
+    t[i] += r
+    zeta = Cyclotomic.root(m, rng.randrange(1, m))
     return [
         ("none", w),
-        ("t_entry", dataclasses.replace(w, t_mat=tuple(t))),
-        ("s_entry", dataclasses.replace(w, s_mat=tuple(map(tuple, s)))),
-        ("s_conj", dataclasses.replace(
-            w, s_mat=tuple(tuple(x.conj() for x in row) for row in w.s_mat))),
-        ("s_scaled", dataclasses.replace(
-            w, s_mat=tuple(tuple(x * zeta for x in row) for row in w.s_mat))),
-        ("s_rows_swapped", dataclasses.replace(w, s_mat=tuple(swapped))),
-        ("t_conj", dataclasses.replace(w, t_mat=tuple(x.conj() for x in w.t_mat))),
+        ("t_entry", dataclasses.replace(w, t=tuple(t))),
+        ("t_conj", dataclasses.replace(w, t=tuple(-x % m for x in w.t))),
+        # the complex conjugate representation: T and S both conjugated
+        ("conj", dataclasses.replace(w, t=tuple(-x % m for x in w.t), c=w.c.conj())),
+        ("c_rotated", dataclasses.replace(w, c=w.c * zeta)),
         ("sig_neg", dataclasses.replace(w, sig_neg=w.sig_neg + 1)),
-        ("projection", dataclasses.replace(w, s_mat=projection, t_mat=(one,) * n)),
     ]
 
 
@@ -177,55 +164,34 @@ def reference_invariants(w):
     return out
 
 
-def weil_shaped(w, t):
-    """w with T = diag(zeta^t) and S = c * zeta^-(t[mu+nu] - t[mu] - t[nu]),
-    c = S[0][0]: the Weil shape built from any exponents t."""
-    els, order = w.disc.elements(), w.order
-    idx = {mu: i for i, mu in enumerate(els)}
-    c = w.s_mat[0][0]
-    s_mat = tuple(
-        tuple(c * Cyclotomic.root(order, t[i] + t[j] - t[idx[tuple(
-            (a + b) % d for a, b, d in zip(mu, nu, w.disc.orders))]])
-              for j, nu in enumerate(els))
-        for i, mu in enumerate(els))
-    return dataclasses.replace(
-        w, t_mat=tuple(Cyclotomic.root(order, x) for x in t), s_mat=s_mat)
-
-
 def module_damages(w):
     """(name, WeilMatrices) pairs beyond ``perturbations``, each aimed at one
-    step of ``weilrep._module`` or of the checks after it."""
-    n, order = len(w.t_mat), w.order
+    check of ``weilrep._form`` or of the decisions after it."""
+    n, m = len(w.t), w.order
     disc = w.disc
     els = disc.elements()
-    idx = {mu: i for i, mu in enumerate(els)}
-    t = [next(iter(x.coeffs)) for x in w.t_mat]
-    # the Weil shape, S scaled off unitarity
-    out = [("s_doubled", dataclasses.replace(
-        w, s_mat=tuple(tuple(x * 2 for x in row) for row in w.s_mat)))]
+    # the Weil module, S scaled off unitarity
+    out = [("c_doubled", dataclasses.replace(w, c=w.c * 2))]
     if n > 1:
-        # the Weil shape of the zero form, which is degenerate
-        out.append(("zero_form", weil_shaped(w, [0] * n)))
-        # t changed at one pair +-mu, S rebuilt from it: B is not bilinear
-        bent = list(t)
-        for k in {1, idx[disc.neg(els[1])]}:
+        # the zero form, which is degenerate
+        out.append(("zero_form", dataclasses.replace(w, t=(0,) * n)))
+        # t changed at one pair +-mu: B is not bilinear
+        bent = list(w.t)
+        for k in {1, disc.negs[1]}:
             bent[k] += 1
-        out.append(("t_not_bilinear", weil_shaped(w, bent)))
+        out.append(("t_not_bilinear", dataclasses.replace(w, t=tuple(bent))))
     for k, d in enumerate(disc.orders):
         if d > 2:
             # t plus a character of order d: B is unchanged, t_-mu != t_mu
-            out.append(("t_plus_character", weil_shaped(
-                w, [x + mu[k] * (order // d) for x, mu in zip(t, els)])))
+            out.append(("t_plus_character", dataclasses.replace(
+                w, t=tuple(x + mu[k] * (m // d) for x, mu in zip(w.t, els)))))
             break
     for i, mu in enumerate(els):
-        if i and disc.neg(mu) == mu and disc.q_value(mu):
-            # relabel 0 <-> mu: every relation holds, but t_0 != 0
-            perm = list(range(n))
-            perm[0], perm[i] = i, 0
-            out.append(("relabelled", dataclasses.replace(
-                w, t_mat=tuple(w.t_mat[perm[a]] for a in range(n)),
-                s_mat=tuple(tuple(w.s_mat[perm[a]][perm[b]] for b in range(n))
-                            for a in range(n)))))
+        if i and disc.neg(mu) == mu and w.t[i]:
+            # t relabelled 0 <-> mu: t_0 != 0
+            t = list(w.t)
+            t[0], t[i] = t[i], t[0]
+            out.append(("relabelled", dataclasses.replace(w, t=tuple(t))))
             break
     return out
 
@@ -356,11 +322,11 @@ class TestWeilMatrices:
 
     def test_negative_control(self):
         w = weil_matrices(discriminant_form(new_lattice([[-2]])))
-        bad_t = (w.t_mat[0], w.t_mat[1] * Cyclotomic.root(w.order, 1))
-        bad = WeilMatrices(w.disc, w.sig_pos, w.sig_neg, w.order, bad_t, w.s_mat)
-        # the damage breaks the relations but not the unitarity of S, so
-        # neither check can answer with a boolean: both refuse the input
-        assert not reference_relations(bad) and reference_unitary(bad)
+        bad = WeilMatrices(w.disc, w.sig_pos, w.sig_neg, w.order,
+                           (w.t[0], w.t[1] + 1), w.c)
+        # B(1, .) is no character, so t is not a quadratic form: neither
+        # check can answer with a boolean, and both refuse the input
+        assert not reference_relations(bad)
         with pytest.raises(PreconditionError, match="not the Weil matrices"):
             verify_relations(bad)
         with pytest.raises(PreconditionError, match="not the Weil matrices"):
@@ -377,20 +343,19 @@ class TestWeilMatrices:
         for g in grams:
             w = weil_matrices(discriminant_form(new_lattice(g)))
             for name, bad in perturbations(w, rng):
-                if weilrep._module(bad) is None:
-                    with pytest.raises(PreconditionError):
-                        verify_relations(bad)
+                try:
+                    got = verify_relations(bad)
+                except PreconditionError:
                     seen.setdefault("raised", set()).add(name)
                     continue
-                got = verify_relations(bad)
                 assert got == reference_relations(bad), (g, name)
                 seen.setdefault(got, set()).add(name)
-        # the undamaged inputs hold, and so does some Weil-shaped damage (a
-        # conjugation on small forms); other Weil-shaped damage fails, and
-        # the damage that leaves the Weil shape is refused
+        # the undamaged inputs hold, and so does some damage that keeps a
+        # quadratic module (a conjugation on small forms); other such damage
+        # fails, and a t that is no quadratic form is refused
         assert "none" in seen[True] and len(seen[True]) > 1, seen
         assert seen[False] and "none" not in seen["raised"], seen
-        assert {"t_entry", "projection"} <= seen["raised"], seen
+        assert "t_entry" in seen["raised"], seen
 
     def test_module_path_matches_dense_references(self, monkeypatch):
         grams = [
@@ -398,14 +363,18 @@ class TestWeilMatrices:
             direct_sum([[4]], [[-2]]),
         ]
         paths = []
-        inner = weilrep._module
+        inner = weilrep._form
 
         def spy(w):
-            mod = inner(w)
-            paths.append("module" if mod is not None else "fallback")
-            return mod
+            try:
+                form = inner(w)
+            except PreconditionError:
+                paths.append("refused")
+                raise
+            paths.append("module")
+            return form
 
-        monkeypatch.setattr(weilrep, "_module", spy)
+        monkeypatch.setattr(weilrep, "_form", spy)
         rng = random.Random(13)
         seen = {"relations": set(), "unitary": set()}
 
@@ -430,14 +399,11 @@ class TestWeilMatrices:
                     assert relations is None and unitary is None, (g, name)
                 seen["relations"].add((path, relations))
                 seen["unitary"].add((path, unitary))
-                if name in ("s_doubled", "zero_form"):
+                if name in ("c_doubled", "zero_form"):
                     assert path == "module" and not unitary, (g, name)
                 elif name in ("t_not_bilinear", "t_plus_character", "relabelled"):
-                    assert path == "fallback", (g, name)
-                    # the dense products accept the relabelled copy, which
-                    # is not the Weil matrices of its discriminant form
-                    assert reference_relations(bad) == (name == "relabelled"), (g, name)
-        both = {("module", True), ("module", False), ("fallback", None)}
+                    assert path == "refused", (g, name)
+        both = {("module", True), ("module", False), ("refused", None)}
         assert seen["relations"] == both, seen
         assert seen["unitary"] == both, seen
 
@@ -453,15 +419,13 @@ class TestWeilMatrices:
         for g in (D4, direct_sum([[2]], [[-2]], [[2]]), direct_sum([[8]], [[-8]]),
                   direct_sum(*[[[2]]] * 6, [[-2]], [[-2]])):
             w = weil_matrices(discriminant_form(new_lattice(g)))
-            n, one = len(w.t_mat), Cyclotomic.from_rational(1, w.order)
+            n, one = len(w.t), Cyclotomic.from_rational(1, w.order)
             cols = [j for j in range(n) if w.t_mat[j] == one]
-            entries = [x - one for x in w.t_mat] + [
-                w.s_mat[i][j] - one if i == j else w.s_mat[i][j]
-                for i in range(n) for j in cols]
-            distinct = {(x.order, frozenset(x.coeffs.items())) for x in entries}
+            distinct = {(w.s_entry(i, j), i == j) for i in range(n) for j in cols}
             calls.clear()
             invariants(w)
-            assert len(calls) <= len(distinct) <= n + w.order, g
+            assert len(calls) <= len(distinct) <= 2 * w.order, g
+        assert "s_mat" not in w.__dict__
 
     def test_milgram(self):
         # sum_gamma e(Q(gamma)) = sqrt|L'/L| e((b^+ - b^-)/8)
@@ -493,6 +457,16 @@ class TestWeilMatrices:
                     assert (w.t_mat[i] - 1).is_zero()
                 sv = sum((w.s_mat[i][j] * vec[j] for j in support), Cyclotomic(w.order))
                 assert (sv - vec[i]).is_zero()
+
+    def test_checks_build_no_dense_matrix(self):
+        # |L'/L| = 2048: the checks read the module (t, c), and neither
+        # dense view (4M entries of S) is built on the way
+        w = weil_matrices(discriminant_form(new_lattice(direct_sum([[2048]], U, U))))
+        assert len(w.t) == 2048
+        assert verify_relations(w)
+        assert is_unitary(w)
+        assert invariants(w) == []
+        assert "s_mat" not in w.__dict__ and "t_mat" not in w.__dict__
 
 
 fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
