@@ -444,13 +444,19 @@ def _walk(lattice, s, den, radius, limit, exact, visit):
     quadratic, or of a linear equation where its diagonal entry is 0, kept
     when it is congruent to its shift mod den.  All arithmetic is on Python
     ints.  visit returning True stops the walk, and _walk returns True.
+
+    On the zero coset (s = 0) the value is even in z, so the walk covers one
+    half-space, the origin and each z whose last nonzero coordinate is
+    positive: a level whose later coordinates are all 0 starts at 0, and so
+    does the closed-form root there.  The caller accounts for -z.
     """
     _, _, levels = _frame(lattice)
     definite = lattice.is_definite
     row0, a0, b0, g0 = levels[0]
     s0 = s[0]
+    half0 = not any(s)
 
-    def last(c, v, zs):  # the z_0 completing zs to limit; c = C_0, v = value - limit
+    def last(c, v, zs, half):  # the z_0 completing zs to limit; c = C_0, v = value - limit
         b = b0 * c
         rest = g0 * c * c + v
         if a0:
@@ -471,11 +477,11 @@ def _walk(lattice, s, den, radius, limit, exact, visit):
         for z0 in roots:
             x0, off = divmod(z0 - s0, den)
             if not off and (radius is None or -radius <= x0 <= radius) \
-                    and visit((z0,) + zs, limit):
+                    and not (half and z0 < 0) and visit((z0,) + zs, limit):
                 return True
         return False
 
-    def rec(k, used, zs):
+    def rec(k, used, zs, half):
         row, alpha, beta, gamma = levels[k]
         c = sum(map(mul, row, zs))
         b = beta * c
@@ -492,11 +498,14 @@ def _walk(lattice, s, den, radius, limit, exact, visit):
                 lo, hi = max(lo, -radius), min(hi, radius)
         else:
             lo, hi = -radius, radius
+        if half:
+            lo = max(lo, 0)
         if exact and k == 1:
             r0, c0 = row0[0], sum(map(mul, row0[1:], zs))
             for xk in range(lo, hi + 1):
                 zk = den * xk + sk
-                if last(r0 * zk + c0, (alpha * zk + b) * zk + rest, (zk,) + zs):
+                if last(r0 * zk + c0, (alpha * zk + b) * zk + rest, (zk,) + zs,
+                        half and not xk):
                     return True
             return False
         for xk in range(lo, hi + 1):
@@ -505,23 +514,25 @@ def _walk(lattice, s, den, radius, limit, exact, visit):
             if k == 0:
                 if visit((zk,) + zs, v):
                     return True
-            elif rec(k - 1, v, (zk,) + zs):
+            elif rec(k - 1, v, (zk,) + zs, half and not xk):
                 return True
         return False
 
     if exact and lattice.rank == 1:
-        return last(0, -limit, ())
-    return rec(lattice.rank - 1, 0, ())
+        return last(0, -limit, (), half0)
+    return rec(lattice.rank - 1, 0, (), half0)
 
 
 def _box_search(lattice, den, s, target_m, radius, cap=None, visit=None):
     """Call visit(x) on each x in [-radius, radius]^n with Q(x + s / den) = target_m.
 
     One exact ``_walk`` over the integer coset (den, s) with the value as its
-    target.  visit returning True stops the search, which then returns True;
-    without visit the first such x stops it, so the result says whether the
-    box holds one.  The cap rule counts the box, (2 radius + 1)^n points, not
-    the points the walk visits.
+    target.  On the zero coset the walk covers one half-space, and each
+    x != 0 it finds is handed to visit as x and then -x, so visit still
+    sees every solution once.  visit returning True stops the search, which
+    then returns True; without visit the first such x stops it, so the
+    result says whether the box holds one.  The cap rule counts the box,
+    (2 radius + 1)^n points, not the points the walk visits.
     """
     n = lattice.rank
     target = Fraction(target_m) * 2 * den * den
@@ -531,9 +542,11 @@ def _box_search(lattice, den, s, target_m, radius, cap=None, visit=None):
     if cap is not None and side ** n > cap:
         raise BudgetExceeded(f"box of size {side}^{n} exceeds cap {cap}")
     sign, scale, _ = _frame(lattice)
+    half = not any(s)
 
     def found(z, v):
-        return visit is None or visit(tuple((a - b) // den for a, b in zip(z, s)))
+        x = tuple((a - b) // den for a, b in zip(z, s))
+        return visit is None or visit(x) or (half and any(x) and visit(tuple(-a for a in x)))
 
     return _walk(lattice, s, den, radius, sign * scale * int(target), True, found)
 
@@ -741,8 +754,10 @@ def theta_counts(lattice, max_q):
 
     Positive definite lattices only.  One exact ``_walk`` without a box:
     every coordinate runs over its Fincke-Pohst interval of the scaled
-    LDL^T frame, in integers.  Independent of the analytic machinery, which
-    it is the enumeration oracle for.
+    LDL^T frame, in integers.  The walk covers one half-space of the zero
+    coset, so each point it visits stands for the pair {x, -x} and counts
+    2.  Independent of the analytic machinery, which it is the enumeration
+    oracle for.
     """
     if lattice.sig_neg != 0:
         raise PreconditionError("theta_counts needs a positive definite lattice")
@@ -751,7 +766,7 @@ def theta_counts(lattice, max_q):
     counts = {}
 
     def visit(z, v):
-        counts[v] = counts.get(v, 0) + 1
+        counts[v] = counts.get(v, 0) + 2
 
     bound = Fraction(max_q) * den
     _walk(lattice, [0] * lattice.rank, 1, None, bound.numerator // bound.denominator,

@@ -212,7 +212,7 @@ def _reduce_mod(x, p, e):
 
 
 @lru_cache(maxsize=None)
-def _gauss_frame(lattice, den, s, p):
+def _gauss_blocks(lattice, den, s, p):
     """The congruence Q(r + s / den) = m in the Jordan frame of ``_jordan_exact``.
 
     (den, s) is the integer coset of ``DiscriminantForm.coset``.  In the
@@ -256,7 +256,14 @@ def _gauss_frame(lattice, den, s, p):
     return tuple(blocks)
 
 
-def _odd_class(blocks, phis, p, W, c):
+@lru_cache(maxsize=None)
+def _gauss_frame(lattice, den, s, p, w):
+    """``_gauss_blocks``, cached per (coset, p), with each phi reduced mod p^w."""
+    return tuple(b[:4] + (None if b[4] is None else _reduce_mod(b[4], p, w),)
+                 for b in _gauss_blocks(lattice, den, s, p))
+
+
+def _odd_class(blocks, p, W, c):
     """Sum over units u mod p^W of sum_y e(u (f(y) + c) / p^W), p odd.
 
     A line with V = W - k > 0 gives p^k times the Gauss sum
@@ -266,7 +273,7 @@ def _odd_class(blocks, phis, p, W, c):
     g_p^2 = (-1|p) p, so the value is an integer.
     """
     mag, odd = 1, 0
-    for (k, _, vl, unit, _), phi in zip(blocks, phis):
+    for k, _, vl, unit, phi in blocks:
         if W <= k:
             if vl < W:
                 return 0
@@ -292,7 +299,7 @@ def _odd_class(blocks, phis, p, W, c):
     return mag * g2 ** ((odd + 1) // 2) * q1 * kronecker(c // q1, p)
 
 
-def _dyadic_class(blocks, phis, W, c):
+def _dyadic_class(blocks, W, c):
     """Sum over units u mod 2^W of sum_y e(u (f(y) + c) / 2^W) in Z[zeta_8].
 
     Returned as coefficients of 1, zeta, zeta^2, zeta^3 (zeta = e(1/8)).
@@ -302,7 +309,7 @@ def _dyadic_class(blocks, phis, W, c):
     sum, 2^(W-3) when 2^(W-3) divides the phase and 0 otherwise.
     """
     mag, roots, chars = 1, 0, []
-    for (k, dim, vl, unit, _), phi in zip(blocks, phis):
+    for k, dim, vl, unit, phi in blocks:
         if W <= k:
             if vl < W:
                 return (0, 0, 0, 0)
@@ -366,21 +373,23 @@ def count_gauss(lattice, m, mu, p, w, disc=None):
         raise PreconditionError("w must be >= 1")
     disc = disc_of(lattice, disc)
     m, mu = disc.check_pair(m, mu)
-    blocks = _gauss_frame(lattice, *disc.coset(mu), p)
-    c0 = exact_int(disc.q_exact(mu) - m)
+    blocks = _gauss_frame(lattice, *disc.coset(mu), p, w)
+    qx = disc.q_exact(mu)  # in lowest terms, like m, and congruent to it mod 1
+    c0, rem = divmod(qx.numerator - m.numerator, qx.denominator)
+    if rem:
+        raise ConsistencyError(f"Q(mu) - m = {qx - m} is not an integer")
     q = p ** w
-    phis = [None if b[4] is None else _reduce_mod(b[4], p, w) for b in blocks]
     n = lattice.rank
     if p == 2:
         total = [0, 0, 0, 0]
         for v in range(w + 1):
-            for i, x in enumerate(_dyadic_class(blocks, phis, w - v, c0)):
+            for i, x in enumerate(_dyadic_class(blocks, w - v, c0)):
                 total[i] += x << v * n
         if any(total[1:]):
             raise NonIntegralResult(f"gauss path left an irrational part {total}")
         total = total[0]
     else:
-        total = sum(_odd_class(blocks, phis, p, w - v, c0) * p ** (v * n)
+        total = sum(_odd_class(blocks, p, w - v, c0) * p ** (v * n)
                     for v in range(w + 1))
     n_val, rem = divmod(total, q)
     if rem or n_val < 0:

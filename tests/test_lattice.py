@@ -968,14 +968,15 @@ class TestEnumerator:
         direct_sum(U, A1), direct_sum(A1, A1, A1M), direct_sum(U, [[-4]]), U,
         direct_sum(U, U), [[2, 1, 0], [1, -2, 1], [0, 1, 4]],
         random_conjugate(random.Random(7), D4), random_conjugate(random.Random(8), A2),
+        A1, A1M,
     ])
     def test_every_solution_visited(self, gram):
         # the full solution set of the box, not just its existence: each
-        # point the walk hands out has the value, and none is missed
+        # point the walk hands out has the value, and none is missed (on the
+        # zero coset the walk covers a half-space and the search adds -x)
         lat = new_lattice(gram)
         disc = discriminant_form(lat)
-        radius = 2
-        for mu in disc.elements():
+        for radius, mu in itertools.product((0, 1, 2), disc.elements()):
             shift = disc.vector(mu)
             values = {}
             for x in box(lat.rank, radius):
@@ -986,8 +987,8 @@ class TestEnumerator:
                 seen = []
                 lattice_mod._box_search(lat, *disc.coset(mu), m, radius,
                                         visit=seen.append)
-                assert len(seen) == len(set(seen))
-                assert set(seen) == values.get(m, set()), (mu, m)
+                assert len(seen) == len(set(seen)), (radius, mu, m)
+                assert set(seen) == values.get(m, set()), (radius, mu, m)
 
     def test_definite_cosets_against_box(self):
         rng = random.Random(20261019)
@@ -1027,6 +1028,63 @@ class TestEnumerator:
                     want = (RepResult.REPRESENTED if best.get(m, r + 1) <= r
                             else RepResult.INCONCLUSIVE)
                     assert coset_represents(lat, m, mu, radius=r) is want, (mu, m, r)
+
+    @pytest.mark.parametrize("gram", [
+        random_conjugate(random.Random(9), D4), U, A1,
+        [[2, 1, 0], [1, -2, 1], [0, 1, 4]],
+    ])
+    def test_zero_coset_walks_a_half_space(self, gram):
+        # _walk itself on the zero coset: one visit for each pair {z, -z} of
+        # the set it walks, and one for the origin when that is in the set
+        lat = new_lattice(gram)
+        sign, scale, _ = lattice_mod._frame(lat)
+        radius, n = 2, lat.rank
+        values = {x: sign * scale * lat.form(x, x) for x in box(n, radius)}
+        for exact in (False, True):
+            for limit in sorted(set(values.values())):
+                seen = []
+
+                def visit(z, v):
+                    assert v == values[z]
+                    seen.append(z)
+
+                lattice_mod._walk(lat, [0] * n, 1, radius, limit, exact, visit)
+                if exact:
+                    want = {x for x, v in values.items() if v == limit}
+                elif lat.is_definite:
+                    want = {x for x, v in values.items() if v <= limit}
+                else:  # an indefinite walk covers its box
+                    want = set(values)
+                assert len(seen) == len(set(seen)), (exact, limit)
+                neg = {tuple(-a for a in z) for z in seen}
+                assert set(seen) | neg == want, (exact, limit)
+                assert set(seen) & neg == ({(0,) * n} & want), (exact, limit)
+
+    @pytest.mark.parametrize("base, copies", [
+        (A2, 3), (direct_sum(A2, A2), 2), ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 2),
+    ])
+    def test_theta_counts_against_box(self, base, copies):
+        rng = random.Random(f"theta:{base}")
+        max_q = 3
+        for _ in range(copies):
+            lat = new_lattice(random_conjugate(rng, base, moves=len(base) + 1))
+            inv = ref_inverse(lat.gram)
+            # Q(x) <= max_q forces x_i^2 <= 2 max_q (G^-1)_ii
+            radius = max(frac_isqrt(2 * max_q * inv[i][i]) for i in range(lat.rank))
+            want = {}
+            for x in box(lat.rank, radius):
+                q = lat.q_value(x)
+                if 0 < q <= max_q:
+                    want[q] = want.get(q, 0) + 1
+            for q in range(max_q + 1):
+                assert theta_counts(lat, q) == {m: k for m, k in want.items() if m <= q}, \
+                    (lat.gram, q)
+
+    def test_theta_counts_e8_eisenstein(self):
+        # Theta_E8 = E_4: 240 sigma_3(m) vectors of norm 2m
+        assert theta_counts(new_lattice(E8), 4) == {
+            m: 240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+            for m in range(1, 5)}
 
     def test_theta_counts_conjugate(self):
         # four moves keep the brute-force box small (radius 3 here)

@@ -232,7 +232,7 @@ class TestJordan:
     def test_non_dual_coset_is_a_consistency_error(self):
         # s / den = (1/2, 0) is not in the dual of U
         with pytest.raises(ConsistencyError, match="dual vector"):
-            repnums._gauss_frame.__wrapped__(new_lattice(U), 2, (1, 0), 2)
+            repnums._gauss_frame.__wrapped__(new_lattice(U), 2, (1, 0), 2, 3)
 
     def test_deterministic(self):
         lat = new_lattice([[4, 1, 0], [1, 2, 1], [0, 1, -6]])
@@ -320,8 +320,9 @@ def ref_jordan_exact(lattice, p):
     return tuple(blocks), tuple(tuple(row) for row in c)
 
 
-def ref_gauss_frame(lattice, den, s, p):
-    """Reference: ``repnums._gauss_frame`` on the Fraction frame above."""
+def ref_gauss_frame(lattice, den, s, p, w):
+    """Reference: ``repnums._gauss_frame`` on the Fraction frame above, each
+    phi reduced mod p^w."""
     n = lattice.rank
     jordan, cmat = ref_jordan_exact(lattice, p)
     ell = [x // den for x in lattice.gram_times(s)]
@@ -344,6 +345,9 @@ def ref_gauss_frame(lattice, den, s, p):
             else:
                 unit = kronecker(a.numerator * a.denominator, p)
             phi = -lb[0] ** 2 / (4 * a * p ** k) if vl >= k + (p == 2) else None
+        if phi is not None:
+            assert phi.denominator % p, (phi, p)
+            phi = phi.numerator * pow(phi.denominator, -1, p ** w) % p ** w
         blocks.append((k, dim, vl, unit, phi))
     return tuple(blocks)
 
@@ -389,6 +393,15 @@ class TestIntegerFrame:
 
 
 class TestCountGauss:
+    def test_non_integral_constant_is_a_consistency_error(self, monkeypatch):
+        # Q(mu) - m is read off one shared denominator; a remainder means the
+        # representative does not lie in the coset check_pair validated
+        lat = new_lattice(A1)
+        disc = discriminant_form(lat)
+        monkeypatch.setattr(disc, "q_exact", lambda mu: Fraction(3, 4) + 1)
+        with pytest.raises(ConsistencyError, match="not an integer"):
+            repnums.count_gauss(lat, Fraction(1, 4), (1,), 2, 3, disc=disc)
+
     def test_rank_one_matches(self):
         got = repnums.count_gauss(new_lattice(A1), 1, (0,), 2, 1)
         assert got.count == 1
