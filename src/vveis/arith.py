@@ -261,14 +261,13 @@ class QuadraticCharacter:
 CHI_TRIVIAL = QuadraticCharacter(1)
 
 
-def sigma(s, a, chi=None):
-    """Divisor sum sum_{d | a} chi(d) d^s, as an exact Fraction.
+def divisor_sum(s, a, chi=None):
+    """sum_{d | a} chi(d) d^s times a^max(-s, 0), an int.
 
     chi is a character (completely multiplicative; None is the trivial
     one), so the sum is the product over p^e || a of sum_k chi(p)^k p^(ks),
-    one chi value per prime.  It is taken in ints: for s < 0 as sum_{d | a}
-    chi(d) (a/d)^(-s), whose factors are sum_k chi(p)^k p^((e-k)(-s)), and
-    divided by a^(-s) once at the end.
+    one chi value per prime; for s < 0 it is sum_{d | a} chi(d) (a/d)^(-s),
+    whose factors are sum_k chi(p)^k p^((e-k)(-s)).
     """
     a = int(a)
     if a < 1:
@@ -281,7 +280,12 @@ def sigma(s, a, chi=None):
     for p, e in factorize(a).items():
         c = chi(p) if chi is not None else 1
         total *= sum(c ** k * p ** ((e - k) * t if t else k * s) for k in range(e + 1))
-    return Fraction(total, a ** t)
+    return total
+
+
+def sigma(s, a, chi=None):
+    """sum_{d | a} chi(d) d^s as an exact Fraction: ``divisor_sum`` / a^max(-s, 0)."""
+    return Fraction(divisor_sum(s, a, chi), int(a) ** max(-int(s), 0))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,10 @@ extended by <-m>.  That character always has the parity of s (the
 negative signature is even, so the Gram determinant is positive), so the
 Bernoulli closed form applies.  A parity mismatch there is a broken
 invariant and raises ConsistencyError.  Every returned coefficient is an
-exact Fraction.
+exact Fraction, built once from ints: with n = m d_mu^2 (d_mu the order
+of mu) the divisor sum cancels against m^(kappa-1), m^(k-1) sigma_{1-k}(n,
+chi) = S(n) / d_mu^(2(k-1)) for the int S(n) = sum_{d | n} chi(d)
+(n/d)^(k-1), and the local product stays a pair of ints.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from math import exp, factorial, isqrt, log
 from . import repnums
 from .arith import (
     QuadraticCharacter,
+    divisor_sum,
     divisors,
-    exact_int,
     factorize,
     l_value_exact,
     moebius,
-    sigma,
     zeta_exact,
 )
 from .errors import (
@@ -110,29 +112,33 @@ def _sqrt_exact(x):
     return Fraction(num, den)
 
 
-def _local_product(ctx, m, mu, extra_odd=False):
-    """prod over p | 2N of N_{m,mu}(p^{w_p}) / p^{(2k-1)w_p}, exact.
-
-    Numerator and denominator are multiplied as ints, one Fraction at the
-    end; in odd rank each prime also contributes 1 / (1 - p^(1-2k)) =
-    p^(2k-1) / (p^(2k-1) - 1).
+def _local_product(ctx, m, mu, d_mu, extra_odd=False):
+    """prod over p | 2N of N_{m,mu}(p^{w_p}) / p^{(2k-1)w_p}, as an int pair
+    (numerator, denominator); in odd rank each prime also contributes
+    1 / (1 - p^(1-2k)) = p^(2k-1) / (p^(2k-1) - 1).
     """
     e = ctx.lattice.rank - 1  # 2 kappa - 1
     num = den = 1
-    for p, wp, n_p in repnums.local_counts(ctx.lattice, m, mu, ctx.disc):
+    for p, wp, n_p in repnums.local_counts(ctx.lattice, m, mu, ctx.disc, d_mu):
         num *= n_p
         den *= p ** (e * wp)
         if extra_odd:
             pe = p ** e
             num *= pe
             den *= pe - 1
-    return Fraction(num, den)
+    return num, den
 
 
-def _eis_even(ctx, m, mu):
-    kappa = int(ctx.kappa)
-    div_sum = sigma(1 - kappa, exact_int(m * ctx.disc.order_of(mu) ** 2), ctx.chi)
-    return ctx.scale * m ** (kappa - 1) * div_sum * _local_product(ctx, m, mu)
+def _eis_even(ctx, m, mu, d_mu, n):
+    """scale m^(k-1) sigma_{1-k}(n, chi) N / P in one Fraction: with n = m
+    d_mu^2, m^(k-1) sigma_{1-k}(n, chi) = S(n) / d_mu^(2(k-1)) for the int
+    S(n) = sum_{d | n} chi(d) (n/d)^(k-1) (``divisor_sum``)."""
+    k1 = int(ctx.kappa) - 1
+    div_sum = divisor_sum(-k1, n, ctx.chi)
+    num, den = _local_product(ctx, m, mu, d_mu)
+    scale = ctx.scale
+    return Fraction(scale.numerator * div_sum * num,
+                    scale.denominator * d_mu ** (2 * k1) * den)
 
 
 def _split_square(ctx, n):
@@ -144,23 +150,20 @@ def _split_square(ctx, n):
     return n // (f * f), f
 
 
-def _eis_odd(ctx, m, mu):
+def _eis_odd(ctx, m, mu, d_mu, n):
     j = ctx.lattice.rank // 2  # kappa = j + 1/2
-    m0, f = _split_square(ctx, exact_int(m * ctx.disc.order_of(mu) ** 2))
+    m0, f = _split_square(ctx, n)
     # sign pinned by theta-series oracles on definite lattices (D5, E7, Z^5);
     # it is the discriminant of the quadratic space extended by <-m>
     sign_pow = (ctx.lattice.rank + 3) // 2
     d_val = 2 * (-1) ** sign_pow * m0 * ctx.lattice.det
     chi = QuadraticCharacter(d_val)
-    # d^(1/2-kappa) = d^(-j) is rational: the whole Moebius sum is exact
-    mob = Fraction(0)
-    for d in divisors(f):
-        md = moebius(d)
-        if md == 0:
-            continue
-        mob += md * chi(d) * Fraction(d) ** (-j) * sigma(1 - 2 * j, f // d)
-    rational_part = mob * _local_product(ctx, m, mu, extra_odd=True)
-    if rational_part == 0:
+    # sum_{d | f} moebius(d) chi(d) d^(1/2-kappa) sigma_{1-2j}(f/d) = mob / f^(2j-1),
+    # since d^-j sigma_{1-2j}(g) f^(2j-1) = d^(j-1) S(g), g = f/d
+    mob = sum(md * chi(d) * d ** (j - 1) * divisor_sum(1 - 2 * j, f // d)
+              for d in divisors(f) if (md := moebius(d)))
+    num, den = _local_product(ctx, m, mu, d_mu, extra_odd=True)
+    if mob * num == 0:
         return Fraction(0)
     try:
         r, q = l_value_exact(j, chi)  # s = kappa - 1/2
@@ -169,9 +172,14 @@ def _eis_odd(ctx, m, mu):
             f"odd-rank character has the wrong parity at (m={m}, mu={mu}): "
             f"{err}") from err
     # m^(kappa-1) L(j, chi) pi^(-j) sqrt(2/|det|) = m^(j-1) r sqrt(2 m q/|det|),
-    # a square since q is the conductor of 2 m0 det up to sign
-    return (ctx.scale * m ** (j - 1) * rational_part * r
-            * _sqrt_exact(2 * m * q / abs(ctx.lattice.det)))
+    # a square since q is the conductor of 2 m0 det up to sign; with m =
+    # m0 f^2 / d_mu^2, m^(j-1) / f^(2j-1) = m0^(j-1) / (f d_mu^(2(j-1)))
+    root = _sqrt_exact(2 * m * q / abs(ctx.lattice.det))
+    scale = ctx.scale
+    return Fraction(
+        scale.numerator * m0 ** (j - 1) * mob * num * r.numerator * root.numerator,
+        scale.denominator * f * d_mu ** (2 * (j - 1)) * den * r.denominator
+        * root.denominator)
 
 
 def eis_coefficient(lattice, m, mu, disc=None, ctx=None):
@@ -186,15 +194,19 @@ def eis_coefficient(lattice, m, mu, disc=None, ctx=None):
     elif not (ctx.lattice is lattice or ctx.lattice == lattice) or not (
             disc is None or disc is ctx.disc or disc == ctx.disc):
         raise PreconditionError("ctx does not belong to this lattice and disc")
-    mu, m = ctx.disc.check(mu), Fraction(m)
+    mu = ctx.disc.check(mu)
+    if type(m) is not Fraction:
+        m = Fraction(m)
     if m < 0:
         raise PreconditionError("m must be non-negative")
     m, mu = ctx.disc.check_pair(m, mu)
     if m == 0:
         return Fraction(1) if mu == ctx.disc.zero() else Fraction(0)
-    if ctx.kappa.denominator == 1:
-        return _eis_even(ctx, m, mu)
-    return _eis_odd(ctx, m, mu)
+    d_mu = ctx.disc.order_of(mu)  # m, mu, d_mu and n = m d_mu^2 go down checked
+    n, rem = divmod(m.numerator * d_mu * d_mu, m.denominator)
+    if rem:  # n = Q(d_mu mu) mod d_mu^2, and d_mu mu lies in the even lattice
+        raise ConsistencyError(f"{m} * {d_mu}^2 is not an integer")
+    return (_eis_even if ctx.kappa.denominator == 1 else _eis_odd)(ctx, m, mu, d_mu, n)
 
 
 def coefficients(ctx):

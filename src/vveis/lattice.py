@@ -51,7 +51,12 @@ class EvenLattice:
     """
 
     def __init__(self, gram):
-        rows = [tuple(int(x) for x in row) for row in gram]
+        try:  # int() refuses "2.5", None and inf, Fraction() refuses b"2"
+            rows = [tuple(int(x) for x in row) for row in gram]
+            exact = all(type(x) is int or Fraction(x) == y
+                        for row, r in zip(gram, rows) for x, y in zip(row, r))
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError("gram entries must be integers") from None
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise PreconditionError("gram matrix must be square and non-empty")
@@ -61,10 +66,8 @@ class EvenLattice:
                     raise NotSymmetric("gram matrix is not symmetric")
             if rows[i][i] % 2 != 0:
                 raise NotEven("gram diagonal must be even")
-        for i, row in enumerate(gram):
-            for j, x in enumerate(row):
-                if Fraction(x) != rows[i][j]:
-                    raise PreconditionError("gram entries must be integers")
+        if not exact:  # 2.5: after the shape, symmetry and parity checks
+            raise PreconditionError("gram entries must be integers")
         self.gram = tuple(rows)
         self._hash = hash(self.gram)  # every lattice-keyed cache hashes it
         self.rank = n
@@ -237,15 +240,18 @@ class DiscriminantForm:
         return sum(map(mul, self.check(mu), self.strides))
 
     def _rep(self, mu):
-        """(den, s, Q(s / den), Q mod 1) for mu, built once."""
+        """(den, s, Q(s / den), Q mod 1) for mu, built once: an element
+        seen before is one lookup in ``_reps``, like ``check``."""
+        try:
+            return self._reps[mu]
+        except (KeyError, TypeError):
+            pass
         mu = self.check(mu)
-        rep = self._reps.get(mu)
-        if rep is None:
-            tot = [sum(map(mul, mu, col)) for col in self._cols]
-            g = gcd(self._den, *tot)
-            den, s = self._den // g, tuple(x // g for x in tot)
-            q = Fraction(self.lattice.form(s, s), 2 * den * den)
-            rep = self._reps[mu] = (den, s, q, q % 1)
+        tot = [sum(map(mul, mu, col)) for col in self._cols]
+        g = gcd(self._den, *tot)
+        den, s = self._den // g, tuple(x // g for x in tot)
+        q = Fraction(self.lattice.form(s, s), 2 * den * den)
+        rep = self._reps[mu] = (den, s, q, q % 1)
         return rep
 
     def coset(self, mu):

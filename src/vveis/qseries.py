@@ -130,18 +130,20 @@ class VVQSeries:
         self.trunc = Fraction(trunc)
         self.hecke_flag = bool(hecke_flag)
         clean = {}
+        t = self.trunc
         for (num, mu), c in coeffs.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
             num = int(num)
             mu = disc.check(mu)
-            exp = Fraction(num, self.den)
-            if exp >= self.trunc:
+            if num * t.denominator >= t.numerator * self.den:  # num / den >= trunc
                 continue
-            if (exp - sign * disc.q_value(mu)).denominator != 1:
-                raise PreconditionError(
-                    f"exponent {exp} not congruent to {sign}*Q({mu}) mod 1")
+            q = disc.q_value(mu)  # num / den - sign q is an integer, in ints
+            if (num * q.denominator - sign * q.numerator * self.den) % (self.den * q.denominator):
+                raise PreconditionError(f"exponent {Fraction(num, self.den)} not "
+                                        f"congruent to {sign}*Q({mu}) mod 1")
             clean[(num, mu)] = c
         self.coeffs = clean
 

@@ -41,7 +41,8 @@ _NAIVE_CHUNK = 1 << 18
 
 def w_p(m, d_mu, p):
     """Hensel exponent 1 + 2 ord_p(2 d_mu m); stabilization depth for counts."""
-    m = Fraction(m)
+    if type(m) is not Fraction:
+        m = Fraction(m)
     t = 2 * d_mu * m.numerator  # ord_p(2 d_mu m) = ord_p(t) - ord_p(den m), in ints
     if t == 0:
         raise PreconditionError("w_p needs m != 0")
@@ -199,14 +200,6 @@ def _jordan_exact(lattice, p):
     return tuple(blocks), tuple(tuple(row) for row in c), ctg
 
 
-def _reduce_mod(x, p, e):
-    """Integer representative of a p-integral rational (int or Fraction) mod p^e."""
-    pe = p ** e
-    if x.denominator % p == 0:
-        raise PreconditionError(f"{x} is not {p}-integral")
-    return x.numerator * pow(x.denominator, -1, pe) % pe
-
-
 # ---------------------------------------------------------------------------
 # Gauss-sum path
 
@@ -224,10 +217,10 @@ def _gauss_blocks(lattice, den, s, p):
     hyperbolic / anisotropic dyadic plane; phi = -p^k form_i(t) is the
     p-integral constant left by completing the square, f_i(y) = p^k
     form_i(y + t) + phi with p^k B_i t = lin_i (B_i the Gram matrix of
-    form_i), a Fraction with a p-unit denominator, or None where t is not
-    p-integral (the block's sum then vanishes whenever the form is not zero
-    mod the modulus).  The unit, the plane type and phi do not change when
-    a block's basis vectors are scaled by p-adic units.
+    form_i), an int pair (numerator, p-unit denominator), or None where t
+    is not p-integral (the block's sum then vanishes whenever the form is
+    not zero mod the modulus).  The unit, the plane type and phi do not
+    change when a block's basis vectors are scaled by p-adic units.
     """
     jordan, _, ctg = _jordan_exact(lattice, p)
     lin = []
@@ -245,12 +238,13 @@ def _gauss_blocks(lattice, den, s, p):
         if dim == 2:
             a, b, c = data
             unit = 1 if a * c % 2 == 0 else -1
-            phi = (Fraction(-((c * lb[0] ** 2 - b * lb[0] * lb[1] + a * lb[1] ** 2) >> k),
-                            4 * a * c - b * b) if vl >= k else None)
+            phi = ((-((c * lb[0] ** 2 - b * lb[0] * lb[1] + a * lb[1] ** 2) >> k),
+                    4 * a * c - b * b) if vl >= k else None)
         else:
             (a,) = data
             unit = a % 8 if p == 2 else kronecker(a, p)
-            phi = (Fraction(-(lb[0] ** 2 // p ** k), 4 * a)
+            sh = 2 if p == 2 else 0  # 4 is no 2-unit, but 2^(k+2) divides lin^2 here
+            phi = ((-(lb[0] ** 2 // p ** k) >> sh, 4 * a >> sh)
                    if vl >= k + (p == 2) else None)
         blocks.append((k, dim, vl, unit, phi))
     return tuple(blocks)
@@ -258,103 +252,106 @@ def _gauss_blocks(lattice, den, s, p):
 
 @lru_cache(maxsize=None)
 def _gauss_frame(lattice, den, s, p, w):
-    """``_gauss_blocks``, cached per (coset, p), with each phi reduced mod p^w."""
-    return tuple(b[:4] + (None if b[4] is None else _reduce_mod(b[4], p, w),)
-                 for b in _gauss_blocks(lattice, den, s, p))
+    """The valuation classes of ``count_gauss`` at p^w (``_classes``), from
+    ``_gauss_blocks``, cached per (coset, p), with each phi reduced mod p^w."""
+    q = p ** w
+    return _classes(tuple(b[:4] + (None if b[4] is None else b[4][0] * pow(b[4][1], -1, q) % q,)
+                          for b in _gauss_blocks(lattice, den, s, p)), p, w)
 
 
-def _odd_class(blocks, p, W, c):
-    """Sum over units u mod p^W of sum_y e(u (f(y) + c) / p^W), p odd.
+def _classes(blocks, p, w):
+    """The m-free part of each class t = p^v u, 0 <= v < w, at level W = w - v
+    from p^(v rank) (``_odd_class``, ``_dyadic_class``), phi an int mod p^w
+    in ``blocks``.  Not listed: t = 0, p^(w rank) for every m, and a class
+    that vanishes for every m."""
+    n = sum(b[1] for b in blocks)
+    classes = (_dyadic_class(blocks, w - v, 1 << v * n) if p == 2
+               else _odd_class(blocks, p, w - v, p ** (v * n)) for v in range(w))
+    return tuple(c for c in classes if c is not None)
+
+
+def _odd_class(blocks, p, W, mag):
+    """mag times the sum over units u mod p^W of sum_y e(u (f(y) + c) / p^W),
+    p odd, W >= 1, as (p^(W-1), a, twisted, phi); None if it is 0 for all c.
 
     A line with V = W - k > 0 gives p^k times the Gauss sum
     (ua|p)^V eps_{p^V} p^(V/2) e(u phi / p^W); the odd-V lines leave the
     character (u|p)^odd, so the u-sum is a Ramanujan sum or p^(W-1) times
     a Legendre-twisted one.  Every g_p = eps_p sqrt(p) pairs up into
-    g_p^2 = (-1|p) p, so the value is an integer.
+    g_p^2 = (-1|p) p, so the value is an integer: with phi the blocks' sum
+    mod p^W, it is 0 unless c + phi = t p^(W-1) mod p^W, and then a (t|p)
+    when twisted, else a (p - 1) at t = 0 and -a otherwise.
     """
-    mag, odd = 1, 0
-    for k, _, vl, unit, phi in blocks:
+    phi, odd = 0, 0
+    for k, _, vl, unit, ph in blocks:
         if W <= k:
             if vl < W:
-                return 0
+                return None
             mag *= p ** W
             continue
         if vl < k:
-            return 0
+            return None
         mag *= p ** (k + (W - k) // 2)
         if (W - k) % 2:
             mag *= unit
             odd += 1
-        c += phi
-    if W == 0:
-        return mag
+        phi += ph
     q1 = p ** (W - 1)
-    c %= q1 * p
     g2 = p if p % 4 == 1 else -p
-    if odd % 2 == 0:
-        ram = q1 * (p - 1) if c == 0 else -q1 if c % q1 == 0 else 0
-        return mag * g2 ** (odd // 2) * ram
-    if c % q1:
-        return 0
-    return mag * g2 ** ((odd + 1) // 2) * q1 * kronecker(c // q1, p)
+    return q1, mag * g2 ** ((odd + 1) // 2) * q1, odd % 2 == 1, phi % (q1 * p)
 
 
-def _dyadic_class(blocks, W, c):
-    """Sum over units u mod 2^W of sum_y e(u (f(y) + c) / 2^W) in Z[zeta_8].
+def _dyadic_class(blocks, W, mag):
+    """mag times the sum over units u mod 2^W of sum_y e(u (f(y) + c) / 2^W),
+    W >= 1, in Z[zeta] (zeta = e(1/8)), as (2^W, phi, terms); None if it is
+    0 for all c.
 
-    Returned as coefficients of 1, zeta, zeta^2, zeta^3 (zeta = e(1/8)).
     A line with V = W - k >= 2 gives 2^k (1 + i^(ua)) (2|ua)^V 2^(V/2)
     e(u phi / 2^W), which depends on u mod 8 besides the phase; so u runs
-    over the odd residues mod 8 and the rest of u mod 2^W is a geometric
-    sum, 2^(W-3) when 2^(W-3) divides the phase and 0 otherwise.
+    over the odd residues r mod 8 and the rest of u mod 2^W is a geometric
+    sum, 2^(W-3) when 2^(W-3) divides the phase and 0 otherwise.  With phi
+    the blocks' sum mod 2^W, the value is 0 unless 8 (c + phi) = step 2^W,
+    and then the sum of a zeta^(e + r step) over the (r, e, a) in terms:
+    each 1 + i^(ra) is sqrt(2) zeta^(+-1), and an odd count of sqrt(2) =
+    zeta - zeta^3 splits each residue's term in two.
     """
-    mag, roots, chars = 1, 0, []
-    for k, dim, vl, unit, phi in blocks:
+    phi, roots, chars = 0, 0, []
+    for k, dim, vl, unit, ph in blocks:
         if W <= k:
             if vl < W:
-                return (0, 0, 0, 0)
+                return None
             mag <<= dim * W
             continue
         v = W - k
         if dim == 2:  # (+-2)^V: hyperbolic or anisotropic plane
             if vl < k:
-                return (0, 0, 0, 0)
+                return None
             mag *= unit ** v << (2 * k + v)
-            c += phi
+            phi += ph
         elif v == 1:  # sum_y e(u (a y^2 + l y) / 2) is 2 for l odd, else 0
             if vl != k:
-                return (0, 0, 0, 0)
+                return None
             mag <<= k + 1
         else:
             if vl <= k:
-                return (0, 0, 0, 0)
+                return None
             mag <<= k + v // 2
             roots += v % 2
             chars.append((unit, v % 2 == 1))
-            c += phi
-    c %= 1 << W
-    if W >= 3:
-        if c % (1 << (W - 3)):
-            return (0, 0, 0, 0)
-        mag <<= W - 3
-        step, residues = c >> (W - 3), (1, 3, 5, 7)
-    else:
-        step, residues = c << (3 - W), (1,) if W < 2 else (1, 3)
-    z = [0, 0, 0, 0]
-    for r in residues:
-        ex, sign = r * step, 1
+            phi += ph
+    roots += len(chars)
+    mag <<= roots // 2 + max(W - 3, 0)
+    split = ((1, mag), (3, -mag)) if roots % 2 else ((0, mag),)
+    terms = []
+    for r in (1, 3, 5, 7)[:1 << min(W - 1, 2)]:
+        ex, sign = 0, 1
         for a, odd_v in chars:  # 1 + i^(ra) = sqrt(2) zeta^(+-1)
             ra = r * a % 8
             ex += 1 if ra % 4 == 1 else -1
             if odd_v and ra in (3, 5):
                 sign = -sign
-        ex %= 8
-        z[ex % 4] += sign if ex < 4 else -sign
-    roots += len(chars)
-    mag <<= roots // 2
-    if roots % 2:  # times sqrt(2) = zeta - zeta^3
-        z = [z[1] - z[3], z[0] + z[2], z[1] + z[3], z[2] - z[0]]
-    return tuple(mag * x for x in z)
+        terms += [(r, (ex + e) % 8, sign * x) for e, x in split]
+    return 1 << W, phi % (1 << W), tuple(terms)
 
 
 def count_gauss(lattice, m, mu, p, w, disc=None):
@@ -363,34 +360,43 @@ def count_gauss(lattice, m, mu, p, w, disc=None):
     The sum over t mod p^w is taken by valuation class t = p^v u: the class
     contributes p^(v rank) times a closed form at level W = w - v (see
     ``_odd_class`` and ``_dyadic_class``), so the cost is w + 1 classes of
-    one term per Jordan block, whatever the size of p^w.  Independent of
-    count_naive by construction; the total must be a non-negative integer
-    (NonIntegralResult otherwise: that is always an implementation bug,
-    never a data problem).
+    one term per Jordan block, whatever the size of p^w.  Only c0 = Q(mu) -
+    m is per call: a class's zero exits, magnitude, sqrt(2) count,
+    characters and phi are per frame (``_gauss_frame``), so a call
+    evaluates at most 4 residues at p = 2, one Ramanujan or Legendre term
+    at odd p.  Independent of count_naive by construction; the total must
+    be a non-negative integer (NonIntegralResult otherwise: that is
+    always an implementation bug, never a data problem).
     """
     w = int(w)
     if w < 1:
         raise PreconditionError("w must be >= 1")
     disc = disc_of(lattice, disc)
     m, mu = disc.check_pair(m, mu)
-    blocks = _gauss_frame(lattice, *disc.coset(mu), p, w)
+    classes = _gauss_frame(lattice, *disc.coset(mu), p, w)
     qx = disc.q_exact(mu)  # in lowest terms, like m, and congruent to it mod 1
     c0, rem = divmod(qx.numerator - m.numerator, qx.denominator)
     if rem:
         raise ConsistencyError(f"Q(mu) - m = {qx - m} is not an integer")
     q = p ** w
-    n = lattice.rank
+    total = p ** (w * lattice.rank)  # the class t = 0
     if p == 2:
-        total = [0, 0, 0, 0]
-        for v in range(w + 1):
-            for i, x in enumerate(_dyadic_class(blocks, w - v, c0)):
-                total[i] += x << v * n
+        acc = [0] * 8  # acc[e]: the coefficient of zeta^e, zeta^4 = -1
+        for mod, phi, terms in classes:
+            step, rem = divmod(8 * (c0 + phi), mod)
+            if not rem:
+                for r, e, a in terms:
+                    acc[(e + r * step) % 8] += a
+        total = [total + acc[0] - acc[4], acc[1] - acc[5], acc[2] - acc[6], acc[3] - acc[7]]
         if any(total[1:]):
             raise NonIntegralResult(f"gauss path left an irrational part {total}")
         total = total[0]
     else:
-        total = sum(_odd_class(blocks, p, w - v, c0) * p ** (v * n)
-                    for v in range(w + 1))
+        for q1, a, twisted, phi in classes:
+            t, rem = divmod(c0 + phi, q1)
+            if not rem:
+                t %= p
+                total += a * kronecker(t, p) if twisted else a * (p - 1) if t == 0 else -a
     n_val, rem = divmod(total, q)
     if rem or n_val < 0:
         raise NonIntegralResult(f"gauss path produced {Fraction(total, q)}")
@@ -424,7 +430,7 @@ def _crosscheck(lattice, m, mu, p, w, disc, cap=10 ** 8):
                                f"vs naive {naive.count}")
 
 
-def local_counts(lattice, m, mu, disc):
+def local_counts(lattice, m, mu, disc, d_mu=None):
     """Yield (p, w, N_{m,mu}(p^w)) at the Hensel depth w = w_p, for p | 2N.
 
     The local factors of the Eisenstein coefficients and the local
@@ -432,10 +438,12 @@ def local_counts(lattice, m, mu, disc):
     calls count_gauss directly.  Env VVEIS_CROSSCHECK=1 compares the two
     paths at p^w', the deepest level w' <= w_p whose p^(w' rank) residues
     fit under count_naive's default cap (``_crosscheck``), and raises
-    ConsistencyError on disagreement.
+    ConsistencyError on disagreement.  A caller that holds mu's order
+    passes it as d_mu.
     """
     crosscheck = _crosscheck_env()
-    d_mu = disc.order_of(mu)
+    if d_mu is None:
+        d_mu = disc.order_of(mu)
     for p in bad_primes(lattice):
         w = w_p(m, d_mu, p)
         if crosscheck:

@@ -613,9 +613,9 @@ class TestOneCoefficientPerOrbit:
         calls = Counter()
         inner = eisenstein._eis_even  # rank 6: every m > 0 evaluation
 
-        def counted(ctx, m, mu):
+        def counted(ctx, m, mu, *checked):  # checked: mu's order and m d_mu^2
             calls[m, min(mu, ctx.disc.neg(mu))] += 1
-            return inner(ctx, m, mu)
+            return inner(ctx, m, mu, *checked)
 
         monkeypatch.setattr(eisenstein, "_eis_even", counted)
         return calls

@@ -8,8 +8,11 @@ theta equals the Eisenstein series exactly and the comparison is integer
 against Fraction.
 """
 
+import importlib.util
 import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,8 +46,60 @@ D6 = [
 
 FIXTURE = direct_sum(E8, D4, [[-2]], [[-2]])
 
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+WORKLOADS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
+
+
+def seeded_conjugate(name):
+    """A GL_n(Z) conjugate of a perfbench base lattice, seeded by its name."""
+    base = WORKLOADS.BASES[name]
+    rng = random.Random(f"assembly:{name}")
+    return WORKLOADS.conjugate(base, WORKLOADS.random_unimodular(rng, len(base)))
+
+
 def sigma3(m):
     return sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+
+
+def ref_local_product(ctx, m, mu):
+    """Reference: prod N / p^((2k-1)w), and in odd rank divided by
+    1 - p^(1-2k), taken factor by factor in Fractions."""
+    odd = ctx.kappa.denominator == 2
+    want = Fraction(1)
+    for p, w, n in repnums.local_counts(ctx.lattice, m, mu, ctx.disc):
+        want *= Fraction(n, p ** ((2 * ctx.kappa - 1) * w))
+        if odd:
+            want /= 1 - Fraction(p) ** (1 - 2 * ctx.kappa)
+    return want
+
+
+def ref_eis_coefficient(ctx, m, mu):
+    """Reference: the Bruinier-Kuss assembly in Fractions, factor by factor:
+    scale m^(k-1) sigma_{1-k}(m d_mu^2, chi) times the local product in even
+    rank; in odd rank the Moebius sum with its d^-j, the local product and
+    m^(j-1) r sqrt(2 m q / |det|)."""
+    m = Fraction(m)
+    n = arith.exact_int(m * ctx.disc.order_of(mu) ** 2)
+    if ctx.kappa.denominator == 1:
+        kappa = int(ctx.kappa)
+        return (ctx.scale * m ** (kappa - 1) * arith.sigma(1 - kappa, n, ctx.chi)
+                * ref_local_product(ctx, m, mu))
+    j = ctx.lattice.rank // 2
+    m0, f = eisenstein._split_square(ctx, n)
+    chi = arith.QuadraticCharacter(2 * (-1) ** ((ctx.lattice.rank + 3) // 2) * m0
+                                   * ctx.lattice.det)
+    mob = Fraction(0)
+    for d in arith.divisors(f):
+        if md := arith.moebius(d):
+            mob += md * chi(d) * Fraction(d) ** (-j) * arith.sigma(1 - 2 * j, f // d)
+    rational_part = mob * ref_local_product(ctx, m, mu)
+    if rational_part == 0:
+        return Fraction(0)
+    r, q = arith.l_value_exact(j, chi)
+    return (ctx.scale * m ** (j - 1) * rational_part * r
+            * eisenstein._sqrt_exact(2 * m * q / abs(ctx.lattice.det)))
 
 
 class TestEvenRank:
@@ -202,21 +257,61 @@ class TestGeneralBehavior:
                         == eis_coefficient(lat, m, neg, ctx=ctx))
 
     @pytest.mark.parametrize("gram", [D5, D6, E7, direct_sum(U, U, [[6]]),
-                                      direct_sum(U, U, [[6]], [[10]]), FIXTURE])
+                                      direct_sum(U, U, [[6]], [[10]]), FIXTURE,
+                                      seeded_conjugate("A2^3"),
+                                      seeded_conjugate("U+U+A2+<2>")])
     def test_local_product_matches_fraction_reference(self, gram):
-        # the int product against prod N / p^((2k-1)w), and in odd rank
-        # divided by 1 - p^(1-2k), taken factor by factor in Fractions
+        # the int pair of the local product, and the coefficient built in one
+        # Fraction, against the assembly in Fractions factor by factor; the
+        # two conjugates have two bad primes, the second in odd rank
         ctx = context(new_lattice(gram))
         odd = ctx.kappa.denominator == 2
         for mu in ctx.disc.elements():
             for m in itertools.islice(ctx.disc.indices(mu), 3):
-                want = Fraction(1)
-                for p, w, n in repnums.local_counts(ctx.lattice, m, mu, ctx.disc):
-                    want *= Fraction(n, p ** ((2 * ctx.kappa - 1) * w))
-                    if odd:
-                        want /= 1 - Fraction(p) ** (1 - 2 * ctx.kappa)
-                got = eisenstein._local_product(ctx, m, mu, extra_odd=odd)
+                got = eisenstein._local_product(ctx, m, mu, ctx.disc.order_of(mu),
+                                                extra_odd=odd)
+                assert Fraction(*got) == ref_local_product(ctx, m, mu), (gram, m, mu)
+                got = eis_coefficient(ctx.lattice, m, mu, ctx=ctx)
+                want = ref_eis_coefficient(ctx, m, mu)
                 assert type(got) is Fraction and got == want, (gram, m, mu)
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda lat: eis_coefficient(lat, -1, (0,)), "m must be non-negative"),
+        (lambda lat: eis_coefficient(lat, Fraction(1, 2), (1,)),
+         "m must be congruent to Q(mu) mod 1"),
+        (lambda lat: eis_coefficient(lat, 1, (4,)), "not a discriminant element: (4,)"),
+        (lambda lat: eis_coefficient(lat, 1, [0, 1]), "not a discriminant element: (0, 1)"),
+        (lambda lat: eis_coefficient(lat, Fraction(13, 8), [1]),
+         lambda lat: eis_coefficient(lat, Fraction(13, 8), (1,))),
+        (lambda lat: eis_coefficient(lat, 1, (0,), ctx=context(new_lattice(E7))),
+         "ctx does not belong to this lattice and disc"),
+        (lambda lat: repnums.count_gauss(lat, -1, (0,), 2, 3).count,
+         lambda lat: repnums.count_gauss(lat, 7, (0,), 2, 3).count),
+        (lambda lat: repnums.count_gauss(lat, Fraction(1, 2), (1,), 2, 3),
+         "m must be congruent to Q(mu) mod 1"),
+        (lambda lat: repnums.count_gauss(lat, 1, (4,), 2, 3),
+         "not a discriminant element: (4,)"),
+        (lambda lat: repnums.count_gauss(lat, 1, [0, 1], 2, 3),
+         "not a discriminant element: (0, 1)"),
+        (lambda lat: repnums.count_gauss(lat, 1, (0,), 2, 3,
+                                         disc=discriminant_form(new_lattice(E7))),
+         "disc does not belong to this lattice"),
+        (lambda lat: repnums.count_gauss(lat, 1, (0,), 2, 0), "w must be >= 1"),
+    ], ids=["eis-negative-m", "eis-incongruent-m", "eis-mu-out-of-range",
+            "eis-mu-list", "eis-mu-valid-list", "eis-foreign-ctx", "gauss-negative-m",
+            "gauss-incongruent-m", "gauss-mu-out-of-range", "gauss-mu-list",
+            "gauss-foreign-disc", "gauss-w-zero"])
+    def test_error_contract(self, call, want):
+        # the checks at the entry points, in their order: each bad input
+        # raises PreconditionError with this message, and the accepted
+        # inputs (a valid mu as a list, a negative m in a count) compute
+        lat = new_lattice(D5)
+        if callable(want):
+            assert call(lat) == want(lat)
+            return
+        with pytest.raises(PreconditionError) as err:
+            call(lat)
+        assert type(err.value) is PreconditionError and str(err.value) == want
 
     def test_kappa_too_small(self):
         with pytest.raises(KappaTooSmall):

@@ -497,6 +497,15 @@ class TestEvenLattice:
             new_lattice([[2, 1], [0, 2]])
         with pytest.raises(Singular):
             new_lattice([[2, 2], [2, 2]])
+        # an entry is accepted when it is an integer exactly; every other one
+        # is a PreconditionError, also where int() itself refuses it
+        for entry in (2, 2.0, "2", Fraction(2)):
+            assert new_lattice([[entry, 1], [1, 2]]).gram == ((2, 1), (1, 2))
+        for entry in (2.5, Fraction(5, 2), "2.5", None, b"2", float("inf")):
+            with pytest.raises(PreconditionError) as err:
+                new_lattice([[entry, 1], [1, 2]])
+            assert type(err.value) is PreconditionError
+            assert str(err.value) == "gram entries must be integers"
 
     def test_e8(self):
         lat = new_lattice(E8)

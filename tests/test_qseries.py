@@ -1,6 +1,7 @@
 """q-series arithmetic tests; Delta expansions are pinned classical values."""
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -180,6 +181,13 @@ class TestVVQSeries:
     def test_congruence_enforced(self):
         with pytest.raises(PreconditionError):
             VVQSeries(DISC, 4, -1, Fraction(5), {(2, (1,)): 1})  # 1/2 != 1/4 mod 1
+        # Q((1,)) = 3/4 mod 1: at each sign one congruent exponent and one not
+        for sign, good, bad in ((-1, 1, 2), (1, 3, 1)):
+            f = VVQSeries(DISC, 4, sign, Fraction(5), {(good, (1,)): Fraction(2)})
+            assert f.coefficient(Fraction(good, 4), (1,)) == 2
+            msg = f"exponent {Fraction(bad, 4)} not congruent to {sign}*Q((1,)) mod 1"
+            with pytest.raises(PreconditionError, match=re.escape(msg)):
+                VVQSeries(DISC, 4, sign, Fraction(5), {(bad, (1,)): 1})
 
     def test_add_zero(self):
         rng = random.Random(1)

@@ -322,7 +322,8 @@ def ref_jordan_exact(lattice, p):
 
 def ref_gauss_frame(lattice, den, s, p, w):
     """Reference: ``repnums._gauss_frame`` on the Fraction frame above, each
-    phi reduced mod p^w."""
+    phi reduced mod p^w, ending in the same per-class step
+    (``repnums._classes``)."""
     n = lattice.rank
     jordan, cmat = ref_jordan_exact(lattice, p)
     ell = [x // den for x in lattice.gram_times(s)]
@@ -349,7 +350,7 @@ def ref_gauss_frame(lattice, den, s, p, w):
             assert phi.denominator % p, (phi, p)
             phi = phi.numerator * pow(phi.denominator, -1, p ** w) % p ** w
         blocks.append((k, dim, vl, unit, phi))
-    return tuple(blocks)
+    return repnums._classes(tuple(blocks), p, w)
 
 
 class TestIntegerFrame:
