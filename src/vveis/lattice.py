@@ -168,7 +168,7 @@ class DiscriminantForm:
     and ``bilinear`` come from the integer s^T G s.  The index-pair grid is
     decided here alone: ``exponents`` and ``indices`` walk m = Q(mu) mod 1,
     and ``orbit`` names the one of {mu, -mu} standing for both.  The tables
-    (``strides``, ``shifts``, ``negs``, ``sums``) are built when first read.
+    (``strides``, ``shifts``, ``negs``) are built when first read.
     ``check`` validates an element once: after that the element is one
     dict lookup, and every method that takes an element goes through it.
     """
@@ -316,15 +316,6 @@ class DiscriminantForm:
         """negs[x]: the index of -x."""
         return tuple(self.index(self.neg(mu)) for mu in self.elements())
 
-    @cached_property
-    def sums(self):
-        """sums[x][y]: the index of x + y (|L'/L|^2 entries)."""
-        els, sums = self.elements(), [tuple(range(self.size))]
-        for x in range(1, self.size):
-            k = max(k for k, a in enumerate(els[x]) if a)  # x = (x - g_k) + g_k
-            sums.append(tuple(self.shifts[k][y] for y in sums[x - self.strides[k]]))
-        return tuple(sums)
-
     def negated(self):
         """The same generators over the negated lattice; built once, and
         negating that returns this form."""
@@ -393,13 +384,6 @@ class RepResult(Enum):
         return self is RepResult.REPRESENTED
 
 
-def _frac_sqrt_floor(x):
-    """Largest integer k >= 0 with k^2 <= x, for a non-negative Fraction."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator // x.denominator)  # k^2 <= x iff k^2 <= floor(x)
-
-
 @lru_cache(maxsize=None)
 def _frame(lattice):
     """Integer data for the enumeration walk ``_walk``: (sign, scale, levels).
@@ -451,6 +435,20 @@ def _walk(lattice, s, den, radius, limit, exact, visit):
     when it is congruent to its shift mod den.  All arithmetic is on Python
     ints.  visit returning True stops the walk, and _walk returns True.
 
+    With ``exact``, the loop over x_1 does not solve for z_0 at every
+    point.  The discriminant b^2 - 4 a_0 rest of that quadratic is itself
+    an integer quadratic in z_1 = den x_1 + s_1,
+
+        D(z_1) = (b_0^2 - 4 a_0 g_0) (r_0 z_1 + c_0)^2
+                 - 4 a_0 (alpha z_1^2 + beta C_1 z_1 + rest_1),
+
+    stepped along the run with two integer differences (D += d_1; d_1 +=
+    d_2, with d_2 = 2 den^2 times D's leading coefficient); the root, the
+    congruence, the box and the half-space rule run only where D >= 0 is a
+    perfect square.  Where a_0 = 0 the equation for z_0 is linear, D =
+    b_0^2 (r_0 z_1 + c_0)^2 is always a square, and every x_1 goes to the
+    closed form without the test.
+
     On the zero coset (s = 0) the value is even in z, so the walk covers one
     half-space, the origin and each z whose last nonzero coordinate is
     positive: a level whose later coordinates are all 0 starts at 0, and so
@@ -459,6 +457,7 @@ def _walk(lattice, s, den, radius, limit, exact, visit):
     _, _, levels = _frame(lattice)
     definite = lattice.is_definite
     row0, a0, b0, g0 = levels[0]
+    e0 = b0 * b0 - 4 * a0 * g0
     s0 = s[0]
     half0 = not any(s)
 
@@ -507,12 +506,22 @@ def _walk(lattice, s, den, radius, limit, exact, visit):
         if half:
             lo = max(lo, 0)
         if exact and k == 1:
+            # last's discriminant as a quadratic in z_1, stepped in differences
             r0, c0 = row0[0], sum(map(mul, row0[1:], zs))
+            qa = e0 * r0 * r0 - 4 * a0 * alpha
+            qb = 2 * e0 * r0 * c0 - 4 * a0 * b
+            zk = den * lo + sk
+            disc = (qa * zk + qb) * zk + e0 * c0 * c0 - 4 * a0 * rest
+            step = (qa * (2 * zk + den) + qb) * den
+            accel = 2 * qa * den * den
             for xk in range(lo, hi + 1):
-                zk = den * xk + sk
-                if last(r0 * zk + c0, (alpha * zk + b) * zk + rest, (zk,) + zs,
-                        half and not xk):
-                    return True
+                if not a0 or disc >= 0 and isqrt(disc) ** 2 == disc:
+                    zk = den * xk + sk
+                    if last(r0 * zk + c0, (alpha * zk + b) * zk + rest, (zk,) + zs,
+                            half and not xk):
+                        return True
+                disc += step
+                step += accel
             return False
         for xk in range(lo, hi + 1):
             zk = den * xk + sk
@@ -538,11 +547,14 @@ def _box_search(lattice, den, s, target_m, radius, cap=None, visit=None):
     sees every solution once.  visit returning True stops the search, which
     then returns True; without visit the first such x stops it, so the
     result says whether the box holds one.  The cap rule counts the box,
-    (2 radius + 1)^n points, not the points the walk visits.
+    (2 radius + 1)^n points, not the points the walk visits.  The walk's
+    cost is its runs over x_1, one integer step and a perfect-square test
+    per point; the closed form runs only where the test passes.
     """
     n = lattice.rank
-    target = Fraction(target_m) * 2 * den * den
-    if target.denominator != 1:
+    q = Fraction(target_m)
+    target, off = divmod(2 * den * den * q.numerator, q.denominator)
+    if off:
         return False
     side = 2 * radius + 1
     if cap is not None and side ** n > cap:
@@ -554,7 +566,7 @@ def _box_search(lattice, den, s, target_m, radius, cap=None, visit=None):
         x = tuple((a - b) // den for a, b in zip(z, s))
         return visit is None or visit(x) or (half and any(x) and visit(tuple(-a for a in x)))
 
-    return _walk(lattice, s, den, radius, sign * scale * int(target), True, found)
+    return _walk(lattice, s, den, radius, sign * scale * target, True, found)
 
 
 def _local_everywhere(lattice, m, mu, disc):
@@ -666,10 +678,14 @@ def certified_radius(lattice, m, den, s):
     """Sup-norm radius covering all Q = m vectors of a definite coset s / den.
 
     For definite G, any x with Q(x) = m has x_i^2 <= 2|m| * |(G^-1)_ii|; the
-    coset widens the box by the size of its representative.
+    coset widens the box by the size of its representative.  The bound is
+    floor(2|m| |(G^-1)_ii|), maximal over i, in ints from the numerators
+    and denominators (floor commutes with max), and its isqrt the radius.
     """
-    bound = max(abs(2 * Fraction(m) * x) for x in lattice._inv_diag)
-    return _frac_sqrt_floor(bound) + max(map(abs, s), default=0) // den + 2
+    m = Fraction(m)
+    num, dm = 2 * abs(m.numerator), m.denominator
+    bound = max(num * abs(x.numerator) // (dm * x.denominator) for x in lattice._inv_diag)
+    return isqrt(bound) + max(map(abs, s), default=0) // den + 2
 
 
 _T_MU_CAP = 64  # the largest value t_mu tries before giving up

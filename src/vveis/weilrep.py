@@ -250,9 +250,15 @@ class WeilMatrices:
     c: Cyclotomic  # S[0][0]
 
     def pairing(self, i, j):
-        """B(i, j) = t[i+j] - t[i] - t[j] mod M, so S[i][j] = c * zeta_M^-B(i, j)."""
-        t = self.t
-        return (t[self.disc.sums[i][j]] - t[i] - t[j]) % self.order
+        """B(i, j) = t[i+j] - t[i] - t[j] mod M, so S[i][j] = c * zeta_M^-B(i, j).
+
+        The index of i + j is read from the two elements' digits: added mod
+        ``orders``, dotted with ``strides``.
+        """
+        disc, t = self.disc, self.t
+        els = disc.elements()
+        k = sum((a + b) % d * g for a, b, d, g in zip(els[i], els[j], disc.orders, disc.strides))
+        return (t[k] - t[i] - t[j]) % self.order
 
     def s_entry(self, i, j):
         """S[i][j] alone: c with its exponents shifted by -B(i, j)."""

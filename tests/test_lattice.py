@@ -398,8 +398,6 @@ class TestIntegerCosets:
                 -a % d for a, d in zip(mu, disc.orders))
         for i, mu in enumerate(els[:12]):
             for j, nu in enumerate(els):
-                assert els[disc.sums[i][j]] == tuple(
-                    (a + b) % d for a, b, d in zip(mu, nu, disc.orders))
                 b = b_ref(vecs[i], vecs[j])
                 assert lat.bilinear(vecs[i], vecs[j]) == b
                 assert disc.bilinear(mu, nu) == b % 1
@@ -440,6 +438,31 @@ class TestOneElimination:
         assert lat._inv_diag == tuple(inv[i][i] for i in range(len(g)))
         neg = lat.negated()
         assert neg._inv_diag == tuple(-inv[i][i] for i in range(len(g)))
+
+    def test_certified_radius_matches_fraction_formula(self):
+        # the int bound against isqrt(floor(max_i |2 m (G^-1)_ii|)) in
+        # Fractions, plus the representative's size, on both signs
+        rng = random.Random(33)
+        checked = 0
+        bases = (A2, D4, direct_sum(A1, A1, A1), direct_sum(A2, [[4]]),
+                 direct_sum([[6]], [[4]]))
+        for base in bases:
+            for sign in (1, -1):
+                g = [[sign * x for x in row] for row in random_conjugate(rng, base)]
+                lat = new_lattice(g)
+                inv = ref_inverse(g)
+                disc = discriminant_form(lat)
+                for mu in disc.elements():
+                    den, s = disc.coset(mu)
+                    extra = max(map(abs, s)) // den + 2
+                    for m in (disc.q_value(mu) + 3,
+                              Fraction(rng.randint(1, 900), rng.randint(1, 24))):
+                        m = sign * m
+                        bound = max(abs(2 * m * inv[i][i]) for i in range(len(g)))
+                        want = frac_isqrt(bound) + extra
+                        assert lattice_mod.certified_radius(lat, m, den, s) == want, (g, mu, m)
+                        checked += any(s) and m.denominator > 1
+        assert checked > 20
 
     @pytest.mark.parametrize("base", [E8, D4, A2, direct_sum(A2, A1, [[4]])])
     def test_frame_matches_ldl(self, base):
@@ -853,6 +876,49 @@ class TestCosetRepresents:
         assert answers.count(RepResult.NOT_REPRESENTED) >= 10
 
 
+def three_squares(m):
+    """Legendre: m = x^2 + y^2 + z^2 unless m = 4^a (8b + 7)."""
+    while m % 4 == 0:
+        m //= 4
+    return m % 8 != 7
+
+
+def loeschian(m):
+    """m = x^2 - xy + y^2 exactly when every prime p = 2 mod 3 divides m to
+    an even power."""
+    p = 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if p % 3 == 2 and e % 2:
+            return False
+        p += 1
+    return m % 3 != 2
+
+
+class TestArithmeticOracle:
+    """Certified searches on the zero coset against classical rules: Q on
+    <2>^3 is a sum of three squares, Q on A2 the Loeschian form."""
+
+    @pytest.mark.parametrize("gram, rule", [
+        (direct_sum(A1, A1, A1), three_squares), (A2, loeschian)])
+    def test_represents_exactly_by_the_rule(self, gram, rule):
+        lat = new_lattice(gram)
+        zero = disc_zero(lat)
+        for m in range(1, 2001):
+            want = RepResult.REPRESENTED if rule(m) else RepResult.NOT_WITHIN_RADIUS
+            assert coset_represents(lat, m, zero) is want, m
+
+    def test_rules_against_brute_force(self):
+        for m in range(1, 200):
+            r = math.isqrt(m)
+            sq = {x * x + y * y + z * z for x, y, z in box(3, r)}
+            ls = {x * x - x * y + y * y for x, y in box(2, 2 * r)}
+            assert three_squares(m) == (m in sq), m
+            assert loeschian(m) == (m in ls), m
+
+
 def disc_zero(lat):
     return discriminant_form(lat).zero()
 
@@ -956,19 +1022,6 @@ def box_isotropic(lat, radius):
     return 1 if iso else 0
 
 
-@given(st.fractions(min_value=0, max_value=300, max_denominator=60))
-@example(Fraction(0))
-@example(Fraction(99, 25))
-@example(Fraction(4))
-def test_frac_sqrt_floor_matches_brute_force(x):
-    assert lattice_mod._frac_sqrt_floor(x) == frac_isqrt(x)
-
-
-def test_frac_sqrt_floor_rejects_negative():
-    with pytest.raises(ValueError):
-        lattice_mod._frac_sqrt_floor(Fraction(-1, 3))
-
-
 class TestEnumerator:
     """The one exact walk behind coset_represents, theta_counts and
     witt_rank_bounded, against test-local brute force over the box."""
@@ -977,27 +1030,43 @@ class TestEnumerator:
         direct_sum(U, A1), direct_sum(A1, A1, A1M), direct_sum(U, [[-4]]), U,
         direct_sum(U, U), [[2, 1, 0], [1, -2, 1], [0, 1, 4]],
         random_conjugate(random.Random(7), D4), random_conjugate(random.Random(8), A2),
-        A1, A1M,
+        A1, A1M, A2, direct_sum(A1, A1, A1), [[2, 1], [1, -2]],
+        random_conjugate(random.Random(71), A2),
+        random_conjugate(random.Random(72), direct_sum(A1, A1, A1)),
+        random_conjugate(random.Random(73), [[2, 1, 0], [1, -2, 1], [0, 1, 4]]),
+        random_conjugate(random.Random(74), direct_sum(U, A1)),
     ])
     def test_every_solution_visited(self, gram):
         # the full solution set of the box, not just its existence: each
         # point the walk hands out has the value, and none is missed (on the
-        # zero coset the walk covers a half-space and the search adds -x)
+        # zero coset the walk covers a half-space and the search adds -x).
+        # Up to rank 3 the radii reach 6 to 8: the closed-form coordinate's
+        # discriminant is stepped along x_1 in differences, and a wrong step
+        # only shows several points into a run.  Definite and indefinite
+        # forms, a zero first diagonal entry (U + <2>, U + <-4>, U), every
+        # coset
         lat = new_lattice(gram)
         disc = discriminant_form(lat)
-        for radius, mu in itertools.product((0, 1, 2), disc.elements()):
-            shift = disc.vector(mu)
+        n, found = lat.rank, 0
+        radii = (0, 1, 2, 6, 7, 8) if n <= 3 else (0, 1, 2)
+        for mu in disc.elements():
+            den, s = disc.coset(mu)
+            # brute force in ints: z = den x + s has z^T G z = 2 den^2 Q
             values = {}
-            for x in box(lat.rank, radius):
-                q = lat.q_value([a + s for a, s in zip(x, shift)])
-                values.setdefault(q, set()).add(x)
-            for k in range(-2, 3):
+            for x in box(n, radii[-1]):
+                z = [den * a + b for a, b in zip(x, s)]
+                v = sum(gram[i][j] * z[i] * z[j] for i in range(n) for j in range(n))
+                values.setdefault(v, []).append(x)
+            for radius, k in itertools.product(radii, range(-3, 6)):
                 m = disc.q_value(mu) + k
+                want = {x for x in values.get(int(2 * den * den * m), ())
+                        if max(map(abs, x)) <= radius}
                 seen = []
-                lattice_mod._box_search(lat, *disc.coset(mu), m, radius,
-                                        visit=seen.append)
+                lattice_mod._box_search(lat, den, s, m, radius, visit=seen.append)
                 assert len(seen) == len(set(seen)), (radius, mu, m)
-                assert set(seen) == values.get(m, set()), (radius, mu, m)
+                assert set(seen) == want, (radius, mu, m)
+                found += len(want)
+        assert found > 10
 
     def test_definite_cosets_against_box(self):
         rng = random.Random(20261019)

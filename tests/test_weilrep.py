@@ -1,6 +1,7 @@
 """Cyclotomic arithmetic and Weil representation matrices."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -319,6 +320,21 @@ class TestWeilMatrices:
             w = weil_matrices(discriminant_form(new_lattice(g)))
             assert verify_relations(w), g
             assert is_unitary(w), g
+
+    def test_pairing_is_the_bilinear_form(self):
+        # B(i, j) / M = (mu, nu) mod 1 for every pair, the index of mu + nu
+        # read from the digits, on forms of one and of several generators
+        grams = [
+            [[2]], [[-4]], [[2, 1], [1, -2]], D4, direct_sum([[2]], [[6]]),
+            direct_sum([[2]], [[2]], [[-4]]), [[2, 1, 0], [1, -2, 1], [0, 1, 4]],
+            direct_sum([[2, -1], [-1, 2]], [[4]], U),
+        ]
+        for g in grams:
+            disc = discriminant_form(new_lattice(g))
+            w = weil_matrices(disc)
+            els = disc.elements()
+            for (i, mu), (j, nu) in itertools.product(enumerate(els), repeat=2):
+                assert Fraction(w.pairing(i, j), w.order) == disc.bilinear(mu, nu), (g, mu, nu)
 
     def test_negative_control(self):
         w = weil_matrices(discriminant_form(new_lattice([[-2]])))
