@@ -140,9 +140,12 @@ def exact_int(x):
 
 
 def valuation(x, p):
-    """ord_p(x) of an integer or rational x; None for x = 0."""
+    """ord_p(x) of an integer or rational x; None for x = 0.  An int at p = 2
+    is read off its lowest set bit."""
     if x == 0:
         return None
+    if p == 2 and type(x) is int:
+        return (x & -x).bit_length() - 1
     v, num, den = 0, abs(x.numerator), x.denominator
     while num % p == 0:
         num //= p

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from math import exp, factorial, isqrt, log
 
 from . import repnums
@@ -194,12 +194,7 @@ def eis_coefficient(lattice, m, mu, disc=None, ctx=None):
     elif not (ctx.lattice is lattice or ctx.lattice == lattice) or not (
             disc is None or disc is ctx.disc or disc == ctx.disc):
         raise PreconditionError("ctx does not belong to this lattice and disc")
-    mu = ctx.disc.check(mu)
-    if type(m) is not Fraction:
-        m = Fraction(m)
-    if m < 0:
-        raise PreconditionError("m must be non-negative")
-    m, mu = ctx.disc.check_pair(m, mu)
+    m, mu = ctx.disc.check_pair(m, mu, nonnegative=True)
     if m == 0:
         return Fraction(1) if mu == ctx.disc.zero() else Fraction(0)
     d_mu = ctx.disc.order_of(mu)  # m, mu, d_mu and n = m d_mu^2 go down checked
@@ -220,21 +215,24 @@ def coefficients(ctx):
 def eis_expansion(lattice, trunc, disc=None):
     """Assemble the series up to exponent trunc (exclusive); sign tag +1.
 
-    Each mu's ``disc.exponents`` below trunc, each (m, {mu, -mu}) computed
-    once (``coefficients``); the kappa = 2 boundary is recorded on the
-    series as hecke_flag.
+    Each mu's exponents below trunc are walked as their integer numerators
+    over the level N, the key the series stores: n = N m from
+    ``disc.first_numerator`` in steps of N, with one Fraction per
+    coefficient.  Each (m, {mu, -mu}) is computed once (``coefficients``);
+    the kappa = 2 boundary is recorded on the series as hecke_flag.
     """
     ctx = context(lattice, disc)
     trunc = Fraction(trunc)
     if trunc <= 0:
         raise PreconditionError("trunc must be positive")
     den = lattice.level
+    stop = -(-trunc.numerator * den // trunc.denominator)  # n / den < trunc
     coefficient = coefficients(ctx)
     coeffs = {}
     for mu in ctx.disc.elements():
-        for m in takewhile(lambda m: m < trunc, ctx.disc.exponents(mu)):
-            if c := coefficient(m, mu):
-                coeffs[(int(m * den), mu)] = c
+        for n in range(ctx.disc.first_numerator(mu, den), stop, den):
+            if c := coefficient(Fraction(n, den), mu):
+                coeffs[(n, mu)] = c
     return VVQSeries(ctx.disc, den, 1, trunc, coeffs,
                      hecke_flag=ctx.hecke_boundary)
 

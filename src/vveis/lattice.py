@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import linalg
@@ -52,7 +52,7 @@ class EvenLattice:
 
     def __init__(self, gram):
         try:  # int() refuses "2.5", None and inf, Fraction() refuses b"2"
-            rows = [tuple(int(x) for x in row) for row in gram]
+            rows = [tuple(map(int, row)) for row in gram]
             exact = all(type(x) is int or Fraction(x) == y
                         for row, r in zip(gram, rows) for x, y in zip(row, r))
         except (TypeError, ValueError, OverflowError):
@@ -60,11 +60,10 @@ class EvenLattice:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise PreconditionError("gram matrix must be square and non-empty")
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise NotSymmetric("gram matrix is not symmetric")
-            if rows[i][i] % 2 != 0:
+        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+            if row != col:
+                raise NotSymmetric("gram matrix is not symmetric")
+            if row[i] % 2 != 0:
                 raise NotEven("gram diagonal must be even")
         if not exact:  # 2.5: after the shape, symmetry and parity checks
             raise PreconditionError("gram entries must be integers")
@@ -79,13 +78,18 @@ class EvenLattice:
         self.sig_neg = n - self.sig_pos
         den = lcm(*steps)
         w = [den // s for s in steps]
-        inv = [[sum(map(mul, ci, map(mul, cj, w))) for cj in c[:i + 1]]
-               for i, ci in enumerate(c)]  # den * G^-1, lower triangle
-        self._inv_diag = tuple(Fraction(row[i], den) for i, row in enumerate(inv))
+        inv = [[sum(map(mul, cw, cj)) for cj in c[:i + 1]]
+               for i, cw in enumerate([list(map(mul, ci, w)) for ci in c])]  # den * G^-1
+        self._inv_num, self._inv_den = tuple(row[i] for i, row in enumerate(inv)), den
         # level: lcm of the denominators of (G^-1)_ii / 2 and (G^-1)_ij, i != j
         self.level = 2 * den // gcd(2 * den, *(row[-1] for row in inv),
                                     *(2 * x for row in inv for x in row[:-1]))
         self._neg = None
+
+    @cached_property
+    def _inv_diag(self):
+        """The diagonal of G^-1, as Fractions."""
+        return tuple(Fraction(x, self._inv_den) for x in self._inv_num)
 
     def gram_times(self, s):
         """G s, for an integer vector s."""
@@ -119,7 +123,7 @@ class EvenLattice:
             neg.det = self.det * (-1) ** self.rank
             neg.sig_pos, neg.sig_neg = self.sig_neg, self.sig_pos
             neg.level = self.level
-            neg._inv_diag = tuple(-x for x in self._inv_diag)
+            neg._inv_num, neg._inv_den = self._inv_num, -self._inv_den
             neg._elim = self._elim  # _frame reads only l and |d|, the same for -G
             neg._neg = self
             self._neg = neg
@@ -165,10 +169,13 @@ class DiscriminantForm:
     ``index`` is the position in it.  Each element has one representative
     sum_k mu_k gens[k] in L', held as s / den in integers with den minimal
     (``coset``); Q(mu), the exact Q of that representative (``q_exact``)
-    and ``bilinear`` come from the integer s^T G s.  The index-pair grid is
-    decided here alone: ``exponents`` and ``indices`` walk m = Q(mu) mod 1,
-    and ``orbit`` names the one of {mu, -mu} standing for both.  The tables
-    (``strides``, ``shifts``, ``negs``) are built when first read.
+    and ``bilinear`` come from the integer Gram matrix of the generators,
+    Q(sum_k mu_k gens[k]) = mu^T M mu / (2 den^2) with M = den^2 (gens[k],
+    gens[l]), in O(gens^2) per element.  The index-pair grid is decided
+    here alone: ``first_numerator`` holds the rule m = Q(mu) mod 1, m >=
+    low, which ``exponents`` and ``indices`` walk, and ``orbit`` names the
+    one of {mu, -mu} standing for both.  The tables (``strides``,
+    ``shifts``, ``negs``) are built when first read.
     ``check`` validates an element once: after that the element is one
     dict lookup, and every method that takes an element goes through it.
     """
@@ -180,6 +187,8 @@ class DiscriminantForm:
         # vector(mu)_r = sum_k mu_k cols[r][k] / den, gens[k][r] = cols[r][k] / den
         self._den, flat = linalg.integral([x for g in self.gens for x in g])
         self._cols = tuple(tuple(flat[r::lattice.rank]) for r in range(lattice.rank))
+        vecs = [flat[k:k + lattice.rank] for k in range(0, len(flat), lattice.rank)]
+        self._gram = tuple(tuple(lattice.form(a, b) for b in vecs) for a in vecs)  # M
         self._elements = None
         self._checked = {}
         self._reps = {}
@@ -190,9 +199,11 @@ class DiscriminantForm:
         return prod(self.orders)
 
     def elements(self):
+        """All elements in lexicographic order, each recorded as checked."""
         if self._elements is None:
             self._elements = [tuple(t) for t in itertools.product(
                 *[range(d) for d in self.orders])] or [()]
+            self._checked.update(zip(self._elements, self._elements))
         return self._elements
 
     def zero(self):
@@ -220,28 +231,38 @@ class DiscriminantForm:
         self._checked[mu] = mu
         return mu
 
-    def check_pair(self, m, mu):
-        """(Fraction(m), mu) for an element mu and m = Q(mu) mod 1.
+    def check_pair(self, m, mu, nonnegative=False):
+        """(Fraction(m), mu) for an element mu and m = Q(mu) mod 1, and m >= 0
+        where ``nonnegative`` asks for it.
 
-        Both fractions are in lowest terms, so m - Q(mu) is an integer
-        exactly when they share a denominator that divides the difference
-        of their numerators: an int test, with no Fraction built.
+        An element seen before is one lookup in ``_reps``, which holds its
+        canonical tuple; an unseen one goes through ``check`` first.  The
+        checks run in this order: mu, the conversion of m, the sign of m,
+        the congruence.  Both fractions are in lowest terms, so m - Q(mu) is
+        an integer exactly when they share a denominator that divides the
+        difference of their numerators: an int test, with no Fraction built.
         """
-        mu = self.check(mu)
+        try:
+            rep = self._reps[mu]
+        except (KeyError, TypeError):
+            rep = self._rep(self.check(mu))
         if type(m) is not Fraction:
             m = Fraction(m)
-        q = self.q_value(mu)
+        if nonnegative and m < 0:
+            raise PreconditionError("m must be non-negative")
+        q = rep[3]
         if m.denominator != q.denominator or (m.numerator - q.numerator) % q.denominator:
             raise PreconditionError("m must be congruent to Q(mu) mod 1")
-        return m, mu
+        return m, rep[4]
 
     def index(self, mu):
         """The position of mu in ``elements()``."""
         return sum(map(mul, self.check(mu), self.strides))
 
     def _rep(self, mu):
-        """(den, s, Q(s / den), Q mod 1) for mu, built once: an element
-        seen before is one lookup in ``_reps``, like ``check``."""
+        """(den, s, Q(s / den), Q mod 1, mu) for mu, built once: an element
+        seen before is one lookup in ``_reps``, like ``check``, and the last
+        entry is its canonical tuple."""
         try:
             return self._reps[mu]
         except (KeyError, TypeError):
@@ -250,8 +271,9 @@ class DiscriminantForm:
         tot = [sum(map(mul, mu, col)) for col in self._cols]
         g = gcd(self._den, *tot)
         den, s = self._den // g, tuple(x // g for x in tot)
-        q = Fraction(self.lattice.form(s, s), 2 * den * den)
-        rep = self._reps[mu] = (den, s, q, q % 1)
+        q = Fraction(sum(x * sum(map(mul, mu, row)) for x, row in zip(mu, self._gram)),
+                     2 * self._den ** 2)
+        rep = self._reps[mu] = (den, s, q, q % 1, mu)
         return rep
 
     def coset(self, mu):
@@ -290,14 +312,30 @@ class DiscriminantForm:
         """The member of {mu, -mu} that comes first in ``elements()``."""
         return min(self.check(mu), self.neg(mu))
 
+    def first_numerator(self, mu, den, low=0):
+        """den * m for the least m = Q(mu) mod 1 with m >= low, an int for a
+        den that Q(mu) mod 1 lives over (the level, or its own denominator):
+        the m >= low of mu are (n + k den) / den, k >= 0, for this n.  The
+        one home of the index grid's rule; PreconditionError for any other
+        den."""
+        q = self.q_value(mu)
+        n, rem = divmod(q.numerator * den, q.denominator)
+        if rem:
+            raise PreconditionError(f"Q(mu) mod 1 = {q} is not a multiple of 1/{den}")
+        low = Fraction(low)
+        # the least k with n + k den >= low den
+        return n - den * ((n * low.denominator - low.numerator * den)
+                          // (den * low.denominator))
+
     def exponents(self, mu, low=0):
         """The m = Q(mu) mod 1 with m >= low, ascending and endless."""
-        q = self.q_value(mu)
-        return itertools.count(q + ceil(Fraction(low) - q))
+        den = self.q_value(mu).denominator
+        return (Fraction(n, den) for n in itertools.count(
+            self.first_numerator(mu, den, low), den))
 
     def indices(self, mu):
         """The positive m = Q(mu) mod 1, ascending and endless."""
-        return itertools.count(self.q_value(mu) or Fraction(1))
+        return self.exponents(mu, 0 if self.q_value(mu) else 1)
 
     @cached_property
     def strides(self):
@@ -347,7 +385,8 @@ def discriminant_form(lattice):
     so ``discriminant_form(L.negated()) is discriminant_form(L).negated()``
     for every lattice.
     """
-    if (lattice.sig_pos, lattice.gram) < (lattice.sig_neg, lattice.negated().gram):
+    if lattice.sig_pos < lattice.sig_neg or (
+            lattice.sig_pos == lattice.sig_neg and lattice.gram < lattice.negated().gram):
         return discriminant_form(lattice.negated()).negated()
     diag, v = linalg.smith_normal_form([list(r) for r in lattice.gram], lattice.det)
     # only the class mod L matters: keep coordinates in [0, 1)

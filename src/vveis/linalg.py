@@ -116,26 +116,37 @@ def smith_normal_form(a, det):
     R. Kannan and L. E. Trotter, Math. Oper. Res. 12 (1987); J. L. Hafner
     and K. S. McCurley, SIAM J. Comput. 20 (1991)).  det = 0 (a singular
     or non-square a) leaves the elimination unbounded.
+
+    The pivot is the first entry of least absolute value in row-major
+    order (the scan stops at a unit, which nothing undercuts).  A row
+    operation builds the new row as one list and reduces it only when an
+    entry passes D^2; a column operation updates, in place, the rows from
+    the pivot's on that have a nonzero entry in the pivot column (the rows
+    above are 0 there), and the columns of v.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     D = abs(int(det))
     big, half = D * D, D // 2
 
-    def cut(x):  # the symmetric residue of x mod D, once |x| > D^2
-        return (x + half) % D - half if D and abs(x) > big else x
+    def cut(row):  # the row with each entry past D^2 replaced by its symmetric residue
+        if D and row and (max(row) > big or min(row) < -big):
+            return [(x + half) % D - half if abs(x) > big else x for x in row]
+        return row
 
-    d = [[cut(int(x)) for x in row] for row in a]
+    d = [cut([int(x) for x in row]) for row in a]
     v = identity(ncols)
 
     def row_op(i, j, q):  # row i -= q * row j
-        d[i] = [cut(x - q * y) for x, y in zip(d[i], d[j])]
+        d[i] = cut([x - q * y for x, y in zip(d[i], d[j])])
 
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in d:
-            row[i] = cut(row[i] - q * row[j])
+    def col_op(j, q):  # col j -= q * col t; the rows above t are 0 from column t on
+        for row in d[t:]:
+            if y := row[t]:
+                x = row[j] - q * y
+                row[j] = (x + half) % D - half if D and abs(x) > big else x
         for row in v:
-            row[i] -= q * row[j]
+            row[j] -= q * row[t]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -148,11 +159,19 @@ def smith_normal_form(a, det):
 
     t = 0
     while t < min(nrows, ncols):
-        piv = None
+        # the first entry of least absolute value, in row-major order
+        piv, least = None, 0
         for i in range(t, nrows):
+            row = d[i]
             for j in range(t, ncols):
-                if d[i][j] != 0 and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                    piv = (i, j)
+                if x := row[j]:
+                    x = abs(x)
+                    if not least or x < least:
+                        piv, least = (i, j), x
+                        if x == 1:  # no entry is smaller
+                            break
+            if least == 1:
+                break
         if piv is None:
             break
         if piv[0] != t:
@@ -171,21 +190,16 @@ def smith_normal_form(a, det):
             for j in range(t + 1, ncols):
                 if d[t][j] != 0:
                     q = d[t][j] // d[t][t]
-                    col_op(j, t, q)
+                    col_op(j, q)
                     if d[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
             if dirty:
                 continue
             # pivot must divide the whole remaining block for the chain property
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            p = abs(d[t][t])
+            offender = next((i for i in range(t + 1, nrows) if gcd(p, *d[i][t + 1:]) != p),
+                            None)
             if offender is None:
                 break
             row_op(t, offender, -1)  # pull the offending row up, keep reducing
@@ -208,36 +222,46 @@ def sym_swap(g, c, i, j):
 
 
 def sym_add(g, c, dst, src, f):
-    """Basis vector dst += f * basis vector src: column and row of g, column of c."""
+    """Basis vector dst += f * basis vector src: column dst of g and of c in
+    place, row by row, then row dst of g as one list.  g need not be
+    symmetric (``sym_eliminate`` keeps its Bareiss rows in it)."""
     for row in g:
         row[dst] += f * row[src]
-    for k in range(len(g)):
-        g[dst][k] += f * g[src][k]
+    g[dst] = [x + f * y for x, y in zip(g[dst], g[src])]
     for row in c:
         row[dst] += f * row[src]
 
 
 def sym_combine(g, c, dst, a, terms):
-    """Basis vector dst := (a * dst + sum of b * src over (src, b) in terms)
-    / h, h the content of the new column of c: column and row of g, column
-    of c.  For an integer basis c of an integral lattice with Gram matrix g
-    the new vector is a lattice vector, so g stays an integer matrix; h
-    divides a det c, so a p-adic unit a keeps det c a p-adic unit."""
-    for row in g:
-        row[dst] = a * row[dst] + sum(b * row[src] for src, b in terms)
-    new = [a * x for x in g[dst]]
-    for src, b in terms:
-        new = [x + b * y for x, y in zip(new, g[src])]
-    g[dst] = new
-    for row in c:
-        row[dst] = a * row[dst] + sum(b * row[src] for src, b in terms)
+    """Basis vector dst := (a * dst + sum of b * src over the one or two (src,
+    b) in terms) / h, h the content of the new column of c, on a symmetric
+    g: row dst of g as one list, new = a g_dst + sum b g_src with the
+    diagonal entry a new_dst + sum b new_src, copied into column dst; column
+    dst of c in place, row by row.  For an integer basis c of an integral
+    lattice with Gram matrix g the new vector is a lattice vector, so g
+    stays an integer matrix; h divides a det c, so a p-adic unit a keeps
+    det c a p-adic unit."""
+    if len(terms) == 1:
+        ((src, b),) = terms
+        new = [a * x + b * y for x, y in zip(g[dst], g[src])]
+        new[dst] = a * new[dst] + b * new[src]
+        for row in c:
+            row[dst] = a * row[dst] + b * row[src]
+    else:
+        (s1, b1), (s2, b2) = terms
+        new = [a * x + b1 * y + b2 * z for x, y, z in zip(g[dst], g[s1], g[s2])]
+        new[dst] = a * new[dst] + b1 * new[s1] + b2 * new[s2]
+        for row in c:
+            row[dst] = a * row[dst] + b1 * row[s1] + b2 * row[s2]
     h = gcd(*[row[dst] for row in c])
     if h > 1:
         for row in c:
             row[dst] //= h
-        for row in g:
-            row[dst] //= h
-        g[dst] = [x // h for x in g[dst]]
+        new = [x // h for x in new]
+        new[dst] //= h
+    g[dst] = new
+    for row, x in zip(g, new):
+        row[dst] = x
 
 
 def sym_eliminate(g):

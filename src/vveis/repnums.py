@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import gcd, inf
 from operator import mul
 
 from . import linalg
@@ -131,7 +131,10 @@ def _jordan_exact(lattice, p):
     division is exact, and each new basis vector is divided by its content
     (``linalg.sym_combine``).  Every basis vector is a p-adic unit times
     the one of the elimination over Q_p with the same pivots, so the block
-    units differ from that elimination's by unit squares only.
+    units differ from that elimination's by unit squares only.  The least
+    valuations on and off the diagonal of the trailing block are read off
+    gcds (``_least_valuation``), with the first entry that takes each
+    (row-major) as the pivot.
     """
     n = lattice.rank
     g = [list(row) for row in lattice.gram]
@@ -140,28 +143,23 @@ def _jordan_exact(lattice, p):
     k = 0
     while k < n:
         while True:
-            diag_best, diag_val = None, None
-            for i in range(k, n):
-                v = valuation(g[i][i], p)
-                if v is not None and (diag_val is None or v < diag_val):
-                    diag_best, diag_val = i, v
-            off_best, off_val = None, None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    v = valuation(g[i][j], p)
-                    if v is not None and (off_val is None or v < off_val):
-                        off_best, off_val = (i, j), v
+            # the least valuation on the diagonal and off it, each with the
+            # first entry that takes it (row-major)
+            diag_val, diag_best = _least_valuation([g[i][i] for i in range(k, n)], p)
+            if p != 2 and diag_val == 0:  # a unit on the diagonal: no fold
+                break
+            off_val, off_row = _least_valuation([gcd(*g[i][i + 1:]) for i in range(k, n)], p)
             if p != 2:
                 if diag_val is not None and (off_val is None or diag_val <= off_val):
                     break
                 # every remaining diagonal too deep: fold the minimal
                 # off-diagonal entry onto the diagonal (p odd keeps its value)
-                i, j = off_best
+                i, j = _first_off(g, k + off_row, p ** (off_val + 1))
                 linalg.sym_combine(g, c, i, 1, ((j, 1),))
                 continue
             break
         if p == 2 and (diag_val is None or (off_val is not None and off_val < diag_val)):
-            i, j = off_best
+            i, j = _first_off(g, k + off_row, 2 << off_val)
             linalg.sym_swap(g, c, k, i)
             j = i if j == k else j
             linalg.sym_swap(g, c, k + 1, j)
@@ -178,8 +176,7 @@ def _jordan_exact(lattice, p):
             blocks.append((off_val, 2, (a >> off_val + 1, b >> off_val, d >> off_val + 1)))
             k += 2
             continue
-        i = diag_best
-        linalg.sym_swap(g, c, k, i)
+        linalg.sym_swap(g, c, k, k + diag_best)
         pv = p ** diag_val
         unit = g[k][k] // pv
         for j in range(k + 1, n):
@@ -189,15 +186,55 @@ def _jordan_exact(lattice, p):
         kv = valuation(qc, p)
         blocks.append((kv, 1, (qc // p ** kv,)))
         k += 1
-    spans = []
     pos = 0
     for _, dim, _ in blocks:
-        spans += [pos] * dim
+        if any(any(row[:pos]) or any(row[pos + dim:]) for row in g[pos:pos + dim]):
+            raise ConsistencyError("elimination left a stray entry")
         pos += dim
-    if any(g[i][j] for i in range(n) for j in range(n) if spans[i] != spans[j]):
-        raise ConsistencyError("elimination left a stray entry")
     ctg = tuple(tuple(lattice.gram_times(col)) for col in zip(*c))
     return tuple(blocks), tuple(tuple(row) for row in c), ctg
+
+
+def _least_valuation(xs, p):
+    """(v, i): the least ord_p over the nonzero entries of the int list xs,
+    read off their gcd, and the first index where it is taken; (None, None)
+    when every entry is 0."""
+    h = gcd(*xs)
+    if not h:
+        return None, None
+    v = valuation(h, p)
+    q = p ** (v + 1)
+    return v, next(i for i, x in enumerate(xs) if x % q)
+
+
+def _first_off(g, i, q):
+    """(i, j): the first entry right of the diagonal in row i that q does not
+    divide."""
+    return i, next(j for j in range(i + 1, len(g)) if g[i][j] % q)
+
+
+@lru_cache(maxsize=None)
+def _block_table(lattice, p):
+    """The coset-free data of each block of ``_jordan_exact``, computed once
+    per (lattice, p): (C^T G, table) with one (k, dim, pos, unit, data) per
+    block, pos its first coordinate.  unit is (u|p) for a line p^k u y^2 at
+    odd p, u mod 8 for a dyadic line, and +1 / -1 for a hyperbolic /
+    anisotropic dyadic plane; data is (sh, 4u >> sh) for a line, sh = 2 at
+    p = 2 (4 is no 2-unit) and 0 otherwise, and (a, b, c, 4ac - b^2) for a
+    plane p^k (a x^2 + b xy + c y^2)."""
+    jordan, _, ctg = _jordan_exact(lattice, p)
+    table = []
+    pos = 0
+    for k, dim, data in jordan:
+        if dim == 2:
+            a, b, c = data
+            table.append((k, 2, pos, 1 if a * c % 2 == 0 else -1, (a, b, c, 4 * a * c - b * b)))
+        else:
+            (a,) = data
+            sh = 2 if p == 2 else 0
+            table.append((k, 1, pos, a % 8 if p == 2 else kronecker(a, p), (sh, 4 * a >> sh)))
+        pos += dim
+    return ctg, tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +249,18 @@ def _gauss_blocks(lattice, den, s, p):
     frame the congruence reads sum_i f_i(y_i) + Q(s / den) - m = 0 with f_i
     = p^k form_i + lin_i . y_i, lin = C^T G s / den, an integer vector
     (C^T G is cached with the frame).  Returns one (k, dim, vl, unit, phi)
-    per block: vl = ord_p(lin_i) (inf for lin_i = 0); unit = (u|p) for a
-    line p^k u y^2 at odd p, u mod 8 for a dyadic line, and +1 / -1 for a
-    hyperbolic / anisotropic dyadic plane; phi = -p^k form_i(t) is the
-    p-integral constant left by completing the square, f_i(y) = p^k
-    form_i(y + t) + phi with p^k B_i t = lin_i (B_i the Gram matrix of
-    form_i), an int pair (numerator, p-unit denominator), or None where t
-    is not p-integral (the block's sum then vanishes whenever the form is
-    not zero mod the modulus).  The unit, the plane type and phi do not
-    change when a block's basis vectors are scaled by p-adic units.
+    per block: vl = ord_p(lin_i) (inf for lin_i = 0; on a plane the
+    valuation of gcd(l_0, l_1)); unit is the block's entry of
+    ``_block_table``, which holds everything here that does not depend on
+    the coset; phi = -p^k form_i(t) is the p-integral constant left by
+    completing the square, f_i(y) = p^k form_i(y + t) + phi with p^k B_i t
+    = lin_i (B_i the Gram matrix of form_i), an int pair (numerator, p-unit
+    denominator), or None where t is not p-integral (the block's sum then
+    vanishes whenever the form is not zero mod the modulus).  The unit, the
+    plane type and phi do not change when a block's basis vectors are
+    scaled by p-adic units.
     """
-    jordan, _, ctg = _jordan_exact(lattice, p)
+    ctg, table = _block_table(lattice, p)
     lin = []
     for row in ctg:
         x, r = divmod(sum(map(mul, row, s)), den)
@@ -230,22 +268,18 @@ def _gauss_blocks(lattice, den, s, p):
             raise ConsistencyError("mu is not a dual vector")
         lin.append(x)
     blocks = []
-    pos = 0
-    for k, dim, data in jordan:
-        lb = lin[pos:pos + dim]
-        pos += dim
-        vl = min((valuation(x, p) for x in lb if x), default=inf)
+    for k, dim, pos, unit, data in table:
         if dim == 2:
-            a, b, c = data
-            unit = 1 if a * c % 2 == 0 else -1
-            phi = ((-((c * lb[0] ** 2 - b * lb[0] * lb[1] + a * lb[1] ** 2) >> k),
-                    4 * a * c - b * b) if vl >= k else None)
+            l0, l1 = lin[pos], lin[pos + 1]
+            vl = valuation(gcd(l0, l1), p) if l0 or l1 else inf
+            a, b, c, disc = data
+            phi = (-((c * l0 * l0 - b * l0 * l1 + a * l1 * l1) >> k), disc) if vl >= k else None
         else:
-            (a,) = data
-            unit = a % 8 if p == 2 else kronecker(a, p)
-            sh = 2 if p == 2 else 0  # 4 is no 2-unit, but 2^(k+2) divides lin^2 here
-            phi = ((-(lb[0] ** 2 // p ** k) >> sh, 4 * a >> sh)
-                   if vl >= k + (p == 2) else None)
+            l0 = lin[pos]
+            vl = valuation(l0, p) if l0 else inf
+            sh, den4 = data
+            # 2^(k+2) divides l0^2 where phi is kept at p = 2
+            phi = (-(l0 * l0 // p ** k) >> sh, den4) if vl >= k + (p == 2) else None
         blocks.append((k, dim, vl, unit, phi))
     return tuple(blocks)
 

@@ -297,10 +297,14 @@ class TestGeneralBehavior:
                                          disc=discriminant_form(new_lattice(E7))),
          "disc does not belong to this lattice"),
         (lambda lat: repnums.count_gauss(lat, 1, (0,), 2, 0), "w must be >= 1"),
+        (lambda lat: eis_coefficient(lat, Fraction(-1, 2), (1,)), "m must be non-negative"),
+        (lambda lat: eis_coefficient(lat, -1, (4,)), "not a discriminant element: (4,)"),
+        (lambda lat: eis_coefficient(lat, "x", [4]), "not a discriminant element: (4,)"),
     ], ids=["eis-negative-m", "eis-incongruent-m", "eis-mu-out-of-range",
             "eis-mu-list", "eis-mu-valid-list", "eis-foreign-ctx", "gauss-negative-m",
             "gauss-incongruent-m", "gauss-mu-out-of-range", "gauss-mu-list",
-            "gauss-foreign-disc", "gauss-w-zero"])
+            "gauss-foreign-disc", "gauss-w-zero", "eis-negative-before-incongruent",
+            "eis-mu-before-negative-m", "eis-mu-before-m-conversion"])
     def test_error_contract(self, call, want):
         # the checks at the entry points, in their order: each bad input
         # raises PreconditionError with this message, and the accepted
@@ -312,6 +316,27 @@ class TestGeneralBehavior:
         with pytest.raises(PreconditionError) as err:
             call(lat)
         assert type(err.value) is PreconditionError and str(err.value) == want
+
+    @pytest.mark.parametrize("gram", [D5, E7, seeded_conjugate("A2^3"),
+                                      seeded_conjugate("U+U+A2+<2>"),
+                                      seeded_conjugate("fixture")])
+    @pytest.mark.parametrize("trunc", [2, Fraction(7, 2)])
+    def test_integer_walk_matches_fraction_walk(self, gram, trunc):
+        # numerators over the level from first_numerator, against the walk
+        # over m = Q(mu), Q(mu) + 1, ... in Fractions: the same keys, values
+        # and order
+        lat = new_lattice(gram)
+        ctx = context(lat)
+        coefficient = eisenstein.coefficients(ctx)
+        want = {}
+        for mu in ctx.disc.elements():
+            for m in itertools.takewhile(lambda m: m < trunc,
+                                         itertools.count(ctx.disc.q_value(mu))):
+                if c := coefficient(m, mu):
+                    want[(int(m * lat.level), mu)] = c
+        got = eis_expansion(lat, trunc)
+        assert list(got.coeffs.items()) == list(want.items())
+        assert got.den == lat.level and got.trunc == trunc
 
     def test_kappa_too_small(self):
         with pytest.raises(KappaTooSmall):

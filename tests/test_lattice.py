@@ -243,6 +243,121 @@ def ref_smith_within(a, bound):
     return [d[i][i] for i in range(n)], v
 
 
+def per_entry_smith(a, det):
+    """The Smith normal form kernel with a closure call per entry and a
+    column operation over every row, kept verbatim from before the row
+    operations became list operations: ``linalg.smith_normal_form`` must
+    return the same (d, v), so every coset label stays as it was."""
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    D = abs(int(det))
+    big, half = D * D, D // 2
+
+    def cut(x):  # the symmetric residue of x mod D, once |x| > D^2
+        return (x + half) % D - half if D and abs(x) > big else x
+
+    d = [[cut(int(x)) for x in row] for row in a]
+    v = linalg.identity(ncols)
+
+    def row_op(i, j, q):  # row i -= q * row j
+        d[i] = [cut(x - q * y) for x, y in zip(d[i], d[j])]
+
+    def col_op(i, j, q):  # col i -= q * col j
+        for row in d:
+            row[i] = cut(row[i] - q * row[j])
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nrows, ncols):
+        piv = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if d[i][j] != 0 and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            swap_rows(t, piv[0])
+        if piv[1] != t:
+            swap_cols(t, piv[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, nrows):
+                if d[i][t] != 0:
+                    q = d[i][t] // d[t][t]
+                    row_op(i, t, q)
+                    if d[i][t] != 0:  # remainder is a smaller pivot
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, ncols):
+                if d[t][j] != 0:
+                    q = d[t][j] // d[t][t]
+                    col_op(j, t, q)
+                    if d[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide the whole remaining block for the chain property
+            offender = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if d[i][j] % d[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)  # pull the offending row up, keep reducing
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+        t += 1
+    diag = [math.gcd(d[i][i], D) for i in range(min(nrows, ncols))]
+    return diag, v
+
+
+def seeded_conjugate(name, k=0):
+    """The k-th seeded GL_n(Z) conjugate of a perfbench base lattice."""
+    base = WORKLOADS.BASES[name]
+    rng = random.Random(f"kernels:{name}:{k}")
+    return WORKLOADS.conjugate(base, WORKLOADS.random_unimodular(rng, len(base)))
+
+
+def ref_move(g, c, t):
+    """Reference for a basis change by the matrix t, in Fractions: (t^T g t, c t)."""
+    t = [[Fraction(x) for x in row] for row in t]
+    return mat_mul(transpose(t), mat_mul(g, t)), mat_mul(c, t)
+
+
+def seeded_frame(rng, n, symmetric=True):
+    """(g0, c, g): an even Gram matrix g0, an integer basis c with det c != 0
+    and g = c^T g0 c; with symmetric False, g is a plain integer matrix."""
+    while True:
+        g0 = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g0[i][i] = 2 * rng.randint(-5, 5)
+            for j in range(i + 1, n):
+                g0[i][j] = g0[j][i] = rng.randint(-6, 6)
+        c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if ref_det(c):
+            break
+    g = mat_mul(transpose(c), mat_mul(g0, c))
+    if not symmetric:
+        g = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+    return g0, c, g
+
+
 class TestLinalg:
     def test_det(self):
         assert ref_det(U) == -1
@@ -333,6 +448,78 @@ class TestLinalg:
             assert ref_det(g) == 0
             with pytest.raises(Singular):
                 linalg.sym_eliminate(g)
+
+
+class TestKernels:
+    """The elimination moves and the Smith kernel against references."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_sym_add_and_swap(self, symmetric):
+        # e_dst += f e_src is t^T g t for t = 1 + f E_(src, dst), also on a
+        # matrix that is not symmetric (the Bareiss rows of sym_eliminate)
+        rng = random.Random(f"sym-add:{symmetric}")
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            _, c, g = seeded_frame(rng, n, symmetric)
+            dst, src = rng.sample(range(n), 2)
+            f = rng.choice([-3, -2, -1, 1, 2, 5])
+            t = [[int(i == j) for j in range(n)] for i in range(n)]
+            t[src][dst] = f
+            want = ref_move(g, c, t)
+            linalg.sym_add(g, c, dst, src, f)
+            assert (g, c) == want
+            i, j = rng.randrange(n), rng.randrange(n)
+            t = [[int(b == (j if a == i else i if a == j else a)) for b in range(n)]
+                 for a in range(n)]
+            want = ref_move(g, c, t)
+            linalg.sym_swap(g, c, i, j)
+            assert (g, c) == want
+
+    @pytest.mark.parametrize("nterms", [1, 2])
+    def test_sym_combine(self, nterms):
+        # e_dst := (a e_dst + sum b e_src) / h, h the content of the new
+        # column of c: t^T g t with column dst of t = (a, b, ...) / h; g
+        # stays the Gram matrix of the basis c
+        rng = random.Random(f"sym-combine:{nterms}")
+        for _ in range(80):
+            n = rng.randint(nterms + 1, 6)
+            g0, c, g = seeded_frame(rng, n)
+            dst, *srcs = rng.sample(range(n), nterms + 1)
+            a = rng.choice([1, -1, 3, 5, -7])
+            terms = tuple((src, rng.randint(-9, 9)) for src in srcs)
+            col = [a * row[dst] + sum(b * row[src] for src, b in terms) for row in c]
+            h = math.gcd(*col)
+            if h == 0:
+                continue
+            t = [[int(i == j) for j in range(n)] for i in range(n)]
+            t[dst][dst] = Fraction(a, h)
+            for src, b in terms:
+                t[src][dst] = Fraction(b, h)
+            want = ref_move(g, c, t)
+            linalg.sym_combine(g, c, dst, a, terms)
+            assert (g, c) == want
+            assert all(type(x) is int for row in g + c for x in row)
+            assert g == mat_mul(transpose(c), mat_mul(g0, c))
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS.BASES))
+    def test_smith_matches_per_entry_kernel(self, name):
+        # the same pivots, operations and swaps: the same (d, v), bounded by
+        # D = |det|, and unbounded where that stays cheap (rank <= 5)
+        for k in range(3):
+            g = seeded_conjugate(name, k)
+            det = int(ref_det(g))
+            dets = (det, 0) if len(g) <= 5 else (det,)
+            for dt in dets:
+                assert (linalg.smith_normal_form([list(r) for r in g], dt)
+                        == per_entry_smith([list(r) for r in g], dt)), (name, k, dt)
+
+    @given(even_grams(6))
+    @settings(max_examples=60, deadline=None)
+    def test_smith_matches_per_entry_kernel_random(self, g):
+        det = int(ref_det(g))
+        for dt in {det, 0}:
+            assert (linalg.smith_normal_form([list(r) for r in g], dt)
+                    == per_entry_smith([list(r) for r in g], dt))
 
 
 def definite_gram(a, m):
@@ -636,6 +823,50 @@ class TestDiscriminantForm:
                 assert type(got[1]) is tuple
                 assert all(type(a) is int for a in got[1])
         assert disc._elements is None
+
+    def test_check_pair_of_a_seen_element_is_one_lookup(self, monkeypatch):
+        # once its representative is built, an element and any tuple equal
+        # to it pass check_pair without check or _rep, as the canonical
+        # tuple; the checks keep their order: m's sign before the congruence
+        disc = lattice_mod.DiscriminantForm(
+            CHECK_FORM.lattice, CHECK_FORM.orders, CHECK_FORM.gens)
+        mus = [(1, 0, 1, 1), (0, 1, 0, 1), (0, 0, 0, 0)]
+        qs = [disc.q_value(mu) for mu in mus]
+
+        def fail(*args):
+            raise AssertionError("not one lookup")
+        monkeypatch.setattr(disc, "check", fail)
+        monkeypatch.setattr(disc, "_rep", fail)
+        for mu, q in zip(mus, qs):
+            for alias in (mu, tuple(map(float, mu)), tuple(map(Fraction, mu)),
+                          tuple(map(bool, mu)) if max(mu) <= 1 else mu):
+                m, got = disc.check_pair(q + 3, alias)
+                assert (m, got) == (q + 3, mu) and type(m) is Fraction
+                assert all(type(a) is int for a in got)
+            with pytest.raises(PreconditionError, match="congruent"):
+                disc.check_pair(q + Fraction(1, 97), mu)
+            with pytest.raises(PreconditionError, match="non-negative"):
+                disc.check_pair(q - 1 + Fraction(1, 97), mu, nonnegative=True)
+            assert disc.check_pair(q - 1, mu)[0] == q - 1
+        with pytest.raises(AssertionError, match="one lookup"):
+            disc.check_pair(0, (1, 1, 1, 1))  # unseen: goes through check
+
+    def test_first_numerator(self):
+        # n / den is the least m = Q(mu) mod 1 with m >= low; a den that
+        # Q(mu) does not live over is refused
+        for gram in ([[2, 1], [1, -4]], diag([2, -2, -4]), D4, [[6]]):
+            lat = new_lattice(gram)
+            disc = discriminant_form(lat)
+            for mu in disc.elements():
+                q = disc.q_value(mu)
+                for den in (lat.level, 2 * lat.level, q.denominator):
+                    for low in (Fraction(-7, 3), 0, Fraction(1, 9), 1, 5):
+                        n = disc.first_numerator(mu, den, low)
+                        m = Fraction(n, den)
+                        assert (m - q).denominator == 1 and m >= low > m - 1
+                if q.denominator > 1:
+                    with pytest.raises(PreconditionError):
+                        disc.first_numerator(mu, q.denominator + 1)
 
     def test_check_does_not_enumerate(self):
         # a large form checks one element without listing its elements

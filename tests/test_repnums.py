@@ -393,6 +393,30 @@ class TestIntegerFrame:
             self.check(random_even_lattice(rng, rng.randint(1, 4)), monkeypatch, cosets=4)
 
 
+class TestBlockTable:
+    """The per-(lattice, p) block table with the per-coset linear terms of
+    ``_gauss_blocks`` gives the frame of the Fraction Jordan splitting, class
+    for class, on every coset."""
+
+    @pytest.mark.parametrize("name", ["A2^3", "U+U+A2+<2>", "fixture"])
+    def test_reproduces_fraction_frame(self, name):
+        rng = random.Random(f"block-table:{name}")
+        base = WORKLOADS.BASES[name]
+        for gram in (base, WORKLOADS.conjugate(base, WORKLOADS.random_unimodular(
+                rng, len(base)))):
+            lat = new_lattice(gram)
+            disc = discriminant_form(lat)
+            for p in lattice.bad_primes(lat):
+                ctg, table = repnums._block_table(lat, p)
+                assert ctg == repnums._jordan_exact(lat, p)[2]
+                assert sum(dim for _, dim, _, _, _ in table) == lat.rank
+                for mu in disc.elements():
+                    den, s = disc.coset(mu)
+                    for w in (1, 2, 3, 4, 7):
+                        assert (repnums._gauss_frame(lat, den, s, p, w)
+                                == ref_gauss_frame(lat, den, s, p, w)), (name, mu, p, w)
+
+
 class TestCountGauss:
     def test_non_integral_constant_is_a_consistency_error(self, monkeypatch):
         # Q(mu) - m is read off one shared denominator; a remainder means the
