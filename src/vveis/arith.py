@@ -44,9 +44,8 @@ def factorize(n):
     if n == 0:
         raise PreconditionError("cannot factor 0")
     out = {}
-    e = (n & -n).bit_length() - 1
-    if e:
-        out[2] = e
+    if n % 2 == 0:
+        out[2] = e = valuation(n, 2)
         n >>= e
     d = 3
     while d * d <= n:
@@ -81,10 +80,8 @@ def _is_prime(n):
     """Miller-Rabin to _MR_BASES for n without prime factors up to 41;
     BudgetExceeded if n passes every base but is too large for that to be
     a proof."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = valuation(n - 1, 2)
+    d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -182,10 +179,8 @@ def kronecker(a, n):
     if a % 2 == 0 and n % 2 == 0:
         return 0
     k = 1
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
+    v = valuation(n, 2) if n % 2 == 0 else 0
+    n >>= v
     if v % 2 == 1 and a % 8 in (3, 5):
         k = -k
     if n < 0:
@@ -194,10 +189,8 @@ def kronecker(a, n):
             k = -k
     a %= n
     while a != 0:
-        v = 0
-        while a % 2 == 0:
-            a //= 2
-            v += 1
+        v = valuation(a, 2) if a % 2 == 0 else 0
+        a >>= v
         if v % 2 == 1 and n % 8 in (3, 5):
             k = -k
         if a % 4 == 3 and n % 4 == 3:

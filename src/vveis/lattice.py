@@ -4,12 +4,12 @@ An even lattice is held as an integer Gram matrix of its bilinear form
 (so the quadratic form is Q(x) = x^T G x / 2 and the diagonal must be even).
 All derived invariants are computed in exact arithmetic.  One symmetric
 Bareiss pass in Python ints (``linalg.sym_eliminate``) gives the
-determinant, the signature, the level, the diagonal of G^-1 behind the
-certified search radius, and the LDL^T frame of the enumeration walk; the
-discriminant group comes from the Smith normal form, bounded by
+determinant, the signature and the LDL^T frame of the enumeration walk;
+the discriminant group comes from the Smith normal form, bounded by
 D = |det| (``linalg.smith_normal_form``), whose element encoding is that
 of the unbounded elimination wherever its entries stay within +-D^2; a
-lattice and its negation share one encoding (``discriminant_form``).
+lattice and its negation share one encoding (``discriminant_form``), which
+gives the level.  The certified search radius reads G^-1 by Cramer's rule.
 Vector searches (coset representation, theta counts, Witt witnesses)
 share that one walk: Fincke-Pohst intervals on the scaled LDL^T frame for
 definite lattices, a sup-norm box for indefinite ones (U. Fincke and
@@ -36,18 +36,19 @@ from .errors import (
     NotEven,
     NotSymmetric,
     PreconditionError,
+    Singular,
 )
 
 class EvenLattice:
     """Non-degenerate even lattice given by an integer Gram matrix.
 
     Attributes: ``gram`` (tuple of tuples), ``rank``, ``sig_pos``/``sig_neg``
-    (real signature), ``det`` (determinant of the Gram matrix, sign included)
-    and ``level`` (smallest N with N*Q integral on the dual lattice).  All
-    of them, the diagonal of G^-1 and the walk's LDL^T frame come from one
-    fraction-free elimination (``linalg.sym_eliminate``): det = D_n, the
-    signs of D_k D_{k+1} give the signature, and G^-1 = c diag(1 / (D_k
-    D_{k+1})) c^T gives the level.
+    (real signature) and ``det`` (determinant of the Gram matrix, sign
+    included), read off one fraction-free elimination (``linalg.sym_eliminate``,
+    also the walk's LDL^T frame): det = D_n, and the signs of D_k D_{k+1}
+    give the signature.  ``level`` and ``_inv_diag`` are built when first read,
+    into attributes set here: a cached_property would write ``__dict__``, which
+    on CPython 3.11 slows every later attribute read of the lattice.
     """
 
     def __init__(self, gram):
@@ -70,26 +71,39 @@ class EvenLattice:
         self.gram = tuple(rows)
         self._hash = hash(self.gram)  # every lattice-keyed cache hashes it
         self.rank = n
-        # one Bareiss pass: c^T G c = diag(D_k D_{k+1}), G^-1 = c diag(1/steps) c^T
-        minors, _, c = self._elim = linalg.sym_eliminate(rows)
+        minors, _ = self._elim = linalg.sym_eliminate(rows)
         self.det = minors[-1]
-        steps = [a * b for a, b in zip(minors, minors[1:])]
-        self.sig_pos = sum(1 for s in steps if s > 0)
+        self.sig_pos = sum((a < 0) == (b < 0) for a, b in zip(minors, minors[1:]))
         self.sig_neg = n - self.sig_pos
-        den = lcm(*steps)
-        w = [den // s for s in steps]
-        inv = [[sum(map(mul, cw, cj)) for cj in c[:i + 1]]
-               for i, cw in enumerate([list(map(mul, ci, w)) for ci in c])]  # den * G^-1
-        self._inv_num, self._inv_den = tuple(row[i] for i, row in enumerate(inv)), den
-        # level: lcm of the denominators of (G^-1)_ii / 2 and (G^-1)_ij, i != j
-        self.level = 2 * den // gcd(2 * den, *(row[-1] for row in inv),
-                                    *(2 * x for row in inv for x in row[:-1]))
-        self._neg = None
+        self._neg = self._level = self._inv = None
 
-    @cached_property
+    @property
+    def level(self):
+        """The least N with N*Q integral on L'.  Q(l + g) = Q(l) + (l, g) + Q(g)
+        with Q(l), (l, g) in Z for l in L, g in L', so the discriminant form's
+        generators decide: Q(sum mu_k g_k) = mu^T M mu / (2 den^2), M its ``_gram``,
+        so N = 2 den^2 / gcd(2 den^2, M_kk, 2 M_kl) over k < l (1 if L' = L)."""
+        if self._level is None:
+            disc = discriminant_form(self)
+            big, m = 2 * disc._den ** 2, disc._gram
+            self._level = big // gcd(big, *(row[k] for k, row in enumerate(m)),
+                                     *(2 * x for k, row in enumerate(m) for x in row[k + 1:]))
+        return self._level
+
+    @property
     def _inv_diag(self):
-        """The diagonal of G^-1, as Fractions."""
-        return tuple(Fraction(x, self._inv_den) for x in self._inv_num)
+        """The diagonal of G^-1 by Cramer's rule, (G^-1)_ii = det G_ii / det G as
+        Fractions, G_ii being G without row and column i (0 if G_ii is singular)."""
+        if self._inv is None:
+            out = []
+            for i in range(self.rank):
+                minor = [row[:i] + row[i + 1:] for k, row in enumerate(self.gram) if k != i]
+                try:
+                    out.append(Fraction(linalg.sym_eliminate(minor)[0][-1], self.det))
+                except Singular:
+                    out.append(Fraction(0))
+            self._inv = tuple(out)
+        return self._inv
 
     def gram_times(self, s):
         """G s, for an integer vector s."""
@@ -112,9 +126,8 @@ class EvenLattice:
         return Fraction(self.form(sv, sw), dv * dw)
 
     def negated(self):
-        """The lattice with Gram matrix -G, derived from this one's invariants
-        (det (-1)^rank, signature swapped, same level); built once, and
-        negating that returns this lattice."""
+        """The lattice with Gram matrix -G (det (-1)^rank, signature swapped),
+        built once from this one; negating that returns this lattice."""
         if self._neg is None:
             neg = object.__new__(EvenLattice)
             neg.gram = tuple(tuple(-x for x in row) for row in self.gram)
@@ -122,10 +135,8 @@ class EvenLattice:
             neg.rank = self.rank
             neg.det = self.det * (-1) ** self.rank
             neg.sig_pos, neg.sig_neg = self.sig_neg, self.sig_pos
-            neg.level = self.level
-            neg._inv_num, neg._inv_den = self._inv_num, -self._inv_den
             neg._elim = self._elim  # _frame reads only l and |d|, the same for -G
-            neg._neg = self
+            neg._neg, neg._level, neg._inv = self, None, None
             self._neg = neg
         return self._neg
 
@@ -448,7 +459,7 @@ def _frame(lattice):
     # sign * z^T G z = sum_k d[k] (z_k + sum_{j>k} l[k][j-k-1] z_j)^2.  No
     # pivot moves on a definite matrix, and a negated lattice shares the pass
     # of G: the same l, pivots of the opposite sign, hence |d|
-    minors, rows, _ = lattice._elim
+    minors, rows = lattice._elim
     lden = lcm(1, *(row[k] // gcd(x, row[k]) for k, row in enumerate(rows)
                     for x in row[k + 1:]))
     dden = lcm(*(a // gcd(a, b) for a, b in zip(minors, minors[1:])))

@@ -4,15 +4,16 @@ Everything here works on plain lists of Python ints; no floats anywhere.
 ``Echelon`` is the one row elimination (fraction-free over Z): the ranks
 and kernels of the Weil invariants and the kernel combinations of the
 prescription search.  ``sym_eliminate`` is the one symmetric elimination:
-a single fraction-free (Bareiss) pass from which a lattice reads its
-determinant, signature, level, the diagonal of G^-1 and the LDL^T frame of
-its enumeration walk, on the moves ``sym_swap`` and ``sym_add``.  The
-p-adic Jordan splitting (``repnums``) is the one symmetric congruence
-elimination over Z_p, also in Python ints: it swaps basis vectors
-(``sym_swap``), and it folds and clears entries by e_dst := (a e_dst +
-sum b e_src) / h with a a p-adic unit and h the content of the new basis
-column (``sym_combine``), so the basechange stays an integer matrix with a
-p-unit determinant.
+a single fraction-free (Bareiss) pass, on the moves ``sym_swap`` and
+``sym_add``, that keeps only its leading minors and Bareiss rows; a lattice
+reads its determinant and signature from the minors, the LDL^T frame of its
+enumeration walk from the rows, and each diagonal entry of G^-1 from the
+determinant of a minor (Cramer's rule).  The p-adic Jordan splitting
+(``repnums``) is the one symmetric congruence elimination over Z_p, also in
+Python ints: it swaps basis vectors (``sym_swap``), and it folds and clears
+entries by e_dst := (a e_dst + sum b e_src) / h with a a p-adic unit and h
+the content of the new basis column (``sym_combine``), so the basechange
+stays an integer matrix with a p-unit determinant.
 """
 
 from __future__ import annotations
@@ -221,15 +222,13 @@ def sym_swap(g, c, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def sym_add(g, c, dst, src, f):
-    """Basis vector dst += f * basis vector src: column dst of g and of c in
-    place, row by row, then row dst of g as one list.  g need not be
-    symmetric (``sym_eliminate`` keeps its Bareiss rows in it)."""
+def sym_add(g, dst, src, f):
+    """Basis vector dst += f * basis vector src: column dst of g in place,
+    row by row, then row dst as one list.  g need not be symmetric
+    (``sym_eliminate`` keeps its Bareiss rows in it)."""
     for row in g:
         row[dst] += f * row[src]
     g[dst] = [x + f * y for x, y in zip(g[dst], g[src])]
-    for row in c:
-        row[dst] += f * row[src]
 
 
 def sym_combine(g, c, dst, a, terms):
@@ -267,21 +266,20 @@ def sym_combine(g, c, dst, a, terms):
 def sym_eliminate(g):
     """Symmetric fraction-free (Bareiss) elimination of an integer matrix.
 
-    Returns (minors, rows, c), all Python ints.  The pivot of step k is the
+    Returns (minors, rows), all Python ints.  The pivot of step k is the
     first nonzero diagonal entry of the trailing block, swapped to k; with
     none, e_i += e_j folds a nonzero off-diagonal entry onto the diagonal
     (a_ii = 2 a_ij), and an all-zero trailing block raises Singular.  For the
     matrix in the basis these moves leave, minors[k] is the leading k x k
     minor D_k (D_0 = 1, D_n = det g) and rows[k] is the Bareiss row R_k:
-    zero before column k, R_kk = D_{k+1}.  The columns of c satisfy
-    c^T g c = diag(D_k D_{k+1}), so g^-1 = c diag(1 / (D_k D_{k+1})) c^T,
-    and where no pivot moved, g = L D L^T with l_jk = R_kj / R_kk and
-    d_k = D_{k+1} / D_k.  Each division by the previous pivot is exact
-    (E. H. Bareiss, Math. Comp. 22 (1968)).
+    zero before column k, R_kk = D_{k+1}.  Each move is a congruence by a
+    matrix of determinant +-1, so D_n = det g, and for a symmetric g the
+    signs of D_k D_{k+1} give its signature.  Where no pivot moved, g = L D
+    L^T with l_jk = R_kj / R_kk and d_k = D_{k+1} / D_k.  Each division by
+    the previous pivot is exact (E. H. Bareiss, Math. Comp. 22 (1968)).
     """
     n = len(g)
     a = [list(map(int, row)) for row in g]
-    c = identity(n)
     minors = [1]
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][i]), None)
@@ -291,13 +289,11 @@ def sym_eliminate(g):
             if pair is None:
                 raise Singular("gram matrix is singular")
             piv = pair[0]
-            sym_add(a, c, piv, pair[1], 1)
-        sym_swap(a, c, k, piv)
+            sym_add(a, piv, pair[1], 1)
+        sym_swap(a, (), k, piv)  # no basis to track
         p, prev = a[k][k], minors[-1]
         for i in range(k + 1, n):
             f = a[i][k]
             a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
-            for row in c:
-                row[i] = (p * row[i] - f * row[k]) // prev
         minors.append(p)
-    return minors, a, c
+    return minors, a

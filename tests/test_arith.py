@@ -76,6 +76,27 @@ FUNDAMENTAL_PAIRS = [(d, s) for d in range(-200, 201) if is_fundamental(d)
 R23 = (10 ** 23 - 1) // 9  # the repunit 11...1 (23 ones), a prime
 
 
+def ref_kronecker(a, n):
+    """Reference: (a|n) multiplied out over the sign and the prime factors
+    of n found by trial division, with (a|-1) = -1 for a < 0, (a|2) = 0 for
+    even a and -1 for a = 3, 5 mod 8, and Euler's criterion (a|p) = a^((p-1)/2)
+    mod p at odd p; (a|0) = 1 for a = +-1, else 0."""
+    if n == 0:
+        return int(abs(a) == 1)
+    k = -1 if n < 0 and a < 0 else 1
+    n, p = abs(n), 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            if p == 2:
+                k *= 0 if a % 2 == 0 else -1 if a % 8 in (3, 5) else 1
+            else:
+                r = pow(a, (p - 1) // 2, p)
+                k *= -1 if r == p - 1 else r
+        p += 1
+    return k
+
+
 class TestFactorize:
     def test_frozen(self):
         assert factorize(-12) == {2: 2, 3: 1}
@@ -137,6 +158,12 @@ class TestKronecker:
                 euler = pow(a, (p - 1) // 2, p)
                 expect = 1 if euler == 1 else -1
                 assert kronecker(a, p) == expect
+
+    def test_matches_reference(self):
+        # every (a|n) with |a|, |n| <= 200 against ref_kronecker
+        for n in range(-200, 201):
+            for a in range(-200, 201):
+                assert kronecker(a, n) == ref_kronecker(a, n), (a, n)
 
     @given(st.integers(-50, 50).filter(lambda x: x != 0),
            st.integers(1, 50), st.integers(1, 50))

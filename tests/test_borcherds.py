@@ -685,6 +685,28 @@ class TestConstantTerm:
         assert constant_term(pp, lat, override=True) == 4
 
 
+class TestCuspBasisPin:
+    def test_empty_cusp_basis_is_incomplete(self):
+        """g = E4 E3 - E7 is a cusp form of weight 7 for the fixture's Weil
+        representation with c_g(1, 0) = 20640/61 != 0, so the empty cusp
+        basis that criterion 7 (like ``empty_fixture``) hands ``prescribe``
+        is incomplete.
+
+        E3 is the Eisenstein series of D4 + <-2>^2, signature (4, 2): both
+        signatures are 2 mod 8, and E8 adds nothing to the discriminant
+        form, so E4 E3 and E7 (the fixture's) have weight 7 for the same
+        representation and constant term e_0, and g has none.  At (1, 0),
+        c_g = e_{D4+<-2>^2}(1, 0) + 240 sigma_3(1) - e_fixture(1, 0), E3's
+        constant term being 1.  An isometry of the two forms maps 0 to 0,
+        so none is needed.
+        """
+        small = new_lattice(direct_sum(D4, [[-2]], [[-2]]))
+        e3 = eis_coefficient(small, 1, discriminant_form(small).zero())
+        e7 = eis_coefficient(fixture_lattice(), 1, ZERO)
+        assert (e3, e7) == (-36, Fraction(-8196, 61))
+        assert e3 + 240 * sigma(3, 1) - e7 == Fraction(20640, 61)
+
+
 class TestPrescribe:
     def _spec(self, *pairs, bound=2):
         return AdmissibleSetSpec(bound_a=bound, members=tuple(pairs))

@@ -416,18 +416,26 @@ class TestLinalg:
 
     @staticmethod
     def check_elimination(g):
+        # R_k is zero before column k with R_kk = D_{k+1}, and D_n = det G;
+        # where no pivot moves (every leading minor of G nonzero), the minors
+        # are G's own and G = L D L^T with l_jk = R_kj / R_kk, d_k = D_{k+1} /
+        # D_k: the frame _frame reads
         n = len(g)
-        minors, rows, c = linalg.sym_eliminate(g)
+        minors, rows = linalg.sym_eliminate(g)
         assert len(minors) == n + 1 and minors[0] == 1
-        res = mat_mul(mat_mul(transpose(c), g), c)
         for i in range(n):
             assert rows[i][:i] == [0] * i and rows[i][i] == minors[i + 1]
-            for j in range(n):
-                assert res[i][j] == (minors[i] * minors[i + 1] if i == j else 0)
         assert minors[-1] == ref_det(g)
+        leading = [ref_det([row[:k] for row in g[:k]]) for k in range(n + 1)]
+        if all(leading):
+            assert minors == leading
+            l = [[Fraction(rows[k][j], rows[k][k]) for k in range(n)] for j in range(n)]
+            d = [Fraction(minors[k + 1], minors[k]) for k in range(n)]
+            assert [[sum(l[i][k] * d[k] * l[j][k] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == g
 
     def test_sym_eliminate_diagonalizes(self):
-        # c^T G c = diag(D_k D_{k+1}); U and U + U + <-2> fold a zero diagonal
+        # G = L D L^T; U and U + U + <-2> fold a zero diagonal
         for g in (U, A1M, E8, D4, direct_sum(U, U, A1M), [[0, 1, 1], [1, 0, 2], [1, 2, 0]]):
             self.check_elimination(g)
 
@@ -456,7 +464,8 @@ class TestKernels:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_sym_add_and_swap(self, symmetric):
         # e_dst += f e_src is t^T g t for t = 1 + f E_(src, dst), also on a
-        # matrix that is not symmetric (the Bareiss rows of sym_eliminate)
+        # matrix that is not symmetric (the Bareiss rows of sym_eliminate);
+        # sym_add tracks no basis, sym_swap tracks c
         rng = random.Random(f"sym-add:{symmetric}")
         for _ in range(60):
             n = rng.randint(2, 6)
@@ -465,9 +474,9 @@ class TestKernels:
             f = rng.choice([-3, -2, -1, 1, 2, 5])
             t = [[int(i == j) for j in range(n)] for i in range(n)]
             t[src][dst] = f
-            want = ref_move(g, c, t)
-            linalg.sym_add(g, c, dst, src, f)
-            assert (g, c) == want
+            want, _ = ref_move(g, c, t)
+            linalg.sym_add(g, dst, src, f)
+            assert g == want
             i, j = rng.randrange(n), rng.randrange(n)
             t = [[int(b == (j if a == i else i if a == j else a)) for b in range(n)]
                  for a in range(n)]
@@ -685,6 +694,55 @@ class TestOneElimination:
                 inv = ref_inverse(lat.gram)
                 assert lat._inv_diag == tuple(inv[i][i] for i in range(len(base)))
                 assert discriminant_form(lat).orders == orders, name
+
+
+class TestLazyReads:
+    """det, signature and rank come from the Bareiss pass alone; the level
+    is read off the discriminant form when first asked for."""
+
+    def test_pass_invariants_run_no_smith_form(self, monkeypatch):
+        # a conjugate no other test builds, so its form is not cached yet
+        g = random_conjugate(random.Random("lazy reads"), direct_sum(D4, A1M, [[6]]))
+        calls = []
+        snf = linalg.smith_normal_form
+
+        def counting(a, det):
+            calls.append(det)
+            return snf(a, det)
+
+        monkeypatch.setattr(linalg, "smith_normal_form", counting)
+        lat = new_lattice(g)
+        assert (lat.rank, lat.det, lat.sig_pos, lat.sig_neg) == (6, -48, 5, 1)
+        assert calls == []
+        assert lat.level == ref_level(ref_inverse(g)) == 12
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("neg_first", [False, True])
+    def test_level_of_negation(self, neg_first):
+        # fresh objects, either side read first: one side's form is the
+        # other's negated(), and neither read recurses
+        rng = random.Random(f"lazy level:{neg_first}")
+        for base in (direct_sum(A1, [[4]]), A2, D4, direct_sum(U, [[6]]),
+                     direct_sum(A1M, [[4]], A2)):
+            g = random_conjugate(rng, base)
+            lat = new_lattice(g)
+            neg = lat.negated()
+            levels = (neg.level, lat.level) if neg_first else (lat.level, neg.level)
+            assert levels[0] == levels[1] == ref_level(ref_inverse(g))
+            assert new_lattice([[-x for x in row] for row in g]).level == lat.level
+
+    def test_trivial_form_has_level_one(self):
+        lat = new_lattice(random_conjugate(random.Random("lazy e8"), E8))
+        assert discriminant_form(lat).gens == ()
+        assert lat.level == lat.negated().level == 1
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS.BASES))
+    def test_seeded_conjugates_keep_level(self, name):
+        base = WORKLOADS.BASES[name]
+        want = ref_level(ref_inverse(base))
+        assert new_lattice(base).level == want
+        for k in range(3):
+            assert new_lattice(seeded_conjugate(name, k)).level == want, k
 
 
 class TestEvenLattice:

@@ -259,6 +259,13 @@ def _frac_det(m):
     return det
 
 
+def ref_add(g, c, dst, src, f):
+    """Basis vector dst += f * basis vector src, on g and on the basis c."""
+    linalg.sym_add(g, dst, src, f)
+    for row in c:
+        row[dst] += f * row[src]
+
+
 @lru_cache(maxsize=None)
 def ref_jordan_exact(lattice, p):
     """Reference: the Jordan splitting over Q_p in Fraction arithmetic, with
@@ -286,7 +293,7 @@ def ref_jordan_exact(lattice, p):
                 if diag_val is not None and (off_val is None or diag_val <= off_val):
                     break
                 i, j = off_best
-                linalg.sym_add(g, c, i, j, Fraction(1))
+                ref_add(g, c, i, j, Fraction(1))
                 continue
             break
         if p == 2 and (diag_val is None or (off_val is not None and off_val < diag_val)):
@@ -299,9 +306,9 @@ def ref_jordan_exact(lattice, p):
                 x1 = (g[k + 1][k + 1] * b1 - g[k][k + 1] * b2) / det2
                 x2 = (g[k][k] * b2 - g[k][k + 1] * b1) / det2
                 if x1:
-                    linalg.sym_add(g, c, l, k, -x1)
+                    ref_add(g, c, l, k, -x1)
                 if x2:
-                    linalg.sym_add(g, c, l, k + 1, -x2)
+                    ref_add(g, c, l, k + 1, -x2)
             kv = valuation(g[k][k + 1], 2)
             sc = Fraction(2) ** kv
             blocks.append((kv, 2, (g[k][k] / (2 * sc), g[k][k + 1] / sc,
@@ -312,7 +319,7 @@ def ref_jordan_exact(lattice, p):
         pivot = g[k][k]
         for j in range(k + 1, n):
             if g[k][j]:
-                linalg.sym_add(g, c, j, k, -g[k][j] / pivot)
+                ref_add(g, c, j, k, -g[k][j] / pivot)
         qc = pivot / 2
         kv = valuation(qc, p)
         blocks.append((kv, 1, (qc / Fraction(p) ** kv,)))
