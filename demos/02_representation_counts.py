@@ -25,12 +25,12 @@ print(f"coset mu = {mu} with Q(mu) = {m} (mod 1)\n")
 
 print(f"{'modulus':>8} {'naive':>8} {'gauss':>8}")
 for p, w in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
-    nv = count_naive(lat, m, mu, p ** w, disc=disc).count
-    gv = count_gauss(lat, m, mu, p, w, disc=disc).count
+    nv = count_naive(lat, m, mu, p ** w).count
+    gv = count_gauss(lat, m, mu, p, w).count
     assert nv == gv
     print(f"{p}^{w:<6} {nv:>8} {gv:>8}")
 
 # composite moduli go through CRT; crosscheck=True runs both paths on
 # every prime power and raises if they ever disagree
-rc = count(lat, m, mu, 72, disc=disc, crosscheck=True)
+rc = count(lat, m, mu, 72, crosscheck=True)
 print(f"\nN({Fraction(m)}, mu; 72) = {rc.count}  [method: {rc.method}]")

@@ -48,7 +48,7 @@ from .errors import (
 from .lattice import (
     admissibility,
     bad_primes,
-    disc_of,
+    discriminant_form,
     t_max,
     witt_rank_bounded,
 )
@@ -116,7 +116,7 @@ class AdmissibilityReport:
         return not self.rejected
 
 
-def check_admissible(lattice, spec, disc=None):
+def check_admissible(lattice, spec):
     """Verify every candidate pair of the spec, itemizing all failures.
 
     Each pair is judged by ``lattice.admissibility`` with the spec's bound
@@ -125,12 +125,12 @@ def check_admissible(lattice, spec, disc=None):
     (m, ``disc.orbit(mu)``) is decided once and both records carry its
     verdict: a witness on either coset accepts both.
     """
-    disc = disc_of(lattice, disc)
+    disc = discriminant_form(lattice)
     verdicts, records = {}, []  # (m, orbit) -> reason, or None when admissible
     for m, mu in _candidate_pairs(spec, disc):
         key = (m, disc.orbit(mu))
         if key not in verdicts:
-            verdicts[key] = admissibility(lattice, m, mu, spec.bound_a, disc)
+            verdicts[key] = admissibility(lattice, m, mu, spec.bound_a)
         records.append(((m, mu), verdicts[key]))
     return AdmissibilityReport(
         tuple(pair for pair, why in records if why is None),
@@ -201,15 +201,15 @@ def aux_weight(n, b):
 class Provider:
     """Auxiliary-series source: a name, a weight and a series source.
 
-    The series is a holomorphic form of that weight on the signature (2, n)
-    side with non-negative coefficients; its only legal pole depth is the b
-    that solves aux_weight(n, b) == weight.
+    ``series(trunc)`` is a holomorphic form of that weight on the signature
+    (2, n) side with non-negative coefficients; its only legal pole depth is
+    the b that solves aux_weight(n, b) == weight.
     """
 
     def __init__(self, name, weight, source, fixture=None, element=None):
         self.name = name
         self.weight = Fraction(weight)
-        self._source = source
+        self.series = source
         self.fixture = fixture
         self.element = element
 
@@ -217,7 +217,7 @@ class Provider:
     def eisenstein(cls, lminus):
         """The exact Eisenstein series of weight rank/2, expanded lazily."""
         return cls("eisenstein", Fraction(lminus.rank, 2),
-                   lambda trunc, disc: eis_expansion(lminus, trunc, disc=disc))
+                   lambda trunc: eis_expansion(lminus, trunc))
 
     @classmethod
     def fixture(cls, fixture, index=0):
@@ -227,7 +227,7 @@ class Provider:
                 f"no element {index} among {len(fixture.elements)}")
         element = fixture.elements[index]
 
-        def source(trunc, disc):
+        def source(trunc):
             if element.trunc < trunc:
                 raise TruncationInsufficient(
                     f"fixture truncation {element.trunc} is below the "
@@ -241,11 +241,8 @@ class Provider:
         b = (self.weight - aux_weight(n, 0)) / 12
         return int(b) if b.denominator == 1 and b >= 1 else None
 
-    def series(self, trunc, disc):
-        return self._source(trunc, disc)
 
-
-def build_h(lminus, b, trunc, provider=None, disc=None):
+def build_h(lminus, b, trunc, provider=None):
     """Auxiliary series with non-negative coefficients, certified window.
 
     Multiplies a weight aux_weight(n, b) provider series on the signature
@@ -265,7 +262,7 @@ def build_h(lminus, b, trunc, provider=None, disc=None):
     if k <= 2:
         raise PreconditionError(
             f"weight {k} <= 2 is outside the convergent regime")
-    disc = disc_of(lminus, disc)
+    disc = discriminant_form(lminus)
     if provider is None:
         provider = Provider.eisenstein(lminus)
     if k != provider.weight:
@@ -275,7 +272,7 @@ def build_h(lminus, b, trunc, provider=None, disc=None):
     trunc = Fraction(trunc)
     if trunc < 1:
         raise PreconditionError("trunc must reach past the constant term")
-    series = provider.series(trunc + b, disc=disc)
+    series = provider.series(trunc + b)
     if series.disc != disc:
         raise IncompatibleDiscriminantForms(
             "provider series lives on a different discriminant form")
@@ -306,7 +303,7 @@ class DecomposeResult:
     h: object  # the auxiliary series the split was built from
 
 
-def decompose(f, lattice, provider=None, minimal=False, disc=None):
+def decompose(f, lattice, provider=None, minimal=False):
     """Split f into holomorphic-quotient data f1 - f2 with f2 = c * h.
 
     b is the provider's pole depth, whose window must clear the pole order
@@ -316,7 +313,7 @@ def decompose(f, lattice, provider=None, minimal=False, disc=None):
     minimal=True an already non-negative f is returned unchanged against an
     empty second part.
     """
-    disc = disc_of(lattice, disc)
+    disc = discriminant_form(lattice)
     if f.disc != disc:
         raise IncompatibleDiscriminantForms(
             "principal part lives on a different discriminant form")
@@ -415,7 +412,7 @@ def obstruction_check(pp, fixture):
     return ObstructionReport(not violations, tuple(values), tuple(violations))
 
 
-def constant_term(pp, lattice, disc=None, override=False):
+def constant_term(pp, lattice, override=False):
     """Constant slot forced by the principal part: minus its Eisenstein pairing.
 
     Valid when n > 2, or when n = 2 and the lattice does not split two
@@ -423,8 +420,7 @@ def constant_term(pp, lattice, disc=None, override=False):
     failing case, so for n = 2 the caller must pass override to assert the
     hypothesis; the value itself is an exact rational.
     """
-    disc = disc_of(lattice, disc)
-    if pp.disc != disc:
+    if pp.disc != discriminant_form(lattice):
         raise IncompatibleDiscriminantForms(
             "principal part lives on a different discriminant form")
     if lattice.sig_neg != 2:
@@ -438,11 +434,11 @@ def constant_term(pp, lattice, disc=None, override=False):
         raise HypothesisNotVerified(
             "Witt rank below 2 cannot be certified by bounded search; "
             "pass override to assert it")
-    e = coefficients(eis_context(lattice, disc))
+    e = coefficients(eis_context(lattice))
     return -sum((c * e(m, mu) for (m, mu), c in pp.items()), Fraction(0))
 
 
-def prescribe(lattice, spec, fixture, budget=None, disc=None):
+def prescribe(lattice, spec, fixture, budget=None):
     """Principal part supported on the spec, orthogonal to every cusp element.
 
     A grid is searched over its admissible pairs; members must all be
@@ -461,15 +457,15 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     """
     if budget is not None and budget < 0:
         raise PreconditionError(f"budget must be >= 0, got {budget}")
-    disc = disc_of(lattice, disc)
-    report = check_admissible(lattice, spec, disc)
+    disc = discriminant_form(lattice)
+    report = check_admissible(lattice, spec)
     if report.rejected and spec.members is not None:
         raise NotAdmissible("; ".join(
             f"({m}, {mu}): {why}" for (m, mu), why in report.rejected))
     if lattice.sig_neg != 2 or lattice.sig_pos < 2:
         raise PreconditionError(
             "prescription needs signature (n, 2) with n >= 2")
-    ctx = eis_context(lattice, disc)
+    ctx = eis_context(lattice)
     if fixture.weight != ctx.kappa:
         raise FixtureNotABasis(
             f"fixture weight {fixture.weight} does not match the pairing "
@@ -545,8 +541,7 @@ def prescribe(lattice, spec, fixture, budget=None, disc=None):
     return pp
 
 
-def vanish_on(lattice, m, mu, fixture, provider=None, budget=None, pp=None,
-              disc=None):
+def vanish_on(lattice, m, mu, fixture, provider=None, budget=None, pp=None):
     """Non-negative integral principal part with a positive entry at (m, mu).
 
     Runs prescribe on the singleton-seeded spec, which decides the pair's
@@ -556,16 +551,16 @@ def vanish_on(lattice, m, mu, fixture, provider=None, budget=None, pp=None,
     entry at the target because the added series is non-negative with a
     strictly positive window over the whole pole range.
     """
-    disc = disc_of(lattice, disc)
+    disc = discriminant_form(lattice)
     m = Fraction(m)
     mu = disc.check(mu)
     if pp is None:
         # a bound the seed meets, so the rule decides everything else
         bound = max([1] + [valuation(m, p) or 0 for p in bad_primes(lattice)])
         seed = AdmissibleSetSpec(bound_a=bound, members=((m, mu),))
-        pp = prescribe(lattice, seed, fixture, budget=budget, disc=disc)
+        pp = prescribe(lattice, seed, fixture, budget=budget)
     else:
-        why = admissibility(lattice, m, mu, disc=disc)
+        why = admissibility(lattice, m, mu)
         if why is not None:
             raise NotAdmissible(f"({m}, {mu}): {why}")
         if pp.disc != disc:
@@ -581,7 +576,7 @@ def vanish_on(lattice, m, mu, fixture, provider=None, budget=None, pp=None,
         if not obstruction_check(pp, fixture).ok:
             raise PreconditionError(
                 "supplied principal part fails the cusp pairing")
-    result = decompose(pp, lattice, provider=provider, disc=disc)
+    result = decompose(pp, lattice, provider=provider)
     out = result.f1
     if out.entries.get((m, mu), Fraction(0)) <= 0:
         raise ConsistencyError("target entry did not stay positive")

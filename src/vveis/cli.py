@@ -244,7 +244,7 @@ def _repnum(args, lat, disc, docs, cfg):
     if args.a < 1:
         raise PreconditionError("modulus -a must be >= 1")
     if args.method == "naive":
-        rc = count_naive(lat, m, mu, args.a, cap=cfg.naive_cap, disc=disc)
+        rc = count_naive(lat, m, mu, args.a, cap=cfg.naive_cap)
     elif args.method == "gauss":
         from .arith import factorize
         fac = factorize(args.a)
@@ -252,9 +252,9 @@ def _repnum(args, lat, disc, docs, cfg):
             raise PreconditionError(
                 f"--method gauss needs a prime power, got {args.a}")
         ((p, w),) = fac.items()
-        rc = count_gauss(lat, m, mu, p, w, disc=disc)
+        rc = count_gauss(lat, m, mu, p, w)
     else:
-        rc = count(lat, m, mu, args.a, cap=cfg.naive_cap, disc=disc,
+        rc = count(lat, m, mu, args.a, cap=cfg.naive_cap,
                    crosscheck=cfg.cross_check)
     return {"m": rational_str(m), "mu": list(mu), "a": args.a,
             "count": rc.count, "method": rc.method}
@@ -264,7 +264,7 @@ def _eis(args, lat, disc, docs, cfg):
     trunc = parse_rational(args.max_exp, "--max-exp")
     if args.negate:
         return qseries_doc(eis_expansion(lat.negated(), trunc))
-    return qseries_doc(eis_expansion(lat, trunc, disc=disc))
+    return qseries_doc(eis_expansion(lat, trunc))
 
 
 def _weil(args, lat, disc, docs, cfg):
@@ -289,7 +289,7 @@ def _h_series(args, lat, disc, docs, cfg):
 def _decompose(args, lat, disc, docs, cfg):
     f = parse_principal_part(docs["pp"], disc)
     res = decompose(f, lat, provider=_provider(docs, lat, disc),
-                    minimal=args.minimal, disc=disc)
+                    minimal=args.minimal)
     return {"b": res.b, "c": res.c,
             "f1": principal_part_doc(res.f1),
             "f2": principal_part_doc(res.f2)}
@@ -309,7 +309,7 @@ def _prescribe(args, lat, disc, docs, cfg):
     spec = parse_spec(docs["spec"])
     fixture = parse_fixture(docs["fixture"], disc)
     return principal_part_doc(
-        prescribe(lat, spec, fixture, budget=args.budget, disc=disc))
+        prescribe(lat, spec, fixture, budget=args.budget))
 
 
 def _vanish_on(args, lat, disc, docs, cfg):
@@ -319,8 +319,7 @@ def _vanish_on(args, lat, disc, docs, cfg):
     provider = _provider(docs, lat, disc)
     pp = parse_principal_part(docs["pp"], disc) if "pp" in docs else None
     return principal_part_doc(vanish_on(
-        lat, m, mu, fixture, provider=provider, budget=args.budget, pp=pp,
-        disc=disc))
+        lat, m, mu, fixture, provider=provider, budget=args.budget, pp=pp))
 
 
 def _battery(args, cfg, warn):

@@ -45,7 +45,7 @@ from .errors import (
     PositivityViolation,
     PreconditionError,
 )
-from .lattice import admissibility, bad_primes, disc_of
+from .lattice import admissibility, bad_primes, disc_of, discriminant_form
 from .qseries import VVQSeries
 
 
@@ -61,7 +61,7 @@ class EisensteinContext:
     scale: Fraction  # the factor of every coefficient free of m (see context)
 
 
-def context(lattice, disc=None):
+def context(lattice):
     """The lattice's data for its coefficients, with the factors that do not
     depend on m computed once.
 
@@ -79,7 +79,7 @@ def context(lattice, disc=None):
       sqrt(2/|det|) with scale = (-1)^(b-/2) 2^j 4^j j! / ((2j)! r_zeta).
       ``_eis_odd`` cancels pi^(-j) with the pi^j of its own L-value.
     """
-    disc = disc_of(lattice, disc)
+    disc = discriminant_form(lattice)
     kappa = Fraction(lattice.rank, 2)
     if kappa < 2:
         raise KappaTooSmall(f"kappa = {kappa} < 2")
@@ -119,7 +119,7 @@ def _local_product(ctx, m, mu, d_mu, extra_odd=False):
     """
     e = ctx.lattice.rank - 1  # 2 kappa - 1
     num = den = 1
-    for p, wp, n_p in repnums.local_counts(ctx.lattice, m, mu, ctx.disc, d_mu):
+    for p, wp, n_p in repnums.local_counts(ctx.lattice, m, mu, d_mu):
         num *= n_p
         den *= p ** (e * wp)
         if extra_odd:
@@ -182,18 +182,17 @@ def _eis_odd(ctx, m, mu, d_mu, n):
         * root.denominator)
 
 
-def eis_coefficient(lattice, m, mu, disc=None, ctx=None):
+def eis_coefficient(lattice, m, mu, ctx=None):
     """Coefficient e(m, mu) of the Eisenstein series, as an exact rational.
 
     m = 0 is the documented constant term (1 at mu = 0, else 0), not a
-    formula evaluation.  A supplied ``ctx`` must be that of ``lattice``
-    (and of ``disc``, when given), or PreconditionError is raised.
+    formula evaluation.  A supplied ``ctx`` must be that of ``lattice``,
+    or PreconditionError is raised.
     """
     if ctx is None:
-        ctx = context(lattice, disc)
-    elif not (ctx.lattice is lattice or ctx.lattice == lattice) or not (
-            disc is None or disc is ctx.disc or disc == ctx.disc):
-        raise PreconditionError("ctx does not belong to this lattice and disc")
+        ctx = context(lattice)
+    elif not (ctx.lattice is lattice or ctx.lattice == lattice):
+        raise PreconditionError("ctx does not belong to this lattice")
     m, mu = ctx.disc.check_pair(m, mu, nonnegative=True)
     if m == 0:
         return Fraction(1) if mu == ctx.disc.zero() else Fraction(0)
@@ -220,8 +219,10 @@ def eis_expansion(lattice, trunc, disc=None):
     ``disc.first_numerator`` in steps of N, with one Fraction per
     coefficient.  Each (m, {mu, -mu}) is computed once (``coefficients``);
     the kappa = 2 boundary is recorded on the series as hecke_flag.
+    ``disc``, when given, must be the lattice's own form (``disc_of``).
     """
-    ctx = context(lattice, disc)
+    disc_of(lattice, disc)
+    ctx = context(lattice)
     trunc = Fraction(trunc)
     if trunc <= 0:
         raise PreconditionError("trunc must be positive")
@@ -263,24 +264,24 @@ def _log(x):
     return log(x.numerator) - log(x.denominator)
 
 
-def lower_bound_report(lattice, pairs, bound_a, eps=Fraction(1, 10), disc=None):
+def lower_bound_report(lattice, pairs, bound_a, eps=Fraction(1, 10)):
     """Ratios (-1)^(b-/2) e(m,mu) / m^(kappa-1) with admissibility checks.
 
     Every pair must pass ``lattice.admissibility`` with bound_a, or
     NotAdmissible names its reason.  Strict positivity of every ratio is
     decided exactly; the float ratios are advisory.
     """
-    ctx = context(lattice, disc)
+    ctx = context(lattice)
     exponent = ctx.kappa - 1 - (eps if ctx.hecke_boundary else 0)
     sign = (-1) ** (ctx.b_minus // 2)
     rows = []
     for m, mu in pairs:
         m = Fraction(m)
         mu = ctx.disc.check(mu)
-        why = admissibility(lattice, m, mu, bound_a, disc=ctx.disc)
+        why = admissibility(lattice, m, mu, bound_a)
         if why is not None:
             raise NotAdmissible(f"({m}, {mu}): {why}")
-        e = eis_coefficient(lattice, m, mu, disc=ctx.disc, ctx=ctx)
+        e = eis_coefficient(lattice, m, mu, ctx=ctx)
         num = sign * e
         if num <= 0:
             raise PositivityViolation(

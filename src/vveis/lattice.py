@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -185,8 +185,9 @@ class DiscriminantForm:
     gens[l]), in O(gens^2) per element.  The index-pair grid is decided
     here alone: ``first_numerator`` holds the rule m = Q(mu) mod 1, m >=
     low, which ``exponents`` and ``indices`` walk, and ``orbit`` names the
-    one of {mu, -mu} standing for both.  The tables (``strides``,
-    ``shifts``, ``negs``) are built when first read.
+    one of {mu, -mu} standing for both.  ``strides[k]`` is the index of
+    the k-th generator; the tables ``shifts`` and ``negs`` are built when
+    first read, into attributes set in ``__init__``, as ``EvenLattice.level``.
     ``check`` validates an element once: after that the element is one
     dict lookup, and every method that takes an element goes through it.
     """
@@ -200,10 +201,10 @@ class DiscriminantForm:
         self._cols = tuple(tuple(flat[r::lattice.rank]) for r in range(lattice.rank))
         vecs = [flat[k:k + lattice.rank] for k in range(0, len(flat), lattice.rank)]
         self._gram = tuple(tuple(lattice.form(a, b) for b in vecs) for a in vecs)  # M
-        self._elements = None
+        self.strides = tuple(prod(self.orders[k + 1:]) for k in range(len(self.orders)))
+        self._elements = self._shifts = self._negs = self._neg = None
         self._checked = {}
         self._reps = {}
-        self._neg = None
 
     @property
     def size(self):
@@ -348,22 +349,21 @@ class DiscriminantForm:
         """The positive m = Q(mu) mod 1, ascending and endless."""
         return self.exponents(mu, 0 if self.q_value(mu) else 1)
 
-    @cached_property
-    def strides(self):
-        """strides[k]: the index of the k-th generator."""
-        return tuple(prod(self.orders[k + 1:]) for k in range(len(self.orders)))
-
-    @cached_property
+    @property
     def shifts(self):
         """shifts[k][x]: the index of x + gens[k], for the element of index x."""
-        return tuple(tuple(x - (d - 1) * g if x // g % d == d - 1 else x + g
-                           for x in range(self.size))
-                     for d, g in zip(self.orders, self.strides))
+        if self._shifts is None:
+            self._shifts = tuple(tuple(x - (d - 1) * g if x // g % d == d - 1 else x + g
+                                       for x in range(self.size))
+                                 for d, g in zip(self.orders, self.strides))
+        return self._shifts
 
-    @cached_property
+    @property
     def negs(self):
         """negs[x]: the index of -x."""
-        return tuple(self.index(self.neg(mu)) for mu in self.elements())
+        if self._negs is None:
+            self._negs = tuple(self.index(self.neg(mu)) for mu in self.elements())
+        return self._negs
 
     def negated(self):
         """The same generators over the negated lattice; built once, and
@@ -412,8 +412,9 @@ def discriminant_form(lattice):
 
 
 def disc_of(lattice, disc=None):
-    """The lattice's one discriminant form: ``disc`` is only a handle on it,
-    so a form of another lattice, or one labelling this lattice's cosets
+    """The lattice's one form; ``disc`` (kept on ``eis_expansion`` and
+    ``count_gauss``, as the benchmark workloads pass it) is only a handle on
+    it, so a form of another lattice, or one labelling this lattice's cosets
     another way, raises PreconditionError."""
     own = discriminant_form(lattice)
     if disc is not None and disc is not own and disc != own:
@@ -619,13 +620,13 @@ def _box_search(lattice, den, s, target_m, radius, cap=None, visit=None):
     return _walk(lattice, s, den, radius, sign * scale * target, True, found)
 
 
-def _local_everywhere(lattice, m, mu, disc):
+def _local_everywhere(lattice, m, mu):
     from . import repnums  # deferred: repnums depends on this module
 
-    return all(n for _, _, n in repnums.local_counts(lattice, m, mu, disc))
+    return all(n for _, _, n in repnums.local_counts(lattice, m, mu))
 
 
-def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
+def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8):
     """Does some vector of the coset mu + L have Q-value exactly m?
 
     Indefinite lattices of rank >= 4 are decided purely locally (counts at
@@ -643,11 +644,8 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
     raises BudgetExceeded.  Without a radius a definite lattice is walked
     once, at the certified radius, or at the largest r with (2r + 1)^rank
     <= cap where that box would exceed the cap.
-
-    ``disc`` fixes the element encoding; it defaults to the lattice's own
-    discriminant form and must describe the same lattice when supplied.
     """
-    disc = disc_of(lattice, disc)
+    disc = discriminant_form(lattice)
     m, mu = disc.check_pair(m, mu)
     coset = disc.coset(mu)
 
@@ -676,7 +674,7 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
             return RepResult.NOT_REPRESENTED
         if m < 0 and lattice.sig_neg == 0:
             return RepResult.NOT_REPRESENTED
-        return (RepResult.REPRESENTED if _local_everywhere(lattice, m, mu, disc)
+        return (RepResult.REPRESENTED if _local_everywhere(lattice, m, mu)
                 else RepResult.NOT_REPRESENTED)
 
     if radius is None:
@@ -686,7 +684,7 @@ def coset_represents(lattice, m, mu, radius=None, cap=10 ** 8, disc=None):
     return RepResult.INCONCLUSIVE
 
 
-def admissibility(lattice, m, mu, bound_a=None, disc=None):
+def admissibility(lattice, m, mu, bound_a=None):
     """Why the index pair (m, mu) is not admissible, or None when it is.
 
     The one admissibility rule, checked in order: m > 0, m = Q(mu) mod 1,
@@ -695,7 +693,7 @@ def admissibility(lattice, m, mu, bound_a=None, disc=None):
     verdict: the search runs on mu, and on -mu only when mu is not
     REPRESENTED.  An inconclusive bounded search is a rejection.
     """
-    disc = disc_of(lattice, disc)
+    disc = discriminant_form(lattice)
     m, mu = Fraction(m), disc.check(mu)
     if m <= 0:
         return "index must be positive"
@@ -704,10 +702,9 @@ def admissibility(lattice, m, mu, bound_a=None, disc=None):
     for p in bad_primes(lattice) if bound_a is not None else ():
         if valuation(m, p) > bound_a:
             return f"ord_{p}({m}) exceeds the valuation bound {bound_a}"
-    res = coset_represents(lattice, m, mu, disc=disc)
+    res = coset_represents(lattice, m, mu)
     neg = disc.neg(mu)
-    if res.is_yes or (
-            neg != mu and coset_represents(lattice, m, neg, disc=disc).is_yes):
+    if res.is_yes or (neg != mu and coset_represents(lattice, m, neg).is_yes):
         return None
     return f"representability check returned {res.name}"
 
@@ -741,7 +738,7 @@ def certified_radius(lattice, m, den, s):
 _T_MU_CAP = 64  # the largest value t_mu tries before giving up
 
 
-def t_mu(lattice, mu, disc=None):
+def t_mu(lattice, mu):
     """Smallest positive value of -Q on the coset mu + L, for L of signature (n, 2).
 
     Candidates are the negated form's ``indices(mu)`` up to ``_T_MU_CAP``,
@@ -751,7 +748,7 @@ def t_mu(lattice, mu, disc=None):
     """
     if lattice.sig_neg != 2 or lattice.sig_pos < 1:
         raise PreconditionError("expected a lattice of signature (n, 2), n >= 1")
-    mu = disc_of(lattice, disc).check(mu)
+    mu = discriminant_form(lattice).check(mu)
     neg = lattice.negated()
     for v in itertools.takewhile(lambda v: v <= _T_MU_CAP,
                                  discriminant_form(neg).indices(mu)):
@@ -765,12 +762,10 @@ def t_mu(lattice, mu, disc=None):
 
 
 @lru_cache(maxsize=None)
-def t_max(lattice, disc=None):
+def t_max(lattice):
     """max over mu of ``t_mu``; memoized, since ``decompose`` and its
-    ``build_h`` ask for it on the same lattice (one through ``negated()``),
-    both without ``disc``, so on one key."""
-    disc = disc_of(lattice, disc)
-    return max(t_mu(lattice, mu, disc=disc) for mu in disc.elements())
+    ``build_h`` ask for it on the same lattice (one through ``negated()``)."""
+    return max(t_mu(lattice, mu) for mu in discriminant_form(lattice).elements())
 
 
 @dataclass(frozen=True)

@@ -22,19 +22,22 @@ from .errors import (
 
 
 class ScalarQSeries:
-    """Laurent q-series with integer exponents and exact rational coefficients."""
+    """Laurent q-series with integer exponents and exact rational
+    coefficients; a non-integral exponent is refused, and reads 0."""
 
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs, trunc):
         self.trunc = Fraction(trunc)
+        if any(int(e) != e for e in coeffs):
+            raise PreconditionError("scalar series exponents must be integers")
         self.coeffs = {int(e): Fraction(c) for e, c in coeffs.items()
                        if c != 0 and e < self.trunc}
 
     def coefficient(self, e):
         if e >= self.trunc:
             raise PreconditionError(f"exponent {e} is beyond truncation {self.trunc}")
-        return self.coeffs.get(int(e), Fraction(0))
+        return self.coeffs.get(e, Fraction(0))  # an integral e hashes as its int
 
     def min_exp(self):
         return min(self.coeffs, default=self.trunc)

@@ -34,7 +34,7 @@ from .errors import (
     NonIntegralResult,
     PreconditionError,
 )
-from .lattice import bad_primes, disc_of
+from .lattice import bad_primes, disc_of, discriminant_form
 
 _NAIVE_CHUNK = 1 << 18
 
@@ -65,7 +65,7 @@ class RepCount:
             raise ConsistencyError(f"negative representation count {self.count}")
 
 
-def count_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
+def count_naive(lattice, m, mu, a, cap=10 ** 8):
     """Exhaustive count of {r in L/aL : Q(r+mu) = m mod a}.
 
     Loops (2 d^2)-scaled integer values in vectorized blocks, so the modular
@@ -77,7 +77,7 @@ def count_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
     a = int(a)
     if a < 1:
         raise PreconditionError("modulus a must be >= 1")
-    disc = disc_of(lattice, disc)
+    disc = discriminant_form(lattice)
     m, mu = disc.check_pair(m, mu)
     den, s = disc.coset(mu)
     t0 = exact_int(2 * den * den * m)  # m = Q(mu) mod 1
@@ -400,7 +400,8 @@ def count_gauss(lattice, m, mu, p, w, disc=None):
     evaluates at most 4 residues at p = 2, one Ramanujan or Legendre term
     at odd p.  Independent of count_naive by construction; the total must
     be a non-negative integer (NonIntegralResult otherwise: that is
-    always an implementation bug, never a data problem).
+    always an implementation bug, never a data problem).  ``disc``, when
+    given, must be the lattice's own form (``disc_of``).
     """
     w = int(w)
     if w < 1:
@@ -446,7 +447,7 @@ def _crosscheck_env():
     return crosscheck_flag(os.environ.get("VVEIS_CROSSCHECK", ""))
 
 
-def _crosscheck(lattice, m, mu, p, w, disc, cap=10 ** 8):
+def _crosscheck(lattice, m, mu, p, w, cap=10 ** 8):
     """Compare count_gauss with count_naive at p^w', raising ConsistencyError.
 
     w' <= w is the deepest level whose p^(w' rank) residues fit under the
@@ -457,14 +458,14 @@ def _crosscheck(lattice, m, mu, p, w, disc, cap=10 ** 8):
     level = w
     while level > 1 and p ** (level * lattice.rank) > cap:
         level -= 1
-    naive = count_naive(lattice, m, mu, p ** level, cap=cap, disc=disc)
-    gauss = count_gauss(lattice, m, mu, p, level, disc=disc)
+    naive = count_naive(lattice, m, mu, p ** level, cap=cap)
+    gauss = count_gauss(lattice, m, mu, p, level)
     if naive.count != gauss.count:
         raise ConsistencyError(f"count mismatch at {p}^{level}: gauss {gauss.count} "
                                f"vs naive {naive.count}")
 
 
-def local_counts(lattice, m, mu, disc, d_mu=None):
+def local_counts(lattice, m, mu, d_mu=None):
     """Yield (p, w, N_{m,mu}(p^w)) at the Hensel depth w = w_p, for p | 2N.
 
     The local factors of the Eisenstein coefficients and the local
@@ -477,16 +478,15 @@ def local_counts(lattice, m, mu, disc, d_mu=None):
     """
     crosscheck = _crosscheck_env()
     if d_mu is None:
-        d_mu = disc.order_of(mu)
+        d_mu = discriminant_form(lattice).order_of(mu)
     for p in bad_primes(lattice):
         w = w_p(m, d_mu, p)
         if crosscheck:
-            _crosscheck(lattice, m, mu, p, w, disc)
-        yield p, w, count_gauss(lattice, m, mu, p, w, disc=disc).count
+            _crosscheck(lattice, m, mu, p, w)
+        yield p, w, count_gauss(lattice, m, mu, p, w).count
 
 
-def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
-          crosscheck=None):
+def count(lattice, m, mu, a, cap=10 ** 8, naive_cutoff=100_000, crosscheck=None):
     """N_{m,mu}(a) by CRT over prime powers, dispatching naive vs gauss.
 
     crosscheck (or env VVEIS_CROSSCHECK=1) compares the two paths for every
@@ -497,7 +497,7 @@ def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
     a = int(a)
     if a < 1:
         raise PreconditionError("modulus a must be >= 1")
-    disc = disc_of(lattice, disc)
+    disc = discriminant_form(lattice)
     if crosscheck is None:
         crosscheck = _crosscheck_env()
     if a == 1:
@@ -509,11 +509,11 @@ def count(lattice, m, mu, a, cap=10 ** 8, disc=None, naive_cutoff=100_000,
         pe = p ** e
         use_naive = pe ** lattice.rank <= naive_cutoff
         if use_naive:
-            r = count_naive(lattice, m, mu, pe, cap=cap, disc=disc)
+            r = count_naive(lattice, m, mu, pe, cap=cap)
         else:
-            r = count_gauss(lattice, m, mu, p, e, disc=disc)
+            r = count_gauss(lattice, m, mu, p, e)
         if crosscheck:
-            _crosscheck(lattice, m, mu, p, e, disc, cap=cap)
+            _crosscheck(lattice, m, mu, p, e, cap=cap)
         total *= r.count
         methods.add(r.method)
     method = methods.pop() if len(methods) == 1 else "mixed"

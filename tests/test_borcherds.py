@@ -77,8 +77,8 @@ def negated_side():
 
 @lru_cache(maxsize=None)
 def h_depth_one():
-    lneg, dneg = negated_side()
-    return build_h(lneg, 1, 5, disc=dneg)
+    lneg = negated_side()[0]
+    return build_h(lneg, 1, 5)
 
 
 @lru_cache(maxsize=None)
@@ -86,8 +86,8 @@ def weight19_provider():
     """Honest positive-coefficient weight-19 data: the weight-7 series times
     a cube of the weight-4 one-variable series (both have non-negative
     coefficients, so the product does too)."""
-    lneg, dneg = negated_side()
-    base = eis_expansion(lneg, 4, disc=dneg)
+    lneg = negated_side()[0]
+    base = eis_expansion(lneg, 4)
     e4 = ScalarQSeries({n: 1 if n == 0 else 240 * sigma(3, n)
                         for n in range(5)}, 5)
     fix = ModularBasisFixture(19, (base * (e4 * e4 * e4),), (False,),
@@ -119,7 +119,7 @@ def reference_search(lattice, spec, fixture, budget=None):
     vanishing candidate's combination (coefficient 1 on itself) and its
     Eisenstein pairing, or (None, zero_evaluations) on exhaustion."""
     disc = discriminant_form(lattice)
-    accepted = check_admissible(lattice, spec, disc).accepted
+    accepted = check_admissible(lattice, spec).accepted
     index = {mu: i for i, mu in enumerate(disc.elements())}
     folded = [(m, mu) for m, mu in accepted
               if index[mu] <= index[disc.neg(mu)]]
@@ -285,8 +285,8 @@ class TestAdmissibleSpec:
         for mu in disc.elements():
             q, neg = disc.q_value(mu), disc.neg(mu)
             for m in (q + k for k in range(0 if q else 1, 12)):
-                assert (lattice.admissibility(lat, m, mu, disc=disc) is None) \
-                    == (lattice.admissibility(lat, m, neg, disc=disc) is None)
+                assert (lattice.admissibility(lat, m, mu) is None) \
+                    == (lattice.admissibility(lat, m, neg) is None)
 
     def test_rule_order_and_texts(self):
         lat = fixture_lattice()
@@ -352,7 +352,7 @@ class TestBuildH:
         dneg = negated_side()[1]
         for _, _, c in h.items():
             assert c >= 0
-        worst = max(t_mu(lat, mu, disc=disc) for mu in disc.elements())
+        worst = max(t_mu(lat, mu) for mu in disc.elements())
         assert worst == 1
         for mu in dneg.elements():
             base = dneg.q_value(mu)
@@ -373,9 +373,9 @@ class TestBuildH:
         assert h.coefficient(1, ZERO) == Fraction(740560, 61)
 
     def test_positive_depth_required(self):
-        lneg, dneg = negated_side()
+        lneg = negated_side()[0]
         with pytest.raises(PreconditionError):
-            build_h(lneg, 0, 3, disc=dneg)
+            build_h(lneg, 0, 3)
 
     def test_signature_order_enforced(self):
         with pytest.raises(PreconditionError):
@@ -388,10 +388,10 @@ class TestBuildH:
             build_h(big.negated(), 1, 3)
 
     def test_unsupported_weight(self):
-        lneg, dneg = negated_side()
+        lneg = negated_side()[0]
         with pytest.raises(UnsupportedWeight, match="pole depth 2 needs "
                            "weight 19; the eisenstein series has weight 7"):
-            build_h(lneg, 2, 3, disc=dneg)
+            build_h(lneg, 2, 3)
 
     def test_pole_depth_inverts_aux_weight(self):
         for n in range(41):
@@ -405,17 +405,17 @@ class TestBuildH:
             assert eis.pole_depth(n) == legacy, n
 
     def test_only_the_pole_depth_builds(self):
-        lneg, dneg = negated_side()
+        lneg = negated_side()[0]
         for provider, depth in ((Provider.eisenstein(lneg), 1),
                                 (weight19_provider(), 2)):
             assert provider.pole_depth(lneg.sig_neg) == depth
             for b in range(1, 5):
                 if b == depth:
-                    h = build_h(lneg, b, 1, provider=provider, disc=dneg)
+                    h = build_h(lneg, b, 1, provider=provider)
                     assert h.coefficient(-b, ZERO) == 1
                 else:
                     with pytest.raises(UnsupportedWeight):
-                        build_h(lneg, b, 1, provider=provider, disc=dneg)
+                        build_h(lneg, b, 1, provider=provider)
 
     def test_fixture_provider_negative_coefficient(self):
         lneg, dneg = negated_side()
@@ -423,7 +423,7 @@ class TestBuildH:
             19, (VVQSeries(dneg, 4, 1, 4, {(0, ZERO): 1, (4, ZERO): -1}),),
             (False,), "negative control")
         with pytest.raises(PositivityViolation):
-            build_h(lneg, 2, 1, provider=Provider.fixture(bad), disc=dneg)
+            build_h(lneg, 2, 1, provider=Provider.fixture(bad))
 
     def test_fixture_provider_index_out_of_range(self):
         with pytest.raises(FixtureNotABasis, match="no element 0"):
@@ -440,7 +440,7 @@ class TestBuildH:
             19, (VVQSeries(dneg, 4, 1, 2, {(0, ZERO): 1}),),
             (False,), "too short")
         with pytest.raises(TruncationInsufficient):
-            build_h(lneg, 2, 1, provider=Provider.fixture(short), disc=dneg)
+            build_h(lneg, 2, 1, provider=Provider.fixture(short))
 
 
 class TestDecompose:

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, config layering, caching, outputs."""
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -711,6 +712,33 @@ class TestCache:
         assert entry.exists()
         assert sorted(x.name for x in cache.iterdir()) == sorted(
             [entry.name, f"{entry.stem}.tmp"])
+
+
+class TestCanonicalBytes:
+    # sha256 of each battery invocation's stdout; canonical CLI output may
+    # change only on purpose, together with these digests
+    DIGESTS = {
+        "info": "ad770efedc256b3acd906922c309f05ee80494158dd96049599e69ef209dbaac",
+        "repnum": "81e3d747060f3c628fb5d13e588c8d05b5224ae760b866b0a6799ce2e00177f3",
+        "eis": "a87644a74ff13dc2d8ac01a590d547e41467df5c95485ec47aaccc39085369e5",
+        "weil": "2579cb1a9a2d529ad33f10298c9957fba4f370efc42954cb897a8dd36f434cdf",
+        "h-series": "c48754f3e19f0dfff055ecdfd37882be5477b912003a40df3c0e9d08294d927a",
+        "decompose": "468aec5ec13cd7e7d1bb9efdd83f94bbdb36d3b4f703584cec37e0986d4df8d2",
+        "obstruct": "2de67f4da6bbc00d8b7f5779a89e4fbccbcd79b072e65a335b8a6033995172d8",
+        "prescribe": "cef980d9268596789ad579eedef0cdff93772eb1b423fb3e244d0e07cea35151",
+        "vanish-on": "ce6cf2b529cf1f977ab08724227314e92a4efde0d7daa07098ed88550645043f",
+    }
+
+    def test_battery_invocations_pinned(self, tmp_path, monkeypatch):
+        for name in [k for k in os.environ if k.startswith("VVEIS_")]:
+            monkeypatch.delenv(name)
+        acceptance._battery_files(tmp_path)
+        got = {}
+        for argv in acceptance._cli_invocations(tmp_path):
+            code, out, err = run_cli(argv)
+            assert code == 0, (argv[0], err)
+            got[argv[0]] = hashlib.sha256(out.encode()).hexdigest()
+        assert got == self.DIGESTS
 
 
 class TestBattery:

@@ -68,7 +68,7 @@ def ref_local_product(ctx, m, mu):
     1 - p^(1-2k), taken factor by factor in Fractions."""
     odd = ctx.kappa.denominator == 2
     want = Fraction(1)
-    for p, w, n in repnums.local_counts(ctx.lattice, m, mu, ctx.disc):
+    for p, w, n in repnums.local_counts(ctx.lattice, m, mu):
         want *= Fraction(n, p ** ((2 * ctx.kappa - 1) * w))
         if odd:
             want /= 1 - Fraction(p) ** (1 - 2 * ctx.kappa)
@@ -284,7 +284,7 @@ class TestGeneralBehavior:
         (lambda lat: eis_coefficient(lat, Fraction(13, 8), [1]),
          lambda lat: eis_coefficient(lat, Fraction(13, 8), (1,))),
         (lambda lat: eis_coefficient(lat, 1, (0,), ctx=context(new_lattice(E7))),
-         "ctx does not belong to this lattice and disc"),
+         "ctx does not belong to this lattice"),
         (lambda lat: repnums.count_gauss(lat, -1, (0,), 2, 3).count,
          lambda lat: repnums.count_gauss(lat, 7, (0,), 2, 3).count),
         (lambda lat: repnums.count_gauss(lat, Fraction(1, 2), (1,), 2, 3),
@@ -370,16 +370,18 @@ class TestGeneralBehavior:
         assert series.coefficient(Fraction(1, 2), (2,)) == 10
 
     def test_ctx_must_match_lattice_and_disc(self):
+        # a context carries its lattice's one form, so matching the lattice
+        # is matching the form
         fixture = new_lattice(FIXTURE)
         ctx = context(fixture)
         zero = ctx.disc.zero()
         with pytest.raises(PreconditionError, match="ctx"):
             eis_coefficient(new_lattice(E8), 1, zero, ctx=ctx)
         with pytest.raises(PreconditionError, match="ctx"):
-            eis_coefficient(fixture, 1, zero, disc=ctx.disc.negated(), ctx=ctx)
+            eis_coefficient(fixture.negated(), 1, zero, ctx=ctx)
         # an equal lattice, built again, is the same lattice
         assert eis_coefficient(new_lattice(FIXTURE), 1, zero, ctx=ctx) == \
-            eis_coefficient(fixture, 1, zero, disc=ctx.disc, ctx=ctx) == \
+            eis_coefficient(fixture, 1, zero, ctx=ctx) == \
             eis_coefficient(fixture, 1, zero)
 
 

@@ -1151,7 +1151,7 @@ class TestCosetRepresents:
                     m = disc.q_value(mu) + k
                     if m == 0:
                         continue
-                    res = coset_represents(lat, m, mu, disc=disc)
+                    res = coset_represents(lat, m, mu)
                     if res is RepResult.NOT_REPRESENTED:
                         assert not lattice_mod._box_search(lat, *coset, m, 8), \
                             (g, m, mu)

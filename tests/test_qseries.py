@@ -176,6 +176,16 @@ class TestScalarSeries:
         assert h.coefficient(1) == 3
         assert h.coefficient(2) == 6
 
+    def test_off_grid_coefficient_is_zero(self):
+        s = ScalarQSeries({0: 1, 1: 240}, 3)
+        assert s.coefficient(Fraction(1, 2)) == s.coefficient(Fraction(3, 2)) == 0
+        assert s.coefficient(Fraction(1)) == s.coefficient(1.0) == 240
+
+    def test_non_integral_exponent_rejected(self):
+        with pytest.raises(PreconditionError, match="integers"):
+            ScalarQSeries({Fraction(1, 2): 5, 0: 1}, 3)
+        assert ScalarQSeries({Fraction(2): 5}, 3).coeffs == {2: 5}
+
 
 class TestVVQSeries:
     def test_congruence_enforced(self):

@@ -6,6 +6,7 @@ hand (tiny moduli) or pinned from the naive path before the Gauss path ran.
 """
 
 import importlib.util
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from vveis import acceptance, eisenstein, lattice, linalg, repnums
+from vveis import acceptance, borcherds, eisenstein, lattice, linalg, repnums
 from vveis.acceptance import E8, U
 from vveis.arith import kronecker, valuation
 from vveis.errors import (
@@ -94,9 +95,8 @@ class TestCountNaive:
 
     def test_coset_with_denominator(self):
         lat = new_lattice(A1)
-        disc = discriminant_form(lat)
         # mu = 1/2, Q(r + 1/2) = (r + 1/2)^2; m = 1/4 hit by r = 0 and r = 1 mod 2
-        got = repnums.count_naive(lat, Fraction(1, 4), (1,), 2, disc=disc)
+        got = repnums.count_naive(lat, Fraction(1, 4), (1,), 2)
         assert got.count == 2
 
     def test_precondition(self):
@@ -376,10 +376,10 @@ class TestIntegerFrame:
                     if m == 0:
                         continue
                     for w in range(1, 10):
-                        got = repnums.count_gauss(lat, m, mu, p, w, disc=disc).count
+                        got = repnums.count_gauss(lat, m, mu, p, w).count
                         with monkeypatch.context() as mp:
                             mp.setattr(repnums, "_gauss_frame", ref_gauss_frame)
-                            want = repnums.count_gauss(lat, m, mu, p, w, disc=disc).count
+                            want = repnums.count_gauss(lat, m, mu, p, w).count
                         assert got == want, (lat.gram, m, mu, p, w)
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS.BASES))
@@ -432,7 +432,7 @@ class TestCountGauss:
         disc = discriminant_form(lat)
         monkeypatch.setattr(disc, "q_exact", lambda mu: Fraction(3, 4) + 1)
         with pytest.raises(ConsistencyError, match="not an integer"):
-            repnums.count_gauss(lat, Fraction(1, 4), (1,), 2, 3, disc=disc)
+            repnums.count_gauss(lat, Fraction(1, 4), (1,), 2, 3)
 
     def test_rank_one_matches(self):
         got = repnums.count_gauss(new_lattice(A1), 1, (0,), 2, 1)
@@ -469,8 +469,8 @@ class TestCountGauss:
             if p ** w > 343:
                 continue
             m = disc.q_value(mu) + rng.randint(-4, 4)
-            nv = repnums.count_naive(lat, m, mu, p ** w, disc=disc).count
-            gv = repnums.count_gauss(lat, m, mu, p, w, disc=disc).count
+            nv = repnums.count_naive(lat, m, mu, p ** w).count
+            gv = repnums.count_gauss(lat, m, mu, p, w).count
             assert nv == gv, (lat.gram, m, mu, p, w, nv, gv)
             checked += 1
 
@@ -485,8 +485,8 @@ class TestCountGauss:
             mu = rng.choice(disc.elements())
             w = rng.randint(4, 7 if rank == 1 else 6)
             m = disc.q_value(mu) + rng.randint(-3, 3)
-            nv = repnums.count_naive(lat, m, mu, 2 ** w, disc=disc).count
-            gv = repnums.count_gauss(lat, m, mu, 2, w, disc=disc).count
+            nv = repnums.count_naive(lat, m, mu, 2 ** w).count
+            gv = repnums.count_gauss(lat, m, mu, 2, w).count
             assert nv == gv, (lat.gram, m, mu, w, nv, gv)
 
 
@@ -506,8 +506,8 @@ class TestCountGauss:
             mu = rng.choice(disc.elements())
             w = rng.randint(max(1, depth[p] - 2), depth[p])
             m = disc.q_value(mu) + rng.randint(-3, 3) * p ** rng.randint(0, 3)
-            nv = repnums.count_naive(lat, m, mu, p ** w, disc=disc).count
-            gv = repnums.count_gauss(lat, m, mu, p, w, disc=disc).count
+            nv = repnums.count_naive(lat, m, mu, p ** w).count
+            gv = repnums.count_gauss(lat, m, mu, p, w).count
             assert nv == gv, (lat.gram, m, mu, p, w, nv, gv)
             checked += 1
 
@@ -520,20 +520,20 @@ class TestCountGauss:
         for mu, k in (((0, 0, 0, 0), 3), ((0, 0, 0, 1), 2), ((0, 0, 1, 1), 5)):
             m = disc.q_value(mu) + 2 ** k * 3
             wp = repnums.w_p(m, disc.order_of(mu), 2)
-            counts = {w: repnums.count_gauss(lat, m, mu, 2, w, disc=disc).count
+            counts = {w: repnums.count_gauss(lat, m, mu, 2, w).count
                       for w in range(wp, 16)}
             assert counts[wp] > 0
             for w in range(wp, 15):
                 assert counts[w + 1] == lift * counts[w], (mu, m, w)
             t = time.process_time()
-            repnums.count_gauss(lat, m, mu, 2, 15, disc=disc)
+            repnums.count_gauss(lat, m, mu, 2, 15)
             assert time.process_time() - t < 0.05
         assert time.process_time() - start < 5
 
     @staticmethod
-    def _timed_count(lat, m, mu, p, w, disc):
+    def _timed_count(lat, m, mu, p, w):
         t = time.process_time()
-        n = repnums.count_gauss(lat, m, mu, p, w, disc=disc).count
+        n = repnums.count_gauss(lat, m, mu, p, w).count
         assert time.process_time() - t < 1
         return n
 
@@ -557,7 +557,7 @@ class TestCountGauss:
                 m = disc.q_value(mu) + k
                 b = m.numerator * pow(m.denominator, -1, p) % p
                 assert b
-                n1, n3 = (self._timed_count(lat, m, mu, p, w, disc) for w in (1, 3))
+                n1, n3 = (self._timed_count(lat, m, mu, p, w) for w in (1, 3))
                 assert n1 == p ** 2 + p * eta(-b * delta)
                 assert n3 == p ** (2 * (lat.rank - 1)) * n1
 
@@ -586,8 +586,8 @@ class TestCount:
             disc = discriminant_form(lat)
             mu = rng.choice(disc.elements())
             m = disc.q_value(mu) + rng.randint(0, 3)
-            assert repnums.count(lat, m, mu, 12, disc=disc).count == \
-                repnums.count_naive(lat, m, mu, 12, disc=disc).count
+            assert repnums.count(lat, m, mu, 12).count == \
+                repnums.count_naive(lat, m, mu, 12).count
 
     def test_multiplicativity_battery(self):
         rng = random.Random(99)
@@ -598,9 +598,9 @@ class TestCount:
             mu = rng.choice(disc.elements())
             m = disc.q_value(mu) + rng.randint(-3, 3)
             a1, a2 = rng.choice([(2, 3), (4, 3), (2, 9), (8, 3), (4, 5), (3, 5)])
-            c12 = repnums.count(lat, m, mu, a1 * a2, disc=disc).count
-            c1 = repnums.count(lat, m, mu, a1, disc=disc).count
-            c2 = repnums.count(lat, m, mu, a2, disc=disc).count
+            c12 = repnums.count(lat, m, mu, a1 * a2).count
+            c1 = repnums.count(lat, m, mu, a1).count
+            c2 = repnums.count(lat, m, mu, a2).count
             assert c12 == c1 * c2
 
     def test_local_universality(self):
@@ -616,7 +616,7 @@ class TestCount:
                 if lat.det % p == 0:
                     continue
                 m = rng.randint(1, 6)
-                c = repnums.count(lat, m, disc.zero(), p, disc=disc)
+                c = repnums.count(lat, m, disc.zero(), p)
                 assert c.count >= p ** (lat.rank - 2) * (p - 1), \
                     (lat.gram, p, m, c.count)
                 done += 1
@@ -624,8 +624,8 @@ class TestCount:
     def test_sharp_universality_witness(self):
         lat = new_lattice([[4, 2, 1], [2, -6, -3], [1, -3, 4]])
         disc = discriminant_form(lat)
-        assert repnums.count_naive(lat, 4, disc.zero(), 5, disc=disc).count == 20
-        assert repnums.count_gauss(lat, 4, disc.zero(), 5, 1, disc=disc).count == 20
+        assert repnums.count_naive(lat, 4, disc.zero(), 5).count == 20
+        assert repnums.count_gauss(lat, 4, disc.zero(), 5, 1).count == 20
 
     def test_crosscheck_mode(self, monkeypatch):
         monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
@@ -643,7 +643,7 @@ class TestLocalCounts:
     """The internal one-prime-power counts keep the naive cross-check."""
 
     @staticmethod
-    def _wrong_naive(lattice, m, mu, a, cap=10 ** 8, disc=None):
+    def _wrong_naive(lattice, m, mu, a, cap=10 ** 8):
         # more solutions than residues: never a correct count
         return repnums.RepCount(Fraction(m), tuple(mu), a, a ** lattice.rank + 1, "naive")
 
@@ -652,11 +652,11 @@ class TestLocalCounts:
         disc = discriminant_form(lat)
         for mu in disc.elements()[:6]:
             m = disc.q_value(mu) + 2
-            primes = [p for p, _, _ in repnums.local_counts(lat, m, mu, disc)]
+            primes = [p for p, _, _ in repnums.local_counts(lat, m, mu)]
             assert primes == [2, 3]  # level 24
-            for p, w, n in repnums.local_counts(lat, m, mu, disc):
+            for p, w, n in repnums.local_counts(lat, m, mu):
                 assert w == repnums.w_p(m, disc.order_of(mu), p)
-                assert n == repnums.count_naive(lat, m, mu, p ** w, disc=disc).count
+                assert n == repnums.count_naive(lat, m, mu, p ** w).count
 
     def test_crosscheck_through_eis_coefficient(self, monkeypatch):
         lat = new_lattice(E8)
@@ -699,9 +699,11 @@ class TestLocalCounts:
 
 
 class TestForeignDisc:
-    """A discriminant form of another lattice, or one labelling this
-    lattice's cosets another way, is refused with PreconditionError, not an
-    AssertionError, a silent zero count or mixed labels."""
+    """``count_gauss`` and ``eis_expansion`` still take a ``disc``, only as a
+    handle on the lattice's own form: a form of another lattice, or one
+    labelling this lattice's cosets another way, is refused with
+    PreconditionError, not an AssertionError, a silent zero count or mixed
+    labels.  Every other entry point reads the form off its lattice."""
 
     A2P = [[2, 1], [1, 2]]  # L'/L of order 3
     OTHER = [[2, -1], [-1, 8]]  # L'/L of order 15
@@ -711,41 +713,64 @@ class TestForeignDisc:
         other = discriminant_form(new_lattice(acceptance.direct_sum(self.OTHER, *tail)))
         return lat, other
 
-    @pytest.mark.parametrize("call", [
-        lambda lat, d: repnums.count_gauss(lat, Fraction(1, 3), (1,), 3, 2, disc=d),
-        lambda lat, d: repnums.count_naive(lat, Fraction(1, 3), (1,), 3, disc=d),
-        lambda lat, d: repnums.count(lat, Fraction(1, 3), (1,), 3, disc=d),
-        lambda lat, d: coset_represents(lat, Fraction(1, 3), (1,), disc=d),
-        lambda lat, d: eisenstein.context(lat, d),
-    ], ids=["count_gauss", "count_naive", "count", "coset_represents", "context"])
-    def test_definite_entry_points(self, call):
-        lat, other = self.lattices()
+    # E8 adds nothing to L'/L and lifts kappa to 5 for the expansion
+    CALLS = {
+        "count_gauss": lambda lat, d: repnums.count_gauss(
+            lat, Fraction(1, 3), (1,), 3, 2, disc=d),
+        "eis_expansion": lambda lat, d: eisenstein.eis_expansion(lat, 2, disc=d),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_definite_entry_points(self, name):
+        lat, other = self.lattices(E8)
         assert other.orders == (15,)
         with pytest.raises(PreconditionError, match="does not belong"):
-            call(lat, other)
-
-    @pytest.mark.parametrize("call", [
-        lambda lat, d: lattice.t_mu(lat, (1, 0, 0), disc=d),
-        lambda lat, d: lattice.t_max(lat, disc=d),
-    ], ids=["t_mu", "t_max"])
-    def test_signature_n2_entry_points(self, call):
-        # the same pair with <-2>^2 appended, so that signature (2, 2) passes
-        lat, other = self.lattices([[-2]], [[-2]])
-        with pytest.raises(PreconditionError, match="does not belong"):
-            call(lat, other)
+            self.CALLS[name](lat, other)
 
     def test_relabelled_own_form(self):
         # the generator -g swaps the labels of the cosets (1,) and (2,)
-        lat, _ = self.lattices()
+        lat, _ = self.lattices(E8)
         own = discriminant_form(lat)
         flipped = lattice.DiscriminantForm(
             lat, own.orders, [tuple(-x % 1 for x in g) for g in own.gens])
         assert flipped.lattice == lat and flipped.vector((1,)) == own.vector((2,))
+        for call in self.CALLS.values():
+            with pytest.raises(PreconditionError, match="does not belong"):
+                call(lat, flipped)
+            assert call(lat, own) == call(lat, None)
+
+    def test_benchmark_call_shapes(self):
+        # eis_expansion(L.negated(), 4, disc=discriminant_form(L).negated())
+        # and count_gauss(L, m, mu, 2, w, disc=ctx.disc), as the workloads
+        # call them; the unnegated form belongs to L, not to L.negated()
+        lat, _ = self.lattices(U, U)
+        disc = discriminant_form(lat)
+        assert eisenstein.eis_expansion(lat.negated(), 4, disc=disc.negated()) \
+            == eisenstein.eis_expansion(lat.negated(), 4)
         with pytest.raises(PreconditionError, match="does not belong"):
-            repnums.count_gauss(lat, Fraction(1, 3), (1,), 3, 2, disc=flipped)
+            eisenstein.eis_expansion(lat.negated(), 4, disc=disc)
+        ctx = eisenstein.context(lat)
+        m = disc.q_value((1,)) + 1
+        for w in (1, 3):
+            assert repnums.count_gauss(lat, m, (1,), 2, w, disc=ctx.disc) \
+                == repnums.count_gauss(lat, m, (1,), 2, w)
 
     def test_own_form_still_counts(self):
         lat, _ = self.lattices()
         disc = discriminant_form(lat)
         assert (repnums.count_gauss(lat, Fraction(1, 3), (1,), 3, 2, disc=disc).count
-                == repnums.count_naive(lat, Fraction(1, 3), (1,), 9, disc=disc).count)
+                == repnums.count_naive(lat, Fraction(1, 3), (1,), 9).count)
+    def test_only_two_entry_points_take_disc(self):
+        # every other public function reads the form off its lattice
+        optional = set()
+        for mod in (lattice, repnums, eisenstein, borcherds):
+            for name, obj in vars(mod).items():
+                fn = getattr(obj, "__wrapped__", obj)  # t_max is lru_cached
+                if name.startswith("_") or not inspect.isfunction(fn) \
+                        or fn.__module__ != mod.__name__:
+                    continue
+                param = inspect.signature(fn).parameters.get("disc")
+                if param is not None and param.default is not param.empty:
+                    optional.add(f"{mod.__name__.split('.')[-1]}.{name}")
+        assert optional == {"eisenstein.eis_expansion", "repnums.count_gauss",
+                            "lattice.disc_of"}
