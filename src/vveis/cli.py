@@ -10,27 +10,24 @@ Exit codes: 0 success, 1 I/O failure (unreadable or unwritable files),
 3 exhausted search budgets, 4 internal-consistency failures (also used
 when the battery finds a failing criterion).
 
-Configuration lives in an optional JSON file (--config) with the keys
-lattice, cache_dir, naive_cap and cross_check, and environment overrides
-VVEIS_LATTICE, VVEIS_CACHE_DIR, VVEIS_NAIVE_CAP and VVEIS_CROSSCHECK.
-Unknown config keys are rejected; lattice and cache_dir must be strings.
-The cross_check key reaches only `repnum --method auto`, whose count()
-then compares the naive and Gauss-sum paths on every prime power.  The
-variable VVEIS_CROSSCHECK sets that key and is also read by
-repnums.local_counts, so it cross-checks every local count behind the
-Eisenstein coefficients as well, both through repnums.crosscheck_flag.
+Configuration lives in an optional JSON file (--config) with the two file
+locations lattice and cache_dir, both strings, and the environment
+overrides VVEIS_LATTICE and VVEIS_CACHE_DIR; unknown config keys are
+rejected.  VVEIS_CROSSCHECK is no CLI setting: repnums reads it once at
+import (repnums.CROSSCHECK), and while it is on every subcommand compares
+the naive and Gauss-sum paths on every local count and bypasses the cache.
 
 Every subcommand but `battery` goes through one dispatcher, which reads
 the lattice and every document option (--pp, --provider, --fixture,
 --spec) once and keys the cache by the subcommand, the Gram matrix, every
-other argument as typed, every document and every setting except the
-file locations lattice and cache_dir.  The discriminant form is built and
-the documents are parsed only on a miss.  Each entry stores its payload's
-digest; a tampered or unreadable entry is discarded with a warning and
-recomputed.  Entries are written to a private temporary file and renamed
-into place, so concurrent writers never mix payloads.  Outputs are
-deterministic and the key holds every input, so a hit answers exactly as
-a miss does; entries of an earlier key format miss once.
+other argument as typed and every document.  The discriminant form is
+built and the documents are parsed only on a miss.  Each entry stores its
+payload's digest; a tampered or unreadable entry is discarded with a
+warning and recomputed.  Entries are written to a private temporary file
+and renamed into place, so concurrent writers never mix payloads.
+Outputs are deterministic and the key holds every input, so a hit
+answers exactly as a miss does; entries of an earlier key format miss
+once.
 """
 
 import argparse
@@ -42,6 +39,7 @@ import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import repnums
 from .borcherds import (
     Provider,
     build_h,
@@ -59,7 +57,6 @@ from .errors import (
 )
 from .formats import (
     canonical_json,
-    is_int,
     parse_fixture,
     parse_lattice,
     parse_principal_part,
@@ -70,7 +67,7 @@ from .formats import (
     rational_str,
 )
 from .lattice import discriminant_form
-from .repnums import count, count_gauss, count_naive, crosscheck_flag
+from .repnums import count, count_gauss, count_naive
 from .weilrep import invariants, is_unitary, verify_relations, weil_matrices
 
 
@@ -78,20 +75,9 @@ from .weilrep import invariants, is_unitary, verify_relations, weil_matrices
 class Config:
     lattice: str = ""
     cache_dir: str = ""
-    naive_cap: int = 10 ** 8
-    cross_check: bool = False
-
-    def __post_init__(self):
-        if self.naive_cap <= 0:
-            raise PreconditionError("config naive_cap must be positive")
 
 
-_ENV_KEYS = {
-    "VVEIS_LATTICE": ("lattice", str),
-    "VVEIS_CACHE_DIR": ("cache_dir", str),
-    "VVEIS_NAIVE_CAP": ("naive_cap", int),
-    "VVEIS_CROSSCHECK": ("cross_check", crosscheck_flag),
-}
+_ENV_KEYS = {"VVEIS_LATTICE": "lattice", "VVEIS_CACHE_DIR": "cache_dir"}
 
 
 def load_config(path=None, env=None):
@@ -106,21 +92,11 @@ def load_config(path=None, env=None):
         if unknown:
             raise PreconditionError(f"config has unknown keys {unknown}")
         values.update(doc)
-    for var, (name, conv) in _ENV_KEYS.items():
-        if var not in env:
-            continue
-        raw = env[var]
-        try:
-            values[name] = conv(raw)
-        except ValueError as err:
-            raise PreconditionError(f"{var}={raw!r} is not valid") from err
-    for name in ("lattice", "cache_dir"):
-        if name in values and not isinstance(values[name], str):
+    values.update((name, env[var]) for var, name in _ENV_KEYS.items()
+                  if var in env)
+    for name, value in values.items():
+        if not isinstance(value, str):
             raise PreconditionError(f"config {name} must be a string")
-    if "naive_cap" in values and not is_int(values["naive_cap"]):
-        raise PreconditionError("config naive_cap must be an integer")
-    if "cross_check" in values and not isinstance(values["cross_check"], bool):
-        raise PreconditionError("config cross_check must be a boolean")
     return Config(**values)
 
 
@@ -134,8 +110,10 @@ def _read_json(path):
 
 
 def cached_text(cfg, key_doc, produce, warn=None):
-    """Content-addressed text cache; corrupt entries recompute loudly."""
-    if not cfg.cache_dir:
+    """Content-addressed text cache; corrupt entries recompute loudly.  A
+    cross-checked run (``repnums.CROSSCHECK``) neither reads nor writes an
+    entry, so it is never answered by an unchecked one."""
+    if not cfg.cache_dir or repnums.CROSSCHECK:
         return produce()
     try:
         key_text = canonical_json(key_doc)
@@ -169,9 +147,6 @@ def cached_text(cfg, key_doc, produce, warn=None):
     return text
 
 
-# Settings that locate files rather than shape a payload; every other one
-# enters the cache key.
-_LOCATIONS = ("lattice", "cache_dir")
 # Options naming a JSON document; the key holds the document, not its path.
 _DOCUMENTS = ("pp", "provider", "fixture", "spec")
 # Parsed arguments left out of the key's "args": the root flags, the
@@ -197,13 +172,11 @@ def _dispatch(args, cfg, warn):
         "gram": lat.gram,
         "args": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
         "documents": docs,
-        "settings": {f.name: getattr(cfg, f.name) for f in fields(Config)
-                     if f.name not in _LOCATIONS},
     }
 
     def produce():
         disc = discriminant_form(lat)
-        return canonical_json(args.payload(args, lat, disc, docs, cfg))
+        return canonical_json(args.payload(args, lat, disc, docs))
 
     return cached_text(cfg, key, produce, warn), 0
 
@@ -227,7 +200,7 @@ def _provider(docs, lat, disc):
     return Provider.fixture(parse_fixture(docs["provider"], disc.negated()))
 
 
-def _info(args, lat, disc, docs, cfg):
+def _info(args, lat, disc, docs):
     return {
         "rank": lat.rank,
         "signature": [lat.sig_pos, lat.sig_neg],
@@ -238,13 +211,13 @@ def _info(args, lat, disc, docs, cfg):
     }
 
 
-def _repnum(args, lat, disc, docs, cfg):
+def _repnum(args, lat, disc, docs):
     m = parse_rational(args.m, "-m")
     mu = _parse_mu(args.mu, disc)
     if args.a < 1:
         raise PreconditionError("modulus -a must be >= 1")
     if args.method == "naive":
-        rc = count_naive(lat, m, mu, args.a, cap=cfg.naive_cap)
+        rc = count_naive(lat, m, mu, args.a)
     elif args.method == "gauss":
         from .arith import factorize
         fac = factorize(args.a)
@@ -254,20 +227,19 @@ def _repnum(args, lat, disc, docs, cfg):
         ((p, w),) = fac.items()
         rc = count_gauss(lat, m, mu, p, w)
     else:
-        rc = count(lat, m, mu, args.a, cap=cfg.naive_cap,
-                   crosscheck=cfg.cross_check)
+        rc = count(lat, m, mu, args.a)
     return {"m": rational_str(m), "mu": list(mu), "a": args.a,
             "count": rc.count, "method": rc.method}
 
 
-def _eis(args, lat, disc, docs, cfg):
+def _eis(args, lat, disc, docs):
     trunc = parse_rational(args.max_exp, "--max-exp")
     if args.negate:
         return qseries_doc(eis_expansion(lat.negated(), trunc))
     return qseries_doc(eis_expansion(lat, trunc))
 
 
-def _weil(args, lat, disc, docs, cfg):
+def _weil(args, lat, disc, docs):
     w = weil_matrices(disc)
     doc = {}
     if args.relations or not args.invariants:
@@ -279,14 +251,14 @@ def _weil(args, lat, disc, docs, cfg):
     return doc
 
 
-def _h_series(args, lat, disc, docs, cfg):
+def _h_series(args, lat, disc, docs):
     trunc = parse_rational(args.trunc, "--trunc")
     h = build_h(lat.negated(), args.b, trunc,
                 provider=_provider(docs, lat, disc))
     return qseries_doc(h)
 
 
-def _decompose(args, lat, disc, docs, cfg):
+def _decompose(args, lat, disc, docs):
     f = parse_principal_part(docs["pp"], disc)
     res = decompose(f, lat, provider=_provider(docs, lat, disc),
                     minimal=args.minimal)
@@ -295,7 +267,7 @@ def _decompose(args, lat, disc, docs, cfg):
             "f2": principal_part_doc(res.f2)}
 
 
-def _obstruct(args, lat, disc, docs, cfg):
+def _obstruct(args, lat, disc, docs):
     pp = parse_principal_part(docs["pp"], disc)
     report = obstruction_check(pp, parse_fixture(docs["fixture"], disc))
     return {
@@ -305,14 +277,14 @@ def _obstruct(args, lat, disc, docs, cfg):
     }
 
 
-def _prescribe(args, lat, disc, docs, cfg):
+def _prescribe(args, lat, disc, docs):
     spec = parse_spec(docs["spec"])
     fixture = parse_fixture(docs["fixture"], disc)
     return principal_part_doc(
         prescribe(lat, spec, fixture, budget=args.budget))
 
 
-def _vanish_on(args, lat, disc, docs, cfg):
+def _vanish_on(args, lat, disc, docs):
     m = parse_rational(args.m, "-m")
     mu = _parse_mu(args.mu, disc)
     fixture = parse_fixture(docs["fixture"], disc)

@@ -37,6 +37,7 @@ from .arith import (
     zeta_exact,
 )
 from .errors import (
+    BudgetExceeded,
     ConsistencyError,
     KappaTooSmall,
     NonRationalResidue,
@@ -219,6 +220,8 @@ def eis_expansion(lattice, trunc, disc=None):
     ``disc.first_numerator`` in steps of N, with one Fraction per
     coefficient.  Each (m, {mu, -mu}) is computed once (``coefficients``);
     the kappa = 2 boundary is recorded on the series as hecke_flag.
+    |L'/L| ceil(trunc) bounds the slots the series fills; past 10^6 the
+    expansion raises BudgetExceeded before computing any coefficient.
     ``disc``, when given, must be the lattice's own form (``disc_of``).
     """
     disc_of(lattice, disc)
@@ -226,6 +229,9 @@ def eis_expansion(lattice, trunc, disc=None):
     trunc = Fraction(trunc)
     if trunc <= 0:
         raise PreconditionError("trunc must be positive")
+    if ctx.disc.size * -(-trunc.numerator // trunc.denominator) > 10 ** 6:
+        raise BudgetExceeded(f"|L'/L| ceil(trunc) exceeds 10^6 coefficient "
+                             f"slots (|L'/L| = {ctx.disc.size})")
     den = lattice.level
     stop = -(-trunc.numerator * den // trunc.denominator)  # n / den < trunc
     coefficient = coefficients(ctx)

@@ -10,9 +10,10 @@ four residues mod 8 times a geometric sum.  That is O(w * rank) exact
 terms for any p^w (compare T. Yang's explicit local densities, J. Number
 Theory 72 (1998)).  The two paths share no code beyond the lattice type,
 which is the point: equality on random instances is the package's central
-correctness check (env VVEIS_CROSSCHECK=1 compares both paths on every
-prime power of count() and local_counts(), at the deepest level whose
-residues count_naive can afford).
+correctness check.  ``CROSSCHECK``, read once at import from the
+environment variable VVEIS_CROSSCHECK (``crosscheck_flag``), turns it on:
+count() and local_counts() then compare both paths on every prime power,
+at the deepest level whose residues count_naive can afford.
 """
 
 from __future__ import annotations
@@ -443,8 +444,8 @@ def crosscheck_flag(raw):
     return raw not in ("", "0", "false", "no")
 
 
-def _crosscheck_env():
-    return crosscheck_flag(os.environ.get("VVEIS_CROSSCHECK", ""))
+# The package's one cross-check switch, read once at import.
+CROSSCHECK = crosscheck_flag(os.environ.get("VVEIS_CROSSCHECK", ""))
 
 
 def _crosscheck(lattice, m, mu, p, w, cap=10 ** 8):
@@ -470,26 +471,27 @@ def local_counts(lattice, m, mu, d_mu=None):
 
     The local factors of the Eisenstein coefficients and the local
     representation test need one prime power per prime and no CRT, so this
-    calls count_gauss directly.  Env VVEIS_CROSSCHECK=1 compares the two
-    paths at p^w', the deepest level w' <= w_p whose p^(w' rank) residues
-    fit under count_naive's default cap (``_crosscheck``), and raises
-    ConsistencyError on disagreement.  A caller that holds mu's order
-    passes it as d_mu.
+    calls count_gauss directly.  While ``CROSSCHECK`` is on, it compares
+    the two paths at p^w', the deepest level w' <= w_p whose p^(w' rank)
+    residues fit under count_naive's default cap (``_crosscheck``), and
+    raises ConsistencyError on disagreement.  A caller that holds mu's
+    order passes it as d_mu.
     """
-    crosscheck = _crosscheck_env()
     if d_mu is None:
         d_mu = discriminant_form(lattice).order_of(mu)
     for p in bad_primes(lattice):
         w = w_p(m, d_mu, p)
-        if crosscheck:
+        if CROSSCHECK:
             _crosscheck(lattice, m, mu, p, w)
         yield p, w, count_gauss(lattice, m, mu, p, w).count
 
 
-def count(lattice, m, mu, a, cap=10 ** 8, naive_cutoff=100_000, crosscheck=None):
+def count(lattice, m, mu, a, cap=10 ** 8, crosscheck=None):
     """N_{m,mu}(a) by CRT over prime powers, dispatching naive vs gauss.
 
-    crosscheck (or env VVEIS_CROSSCHECK=1) compares the two paths for every
+    A prime power p^e of a whose p^(e rank) residues number at most
+    100 000 is counted by count_naive, any other by count_gauss.
+    crosscheck (``CROSSCHECK`` when None) compares the two paths for every
     prime power p^e of a, at p^e', the deepest level e' <= e whose
     p^(e' rank) residues fit under ``cap`` (``_crosscheck``), and raises
     ConsistencyError on disagreement.
@@ -499,7 +501,7 @@ def count(lattice, m, mu, a, cap=10 ** 8, naive_cutoff=100_000, crosscheck=None)
         raise PreconditionError("modulus a must be >= 1")
     disc = discriminant_form(lattice)
     if crosscheck is None:
-        crosscheck = _crosscheck_env()
+        crosscheck = CROSSCHECK
     if a == 1:
         m, mu = disc.check_pair(m, mu)
         return RepCount(m, mu, 1, 1, "naive")
@@ -507,8 +509,7 @@ def count(lattice, m, mu, a, cap=10 ** 8, naive_cutoff=100_000, crosscheck=None)
     methods = set()
     for p, e in sorted(factorize(a).items()):
         pe = p ** e
-        use_naive = pe ** lattice.rank <= naive_cutoff
-        if use_naive:
+        if pe ** lattice.rank <= 100_000:
             r = count_naive(lattice, m, mu, pe, cap=cap)
         else:
             r = count_gauss(lattice, m, mu, p, e)

@@ -8,9 +8,12 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vveis
 from vveis import acceptance, cli, linalg, repnums
@@ -44,7 +47,8 @@ def lat_files(tmp_path):
     paths = {}
     for name, gram in [("e8", E8), ("uu", acceptance.direct_sum(U, U)),
                        ("m2", [[-2]]), ("q4", [[4]]),
-                       ("zn4", acceptance.diag([-2, -2, -2, -2]))]:
+                       ("zn4", acceptance.diag([-2, -2, -2, -2])),
+                       ("fx", acceptance.FIXTURE_GRAM)]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps({"gram": gram}))
         paths[name] = str(p)
@@ -122,11 +126,11 @@ class TestExitCodes:
         code, _, err = run_cli(["info", str(odd)])
         assert code == 2
 
-    def test_budget_exit(self, lat_files, monkeypatch):
-        monkeypatch.setenv("VVEIS_NAIVE_CAP", "10")
-        code, _, err = run_cli(["repnum", lat_files["uu"], "-m", "1",
-                                "-a", "343", "--method", "naive"])
-        assert code == 3
+    def test_budget_exit(self, lat_files):
+        # 101^4 residues exceed count_naive's cap of 10^8
+        code, out, err = run_cli(["repnum", lat_files["uu"], "-m", "1",
+                                  "-a", "101", "--method", "naive"])
+        assert (code, out) == (3, "")
         assert "budget" in err
 
     def test_huge_modulus_terminates(self, tmp_path):
@@ -142,6 +146,20 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["count"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["eis", "--max-exp", "1e999"],
+        ["h-series", "-b", "1", "--trunc", "1e999"],
+    ], ids=["eis", "h-series"])
+    def test_huge_truncation_refused(self, lat_files, argv):
+        # the expansion bounds its slots before computing a coefficient;
+        # it used to run until killed
+        proc = subprocess.run(
+            [sys.executable, "-m", "vveis.cli", argv[0], lat_files["fx"],
+             *argv[1:]], capture_output=True, text=True, timeout=10,
+            env=child_env())
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+        assert proc.stderr.startswith("error (budget): ")
 
     @pytest.mark.parametrize("argv", [
         ["decompose", "--pp", ""],
@@ -205,24 +223,25 @@ class TestImports:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = cli.load_config(env={})
-        assert cfg.naive_cap == 10 ** 8
-        assert cfg.cache_dir == ""
-        assert not cfg.cross_check
+        # the two file locations are the CLI's only settings
+        assert [f.name for f in fields(cli.Config)] == ["lattice", "cache_dir"]
+        assert cli.load_config(env={}) == cli.Config("", "")
 
     def test_file_and_env_layering(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"naive_cap": 500, "cache_dir": "c"}))
-        cfg = cli.load_config(str(p), env={"VVEIS_NAIVE_CAP": "700"})
-        assert cfg.naive_cap == 700  # env wins
-        assert cfg.cache_dir == "c"
+        p.write_text(json.dumps({"lattice": "l.json", "cache_dir": "c"}))
+        cfg = cli.load_config(str(p), env={"VVEIS_CACHE_DIR": "d"})
+        assert cfg.cache_dir == "d"  # env wins
+        assert cfg.lattice == "l.json"
 
     def test_precision_keys_rejected(self, tmp_path, lat_files):
-        # the L-value is always exact: the old interval-precision keys are
-        # unknown keys now, and a config setting them is a usage error
-        for key in ("prec_bits", "denom_bound"):
+        # the L-value is always exact and the naive cap and the cross-check
+        # are no settings: the old keys are unknown keys now, and a config
+        # setting them is a usage error
+        for key, value in (("prec_bits", 96), ("denom_bound", 96),
+                           ("cross_check", True), ("naive_cap", 5)):
             p = tmp_path / f"{key}.json"
-            p.write_text(json.dumps({key: 96}))
+            p.write_text(json.dumps({key: value}))
             with pytest.raises(PreconditionError, match="unknown"):
                 cli.load_config(str(p), env={})
             code, _, err = run_cli(["--config", str(p), "info", lat_files["e8"]])
@@ -234,27 +253,13 @@ class TestConfig:
         with pytest.raises(PreconditionError, match="unknown"):
             cli.load_config(str(p), env={})
 
-    def test_positive_limits(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"naive_cap": 0}))
-        with pytest.raises(PreconditionError, match="positive"):
-            cli.load_config(str(p), env={})
-
     def test_type_checks(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"cross_check": "yes"}))
-        with pytest.raises(PreconditionError, match="boolean"):
-            cli.load_config(str(p), env={})
-
-    def test_boolean_cap_rejected(self, tmp_path, lat_files):
-        # JSON true is a Python bool, and bool is an int subclass: it must not
-        # pass as a cap of 1
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"naive_cap": True}))
-        with pytest.raises(PreconditionError, match="naive_cap must be an integer"):
-            cli.load_config(str(p), env={})
-        code, _, err = run_cli(["--config", str(p), "info", lat_files["e8"]])
-        assert code == 2 and "naive_cap" in err
+        # JSON true and null are no file locations
+        for doc in ({"lattice": True}, {"cache_dir": None}):
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps(doc))
+            with pytest.raises(PreconditionError, match="must be a string"):
+                cli.load_config(str(p), env={})
 
     def test_lattice_must_be_string(self, tmp_path):
         # a number here used to reach Path() and escape as a TypeError
@@ -277,17 +282,12 @@ class TestConfig:
             assert code == 2 and out == ""
             assert err.count("\n") == 1 and "cache_dir must be a string" in err
 
-    def test_crosscheck_env_parsing(self, monkeypatch):
-        # the config and the local counts behind every coefficient agree
+    def test_crosscheck_env_parsing(self):
+        # the variable is no CLI setting: the config ignores it
         for raw in ("", "0", "false", "no", "1", "yes", "true"):
-            monkeypatch.setenv("VVEIS_CROSSCHECK", raw)
             on = raw not in ("", "0", "false", "no")
-            assert cli.load_config(env={"VVEIS_CROSSCHECK": raw}).cross_check is on
-            assert repnums._crosscheck_env() is on
-
-    def test_bad_env_integer(self):
-        with pytest.raises(PreconditionError, match="VVEIS_NAIVE_CAP"):
-            cli.load_config(env={"VVEIS_NAIVE_CAP": "many"})
+            assert repnums.crosscheck_flag(raw) is on
+            assert cli.load_config(env={"VVEIS_CROSSCHECK": raw}) == cli.Config()
 
     def test_lattice_from_config(self, tmp_path, lat_files, monkeypatch):
         monkeypatch.setenv("VVEIS_LATTICE", lat_files["e8"])
@@ -548,6 +548,89 @@ class TestNegatedLabels:
         assert len(calls) == 1
 
 
+class TestCrossCheckSwitch:
+    """VVEIS_CROSSCHECK is read once, by repnums, and checks the local counts
+    behind every subcommand."""
+
+    @staticmethod
+    def _wrong_naive(lattice, m, mu, a, cap=10 ** 8):
+        # more solutions than residues: never a correct count
+        return repnums.RepCount(m, tuple(mu), a, a ** lattice.rank + 1, "naive")
+
+    @pytest.mark.parametrize("argv", [
+        ["eis", "e8", "--max-exp", "2"],
+        ["h-series", "fx", "-b", "1", "--trunc", "2"],
+    ], ids=["eis", "h-series"])
+    def test_every_subcommand_checked(self, lat_files, monkeypatch, argv):
+        monkeypatch.setattr(repnums, "CROSSCHECK", True)
+        monkeypatch.setattr(repnums, "count_naive", self._wrong_naive)
+        code, out, err = run_cli([argv[0], lat_files[argv[1]], *argv[2:]])
+        assert (code, out) == (4, "") and "count mismatch" in err
+
+    def test_variable_read_at_import(self, lat_files):
+        script = "\n".join([
+            "import sys",
+            "from vveis import cli, repnums",
+            "def wrong(lattice, m, mu, a, cap=10 ** 8):",
+            "    return repnums.RepCount(m, tuple(mu), a, a ** lattice.rank + 1, 'naive')",
+            "repnums.count_naive = wrong",
+            "sys.exit(cli.run(['eis', sys.argv[1], '--max-exp', '2']))",
+        ])
+        env = {**child_env(), "VVEIS_CROSSCHECK": "1"}
+        proc = subprocess.run([sys.executable, "-c", script, lat_files["e8"]],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+        assert "count mismatch" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def property_lattices(tmp_path_factory):
+    root = tmp_path_factory.mktemp("lattices")
+    paths = {}
+    for name, gram in [("e8", E8), ("uu", acceptance.direct_sum(U, U)),
+                       ("m2", [[-2]]), ("fx", acceptance.FIXTURE_GRAM)]:
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps({"gram": gram}))
+    return {name: str(path) for name, path in paths.items()}
+
+
+# small rationals, malformed strings and values past every budget
+VALUES = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12).map(str),
+    st.sampled_from(["nan", "", "1/0", "inf", "x", "1.5"]),
+    st.integers(10 ** 7, 10 ** 40).map(str), st.just("1e999"))
+# moduli whose naive enumerations are small or refused by count_naive's cap
+MODULI = st.one_of(st.integers(-2, 7), st.integers(101, 10 ** 4))
+COSETS = st.one_of(
+    st.none(), st.sampled_from(["x", "1,,2"]),
+    st.lists(st.integers(-3, 5), max_size=4).map(lambda xs: ",".join(map(str, xs))))
+
+
+class TestRunProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_streams(self, property_lattices, data):
+        # every run ends in the taxonomy's exit codes, without a traceback,
+        # and prints nothing when it fails
+        lat = property_lattices[data.draw(st.sampled_from(sorted(property_lattices)))]
+        command = data.draw(st.sampled_from(["info", "eis", "repnum"]))
+        if command == "info":
+            argv = ["info", lat]
+        elif command == "eis":
+            argv = ["eis", lat, f"--max-exp={data.draw(VALUES)}"]
+        else:
+            argv = ["repnum", lat, f"-m{data.draw(VALUES)}",
+                    f"-a{data.draw(MODULI)}",
+                    f"--method={data.draw(st.sampled_from(['auto', 'naive', 'gauss']))}"]
+            mu = data.draw(COSETS)
+            if mu is not None:
+                argv.append(f"--mu={mu}")
+        code, out, err = run_cli(argv)
+        assert 0 <= code <= 4, (argv, code)
+        assert "Traceback" not in err
+        assert code == 0 or out == "", (argv, code)
+
+
 class TestCache:
     def _eis_args(self, lat_files):
         return ["eis", lat_files["e8"], "--max-exp", "2"]
@@ -639,28 +722,18 @@ class TestCache:
             assert computed == [True, False], argv[0]
             assert miss[0] == 0 and hit == miss, argv[0]
 
-    def test_naive_cap_reaches_the_key(self, lat_files, tmp_path, monkeypatch):
-        # a cap too small for a^rank residues is a budget error on a hit as
-        # on a miss
-        argv = ["repnum", lat_files["q4"], "-m", "1/8", "--mu", "1", "-a", "72",
-                "--method", "naive"]
-        monkeypatch.delenv("VVEIS_NAIVE_CAP", raising=False)
-        uncached = run_cli(argv)
-        monkeypatch.setenv("VVEIS_CACHE_DIR", str(tmp_path / "cache"))
-        assert run_cli(argv) == uncached and uncached[0] == 0
-        monkeypatch.setenv("VVEIS_NAIVE_CAP", "10")
-        code, out, err = run_cli(argv)
-        assert (code, out) == (3, "") and "budget" in err
-        monkeypatch.delenv("VVEIS_CACHE_DIR")
-        assert run_cli(argv) == (code, out, err)
-
-    def test_cross_check_reaches_the_key(self, lat_files, tmp_path,
-                                         monkeypatch):
+    def test_crosscheck_bypasses_the_cache(self, lat_files, tmp_path,
+                                           monkeypatch):
+        # a cross-checked run is never answered by an entry written without
+        # the check, and it writes none
         argv = ["repnum", lat_files["q4"], "-m", "1/8", "--mu", "1", "-a", "8"]
-        monkeypatch.delenv("VVEIS_CROSSCHECK", raising=False)
-        monkeypatch.setenv("VVEIS_CACHE_DIR", str(tmp_path / "cache"))
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(repnums, "CROSSCHECK", False)
+        monkeypatch.setenv("VVEIS_CACHE_DIR", str(cache))
         first = run_cli(argv)
         assert first[0] == 0
+        entries = sorted(cache.iterdir())
+        assert len(entries) == 1
         checks = []
         crosscheck = repnums._crosscheck
 
@@ -669,9 +742,12 @@ class TestCache:
             return crosscheck(*args, **kwargs)
 
         monkeypatch.setattr(repnums, "_crosscheck", counting)
-        monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
+        monkeypatch.setattr(repnums, "CROSSCHECK", True)
         assert run_cli(argv) == first
         assert checks == [(2, 3)]
+        assert run_cli(["eis", lat_files["e8"], "--max-exp", "2"])[0] == 0
+        assert checks[1:] == [(2, 3)]  # E8's coefficient at m = 1
+        assert sorted(cache.iterdir()) == entries
 
     def test_document_too_deep_to_key(self, tmp_path, monkeypatch):
         # just inside the decoder's depth limit a document parses yet can be

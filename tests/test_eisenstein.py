@@ -25,6 +25,7 @@ from vveis.eisenstein import (
     lower_bound_report,
 )
 from vveis.errors import (
+    BudgetExceeded,
     ConsistencyError,
     KappaTooSmall,
     NonRationalResidue,
@@ -355,6 +356,20 @@ class TestGeneralBehavior:
         assert series.coefficient(0, ()) == 1
         for m in range(1, 4):
             assert series.coefficient(m, ()) == 240 * sigma3(m)
+
+    def test_huge_truncation_refused(self, monkeypatch):
+        # |L'/L| ceil(trunc) slots past 10^6 are refused before any
+        # coefficient is computed
+        def no_coefficients(ctx):
+            raise AssertionError("a coefficient was computed")
+
+        monkeypatch.setattr(eisenstein, "coefficients", no_coefficients)
+        for gram, trunc in ((E8, Fraction("1e999")), (E8, 10 ** 6 + 1),
+                            (D5, Fraction(500001, 2)), (FIXTURE, 10 ** 7)):
+            with pytest.raises(BudgetExceeded, match="10\\^6"):
+                eis_expansion(new_lattice(gram), trunc)
+        with pytest.raises(AssertionError, match="computed"):  # 4 * 250000
+            eis_expansion(new_lattice(D5), 250000)
 
     def test_expansion_hecke_flag(self):
         lat = new_lattice(diag([2, 2, 2, 2]))

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -628,13 +629,13 @@ class TestCount:
         assert repnums.count_gauss(lat, 4, disc.zero(), 5, 1).count == 20
 
     def test_crosscheck_mode(self, monkeypatch):
-        monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
+        monkeypatch.setattr(repnums, "CROSSCHECK", True)
         lat = new_lattice(U)
         assert repnums.count(lat, 0, (), 4).count == 8
 
     def test_gauss_dispatch_above_cutoff(self):
         lat = new_lattice(E8)
-        got = repnums.count(lat, 1, (), 8, naive_cutoff=1000)
+        got = repnums.count(lat, 1, (), 8)  # 8^8 residues: too many to enumerate
         assert got.count == 1966080
         assert got.method == "gauss"
 
@@ -661,7 +662,7 @@ class TestLocalCounts:
     def test_crosscheck_through_eis_coefficient(self, monkeypatch):
         lat = new_lattice(E8)
         assert eis_coefficient(lat, 1, ()) == 240
-        monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
+        monkeypatch.setattr(repnums, "CROSSCHECK", True)
         monkeypatch.setattr(repnums, "count_naive", self._wrong_naive)
         with pytest.raises(ConsistencyError):
             eis_coefficient(lat, 1, ())
@@ -669,10 +670,20 @@ class TestLocalCounts:
     def test_crosscheck_through_coset_represents(self, monkeypatch):
         lat = new_lattice(acceptance.direct_sum(U, U))  # indefinite, rank 4
         assert coset_represents(lat, 3, ()) is RepResult.REPRESENTED
-        monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
+        monkeypatch.setattr(repnums, "CROSSCHECK", True)
         monkeypatch.setattr(repnums, "count_naive", self._wrong_naive)
         with pytest.raises(ConsistencyError):
             coset_represents(lat, 3, ())
+
+    def test_switch_read_once(self, monkeypatch):
+        # no count reads the environment: the switch is read at import, and
+        # a read of os.environ here would raise AttributeError
+        monkeypatch.setattr(repnums, "os", SimpleNamespace())
+        assert eis_coefficient(new_lattice(E8), 5, ()) == 240 * 126
+        uu = new_lattice(acceptance.direct_sum(U, U))
+        assert coset_represents(uu, 7, ()) is RepResult.REPRESENTED
+        assert repnums.count(uu, 0, (), 4).count == \
+            repnums.count_naive(uu, 0, (), 4).count
 
     def test_crosscheck_fixture_at_affordable_level(self, monkeypatch):
         # rank 14: 8^14 residues at w_2 = 3 exceed the cap, so the two paths
@@ -680,7 +691,7 @@ class TestLocalCounts:
         lat = new_lattice(acceptance.FIXTURE_GRAM)
         zero = discriminant_form(lat).zero()
         want = eis_coefficient(lat, 1, zero)
-        monkeypatch.setenv("VVEIS_CROSSCHECK", "1")
+        monkeypatch.setattr(repnums, "CROSSCHECK", True)
         assert eis_coefficient(lat, 1, zero) == want
         assert repnums.count(lat, 1, zero, 8).count == \
             repnums.count_gauss(lat, 1, zero, 2, 3).count
@@ -691,11 +702,11 @@ class TestLocalCounts:
     def test_crosscheck_budget_when_no_level_fits(self):
         lat = new_lattice(E8)
         # gauss answers, but not even 2^8 residues fit under cap = 100
-        # (crosscheck=False: the answer must not depend on VVEIS_CROSSCHECK)
-        assert repnums.count(lat, 1, (), 8, cap=100, naive_cutoff=10,
+        # (crosscheck=False: the answer must not depend on CROSSCHECK)
+        assert repnums.count(lat, 1, (), 8, cap=100,
                              crosscheck=False).count == 1966080
         with pytest.raises(BudgetExceeded):
-            repnums.count(lat, 1, (), 8, cap=100, naive_cutoff=10, crosscheck=True)
+            repnums.count(lat, 1, (), 8, cap=100, crosscheck=True)
 
 
 class TestForeignDisc:
