@@ -27,7 +27,10 @@ warning and recomputed.  Entries are written to a private temporary file
 and renamed into place, so concurrent writers never mix payloads.
 Outputs are deterministic and the key holds every input, so a hit
 answers exactly as a miss does; entries of an earlier key format miss
-once.
+once.  The Weil and Borcherds layers are reached only through their
+modules (``weilrep.weil_matrices``, ``borcherds.decompose``), which
+``import vveis`` registers to run on first use: a hit executes neither,
+and nor do ``info``, ``eis`` and ``repnum``.
 """
 
 import argparse
@@ -39,15 +42,7 @@ import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import repnums
-from .borcherds import (
-    Provider,
-    build_h,
-    decompose,
-    obstruction_check,
-    prescribe,
-    vanish_on,
-)
+from . import borcherds, repnums, weilrep
 from .eisenstein import eis_expansion
 from .errors import (
     BudgetError,
@@ -68,7 +63,6 @@ from .formats import (
 )
 from .lattice import discriminant_form
 from .repnums import count, count_gauss, count_naive
-from .weilrep import invariants, is_unitary, verify_relations, weil_matrices
 
 
 @dataclass(frozen=True)
@@ -196,8 +190,8 @@ def _provider(docs, lat, disc):
     """The --provider fixture's first element, or without it the Eisenstein
     provider of the negated lattice."""
     if "provider" not in docs:
-        return Provider.eisenstein(lat.negated())
-    return Provider.fixture(parse_fixture(docs["provider"], disc.negated()))
+        return borcherds.Provider.eisenstein(lat.negated())
+    return borcherds.Provider.fixture(parse_fixture(docs["provider"], disc.negated()))
 
 
 def _info(args, lat, disc, docs):
@@ -240,28 +234,28 @@ def _eis(args, lat, disc, docs):
 
 
 def _weil(args, lat, disc, docs):
-    w = weil_matrices(disc)
+    w = weilrep.weil_matrices(disc)
     doc = {}
     if args.relations or not args.invariants:
-        doc["relations"] = verify_relations(w)
-        doc["unitary"] = is_unitary(w)
+        doc["relations"] = weilrep.verify_relations(w)
+        doc["unitary"] = weilrep.is_unitary(w)
     if args.invariants or not args.relations:
         doc["invariants"] = [[rational_str(x) for x in vec]
-                             for vec in invariants(w)]
+                             for vec in weilrep.invariants(w)]
     return doc
 
 
 def _h_series(args, lat, disc, docs):
     trunc = parse_rational(args.trunc, "--trunc")
-    h = build_h(lat.negated(), args.b, trunc,
-                provider=_provider(docs, lat, disc))
+    h = borcherds.build_h(lat.negated(), args.b, trunc,
+                          provider=_provider(docs, lat, disc))
     return qseries_doc(h)
 
 
 def _decompose(args, lat, disc, docs):
     f = parse_principal_part(docs["pp"], disc)
-    res = decompose(f, lat, provider=_provider(docs, lat, disc),
-                    minimal=args.minimal)
+    res = borcherds.decompose(f, lat, provider=_provider(docs, lat, disc),
+                              minimal=args.minimal)
     return {"b": res.b, "c": res.c,
             "f1": principal_part_doc(res.f1),
             "f2": principal_part_doc(res.f2)}
@@ -269,7 +263,7 @@ def _decompose(args, lat, disc, docs):
 
 def _obstruct(args, lat, disc, docs):
     pp = parse_principal_part(docs["pp"], disc)
-    report = obstruction_check(pp, parse_fixture(docs["fixture"], disc))
+    report = borcherds.obstruction_check(pp, parse_fixture(docs["fixture"], disc))
     return {
         "ok": report.ok,
         "values": [rational_str(v) for v in report.values],
@@ -281,7 +275,7 @@ def _prescribe(args, lat, disc, docs):
     spec = parse_spec(docs["spec"])
     fixture = parse_fixture(docs["fixture"], disc)
     return principal_part_doc(
-        prescribe(lat, spec, fixture, budget=args.budget))
+        borcherds.prescribe(lat, spec, fixture, budget=args.budget))
 
 
 def _vanish_on(args, lat, disc, docs):
@@ -290,7 +284,7 @@ def _vanish_on(args, lat, disc, docs):
     fixture = parse_fixture(docs["fixture"], disc)
     provider = _provider(docs, lat, disc)
     pp = parse_principal_part(docs["pp"], disc) if "pp" in docs else None
-    return principal_part_doc(vanish_on(
+    return principal_part_doc(borcherds.vanish_on(
         lat, m, mu, fixture, provider=provider, budget=args.budget, pp=pp))
 
 

@@ -28,8 +28,8 @@ document only name cosets relative to an encoding fixed by the lattice.
 import json
 from fractions import Fraction
 
+from . import borcherds
 from .errors import PreconditionError
-from .borcherds import AdmissibleSetSpec, ModularBasisFixture
 from .lattice import new_lattice
 from .qseries import PrincipalPart, VVQSeries
 
@@ -193,8 +193,8 @@ def parse_fixture(doc, disc):
             raise PreconditionError(f"cusp flag {i} must be a boolean")
         elements.append(parse_qseries(entry["series"], disc))
         flags.append(entry["cusp"])
-    return ModularBasisFixture(weight, elements, flags,
-                               doc.get("provenance", ""))
+    return borcherds.ModularBasisFixture(weight, elements, flags,
+                                         doc.get("provenance", ""))
 
 
 def parse_spec(doc):
@@ -217,5 +217,5 @@ def parse_spec(doc):
             members.append((parse_rational(row[0], "member index"), tuple(mu)))
     ceiling = parse_rational(doc["ceiling"], "ceiling") \
         if "ceiling" in doc else None
-    return AdmissibleSetSpec(bound_a=doc["bound_a"], members=members,
-                             ceiling=ceiling)
+    return borcherds.AdmissibleSetSpec(bound_a=doc["bound_a"], members=members,
+                                       ceiling=ceiling)

@@ -170,8 +170,10 @@ class DiscriminantForm:
     """The finite quadratic module L'/L with a fixed element encoding.
 
     Elements are residue tuples against ``orders``, the coordinates of an
-    element on ``gens``.  ``discriminant_form`` builds the one form of each
-    lattice and so fixes its labels: the lattice or its negation, whichever
+    element on the generators: generator k is vecs[k] / den, for integer
+    vectors ``vecs`` and their least common denominator ``den`` (``gens``
+    reads them as Fractions).  ``discriminant_form`` builds the one form of
+    each lattice and so fixes its labels: the lattice or its negation, whichever
     has more positive directions (on equal signature, the larger Gram
     matrix as a tuple of rows), takes the generators of its Smith normal
     form, and the other side reuses them through ``negated()``, so L and
@@ -192,15 +194,14 @@ class DiscriminantForm:
     dict lookup, and every method that takes an element goes through it.
     """
 
-    def __init__(self, lattice, orders, gens):
+    def __init__(self, lattice, orders, den, vecs):
         self.lattice = lattice
         self.orders = tuple(orders)
-        self.gens = tuple(gens)
-        # vector(mu)_r = sum_k mu_k cols[r][k] / den, gens[k][r] = cols[r][k] / den
-        self._den, flat = linalg.integral([x for g in self.gens for x in g])
-        self._cols = tuple(tuple(flat[r::lattice.rank]) for r in range(lattice.rank))
-        vecs = [flat[k:k + lattice.rank] for k in range(0, len(flat), lattice.rank)]
-        self._gram = tuple(tuple(lattice.form(a, b) for b in vecs) for a in vecs)  # M
+        self._den, self._vecs = den, tuple(map(tuple, vecs))
+        # vector(mu)_r = sum_k mu_k cols[r][k] / den, cols[r][k] = vecs[k][r]
+        self._cols = tuple(tuple(v[r] for v in self._vecs) for r in range(lattice.rank))
+        self._gram = tuple(tuple(lattice.form(a, b) for b in self._vecs)
+                           for a in self._vecs)  # M
         self.strides = tuple(prod(self.orders[k + 1:]) for k in range(len(self.orders)))
         self._elements = self._shifts = self._negs = self._neg = None
         self._checked = {}
@@ -209,6 +210,11 @@ class DiscriminantForm:
     @property
     def size(self):
         return prod(self.orders)
+
+    @property
+    def gens(self):
+        """The generators in basis coordinates, as Fractions."""
+        return tuple(tuple(Fraction(x, self._den) for x in v) for v in self._vecs)
 
     def elements(self):
         """All elements in lexicographic order, each recorded as checked."""
@@ -369,17 +375,19 @@ class DiscriminantForm:
         """The same generators over the negated lattice; built once, and
         negating that returns this form."""
         if self._neg is None:
-            self._neg = DiscriminantForm(self.lattice.negated(), self.orders, self.gens)
+            self._neg = DiscriminantForm(self.lattice.negated(), self.orders,
+                                         self._den, self._vecs)
             self._neg._neg = self
         return self._neg
 
     def __eq__(self, other):
         return (isinstance(other, DiscriminantForm)
                 and self.lattice == other.lattice
-                and self.orders == other.orders and self.gens == other.gens)
+                and self.orders == other.orders and self._den == other._den
+                and self._vecs == other._vecs)
 
     def __hash__(self):
-        return hash((self.lattice, self.orders, self.gens))
+        return hash((self.lattice, self.orders, self._den, self._vecs))
 
 
 @lru_cache(maxsize=None)
@@ -400,11 +408,15 @@ def discriminant_form(lattice):
             lattice.sig_pos == lattice.sig_neg and lattice.gram < lattice.negated().gram):
         return discriminant_form(lattice.negated()).negated()
     diag, v = linalg.smith_normal_form([list(r) for r in lattice.gram], lattice.det)
-    # only the class mod L matters: keep coordinates in [0, 1)
+    orders = tuple(d for d in diag if d > 1)
+    # generator i is column i of v over d_i; only the class mod L matters, so
+    # its coordinates are kept in [0, 1).  The column's entries are coprime
+    # (v is unimodular), so lcm(orders) is the generators' least common
+    # denominator.
+    den = lcm(*orders)
     disc = DiscriminantForm(
-        lattice, tuple(d for d in diag if d > 1),
-        tuple(tuple(Fraction(row[i] % d, d) for row in v)
-              for i, d in enumerate(diag) if d > 1))
+        lattice, orders, den,
+        [[row[i] % d * (den // d) for row in v] for i, d in enumerate(diag) if d > 1])
     if disc.size != abs(lattice.det):
         raise ConsistencyError(
             f"|L'/L| = {disc.size} but |det G| = {abs(lattice.det)}")

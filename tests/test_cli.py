@@ -16,16 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vveis
-from vveis import acceptance, cli, linalg, repnums
+from vveis import acceptance, cli, linalg, repnums, weilrep
 from vveis.errors import PreconditionError
 
 E8 = acceptance.E8
 U = [[0, 1], [1, 0]]
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-WORKLOADS = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(WORKLOADS)
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _perfbench_module("workloads")
+TRACING = _perfbench_module("tracing")
 
 
 def child_env():
@@ -189,6 +196,50 @@ class TestExitCodes:
         assert "no lattice file" in err
 
 
+# the modules `import vveis` executes, and the two that run on first use
+CORE = tuple(sorted(f"vveis.{m}" for m in (
+    "errors", "arith", "linalg", "lattice", "repnums", "qseries", "eisenstein",
+    "formats")))
+LAYERS = ("vveis.borcherds", "vveis.weilrep")
+# every module the benchmark's tracer reads out of sys.modules
+TRACED = sorted({mod for mod, *_ in (*TRACING.TARGETS, *TRACING.METHODS,
+                                     *TRACING.CACHES)})
+
+_LAYER_CHILD = """
+import io, json, sys, types
+names = sorted({*json.loads(sys.argv[1]), 'vveis'})
+states = []
+
+def run(argv):
+    from vveis import cli
+    return cli.run(argv, stdout=io.StringIO())
+
+for step in json.loads(sys.argv[2]):
+    exec(step)
+    states.append({
+        'missing': [n for n in names if n not in sys.modules],
+        'executed': [n for n in names if n.startswith('vveis.')
+                     and type(sys.modules.get(n)) is types.ModuleType]})
+print(json.dumps(states))
+"""
+
+
+def layer_states(steps, cache_dir=None):
+    """Run the steps in order in one fresh interpreter (``run(argv)`` is
+    ``cli.run``); after each, the traced, core and layer modules missing
+    from sys.modules and those that have executed (a module still waiting
+    for its first use is not a plain module)."""
+    env = child_env()
+    if cache_dir is not None:
+        env["VVEIS_CACHE_DIR"] = str(cache_dir)
+    names = sorted({*CORE, *LAYERS, *TRACED})
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYER_CHILD, json.dumps(names), json.dumps(steps)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestImports:
     def test_star_import_resolves_all(self):
         namespace = {}
@@ -196,6 +247,56 @@ class TestImports:
         assert len(set(vveis.__all__)) == len(vveis.__all__)
         assert all(namespace[name] is getattr(vveis, name)
                    for name in vveis.__all__)
+
+    def test_import_registers_every_module_and_runs_only_the_core(self):
+        # the tracer reads every module it names out of sys.modules right
+        # after the import; the two layers are there, unexecuted
+        after_package, after_cli = layer_states(["import vveis", "import vveis.cli"])
+        for state in (after_package, after_cli):
+            assert state == {"missing": [], "executed": list(CORE)}
+
+    @pytest.mark.parametrize("argv,layers", [
+        (["info", "fx"], []),
+        (["eis", "e8", "--max-exp", "2"], []),
+        (["repnum", "uu", "-m", "1", "-a", "12"], []),
+        (["weil", "m2"], ["vveis.weilrep"]),
+    ], ids=["info", "eis", "repnum", "weil"])
+    def test_subcommand_executes_only_the_layers_it_uses(self, lat_files,
+                                                         argv, layers):
+        cmd = [argv[0], lat_files[argv[1]], *argv[2:]]
+        (state,) = layer_states([f"assert run({cmd!r}) == 0"])
+        assert state == {"missing": [], "executed": sorted([*CORE, *layers])}
+
+    def test_cache_hits_execute_neither_layer(self, tmp_path, monkeypatch):
+        acceptance._battery_files(tmp_path)
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("VVEIS_CACHE_DIR", str(cache))
+        invocations = acceptance._cli_invocations(tmp_path)
+        assert [run_cli(argv)[0] for argv in invocations] == [0] * len(invocations)
+        states = layer_states([f"assert run({argv!r}) == 0, {argv[0]!r}"
+                               for argv in invocations], cache_dir=cache)
+        assert states == [{"missing": [], "executed": list(CORE)}] * len(invocations)
+
+    def test_names_resolve_on_first_use(self):
+        after_dir, after_weil, after_borcherds, after_star = layer_states([
+            "import vveis\n"
+            "assert set(vveis.__all__) <= set(dir(vveis))\n"
+            "try:\n"
+            "    vveis.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert 'no_such_name' in str(exc)\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')",
+            "assert vveis.Cyclotomic is vveis.weilrep.Cyclotomic",
+            "assert vveis.build_h is vveis.borcherds.build_h",
+            "namespace = {}\n"
+            "exec('from vveis import *', namespace)\n"
+            "assert all(namespace[n] is getattr(vveis, n) for n in vveis.__all__)",
+        ])
+        assert after_dir["executed"] == list(CORE)
+        assert after_weil["executed"] == sorted([*CORE, "vveis.weilrep"])
+        assert after_borcherds == after_star == {
+            "missing": [], "executed": sorted([*CORE, *LAYERS])}
 
     def test_numpy_not_loaded(self, lat_files):
         # numpy is imported only by count_naive: the CLI, lattice set-up and
@@ -693,7 +794,7 @@ class TestCache:
         def no_weil(disc):
             raise AssertionError("weil_matrices called on a cache hit")
 
-        monkeypatch.setattr(cli, "weil_matrices", no_weil)
+        monkeypatch.setattr(weilrep, "weil_matrices", no_weil)
         code2, out2, _ = run_cli(args)
         assert code2 == 0 and out2 == out1
         # the flags are part of the key: another selection is a miss

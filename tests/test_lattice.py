@@ -869,7 +869,7 @@ class TestDiscriminantForm:
         # conversion rule, on a fresh form, after the element was seen, and
         # after other elements were
         disc = lattice_mod.DiscriminantForm(
-            CHECK_FORM.lattice, CHECK_FORM.orders, CHECK_FORM.gens)
+            CHECK_FORM.lattice, CHECK_FORM.orders, CHECK_FORM._den, CHECK_FORM._vecs)
         mu = tuple(entries) if as_tuple else list(entries)
         want = outcome(old_check, disc, mu)
         for other in (seen, seen[::-1]):
@@ -887,7 +887,7 @@ class TestDiscriminantForm:
         # to it pass check_pair without check or _rep, as the canonical
         # tuple; the checks keep their order: m's sign before the congruence
         disc = lattice_mod.DiscriminantForm(
-            CHECK_FORM.lattice, CHECK_FORM.orders, CHECK_FORM.gens)
+            CHECK_FORM.lattice, CHECK_FORM.orders, CHECK_FORM._den, CHECK_FORM._vecs)
         mus = [(1, 0, 1, 1), (0, 1, 0, 1), (0, 0, 0, 0)]
         qs = [disc.q_value(mu) for mu in mus]
 

@@ -743,7 +743,7 @@ class TestForeignDisc:
         lat, _ = self.lattices(E8)
         own = discriminant_form(lat)
         flipped = lattice.DiscriminantForm(
-            lat, own.orders, [tuple(-x % 1 for x in g) for g in own.gens])
+            lat, own.orders, own._den, [[-x % own._den for x in v] for v in own._vecs])
         assert flipped.lattice == lat and flipped.vector((1,)) == own.vector((2,))
         for call in self.CALLS.values():
             with pytest.raises(PreconditionError, match="does not belong"):
