@@ -18,7 +18,7 @@ import json
 import random
 import tempfile
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
@@ -122,13 +122,8 @@ def _check(cond, message):
         raise CriterionFailure(message)
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+class CriterionResult(namedtuple("CriterionResult", "number name ok detail seconds")):
+    __slots__ = ()
 
     @property
     def line(self):

@@ -8,8 +8,6 @@ conductor.  The Eisenstein assembly cancels pi^s and sqrt(q) on paper
 approximate route exists.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress

@@ -22,10 +22,8 @@ series live on the negated side (sign +1) with the shared element encoding,
 which makes coefficients transferable between the two by negating exponents.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import takewhile
 from math import lcm
@@ -57,8 +55,8 @@ from .qseries import PrincipalPart
 from .weilrep import invariants, weil_matrices
 
 
-@dataclass(frozen=True)
-class AdmissibleSetSpec:
+class AdmissibleSetSpec(namedtuple("AdmissibleSetSpec",
+                                   "bound_a members predicate ceiling")):
     """Search set of index pairs: an explicit list or a filtered grid.
 
     bound_a caps ord_p(m) at every prime dividing twice the level.  Either
@@ -69,24 +67,21 @@ class AdmissibleSetSpec:
     negative coincide; ``lattice.admissibility`` gives both one verdict.
     """
 
-    bound_a: int
-    members: tuple = None
-    predicate: object = None
-    ceiling: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound_a", int(self.bound_a))
-        if self.bound_a < 1:
+    def __new__(cls, bound_a, members=None, predicate=None, ceiling=None):
+        bound_a = int(bound_a)
+        if bound_a < 1:
             raise PreconditionError("bound_a must be a positive integer")
-        if (self.members is None) == (self.ceiling is None):
+        if (members is None) == (ceiling is None):
             raise PreconditionError(
                 "exactly one of members and ceiling must be given")
-        if self.members is not None:
-            object.__setattr__(self, "members", tuple(
-                (Fraction(m), tuple(int(x) for x in mu))
-                for m, mu in self.members))
-        if self.ceiling is not None:
-            object.__setattr__(self, "ceiling", Fraction(self.ceiling))
+        if members is not None:
+            members = tuple((Fraction(m), tuple(int(x) for x in mu))
+                            for m, mu in members)
+        if ceiling is not None:
+            ceiling = Fraction(ceiling)
+        return super().__new__(cls, bound_a, members, predicate, ceiling)
 
 
 def _candidate_pairs(spec, disc):
@@ -106,10 +101,11 @@ def _candidate_pairs(spec, disc):
     return sorted(pairs, key=lambda p: (p[0], disc.index(p[1])))
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    accepted: tuple  # (m, mu) pairs, in candidate order
-    rejected: tuple  # ((m, mu), reason) records, never silently dropped
+class AdmissibilityReport(namedtuple("AdmissibilityReport", [
+        "accepted",  # (m, mu) pairs, in candidate order
+        "rejected",  # ((m, mu), reason) records, never silently dropped
+])):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -294,13 +290,12 @@ def build_h(lminus, b, trunc, provider=None):
     return h
 
 
-@dataclass(frozen=True)
-class DecomposeResult:
-    f1: PrincipalPart
-    f2: PrincipalPart
-    c: int
-    b: int
-    h: object  # the auxiliary series the split was built from
+class DecomposeResult(namedtuple("DecomposeResult", [
+        "f1", "f2",  # PrincipalParts
+        "c", "b",
+        "h",  # the auxiliary series the split was built from
+])):
+    __slots__ = ()
 
 
 def decompose(f, lattice, provider=None, minimal=False):
@@ -379,11 +374,12 @@ def decompose(f, lattice, provider=None, minimal=False):
     return DecomposeResult(f1, f2, c, b, h)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    ok: bool
-    values: tuple      # pairing value per cusp-flagged element, fixture order
-    violations: tuple  # (element index, value) for each nonzero pairing
+class ObstructionReport(namedtuple("ObstructionReport", [
+        "ok",
+        "values",  # pairing value per cusp-flagged element, fixture order
+        "violations",  # (element index, value) for each nonzero pairing
+])):
+    __slots__ = ()
 
 
 def obstruction_check(pp, fixture):

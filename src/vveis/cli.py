@@ -30,7 +30,10 @@ answers exactly as a miss does; entries of an earlier key format miss
 once.  The Weil and Borcherds layers are reached only through their
 modules (``weilrep.weil_matrices``, ``borcherds.decompose``), which
 ``import vveis`` registers to run on first use: a hit executes neither,
-and nor do ``info``, ``eis`` and ``repnum``.
+and nor do ``info``, ``eis`` and ``repnum``.  ``Config``, like every record
+of the package, is a namedtuple, which costs a child no import.
+Rationals given as options or in documents are refused past 1000 digits
+(``formats.MAX_DIGITS``), from their text, with exit 2.
 """
 
 import argparse
@@ -39,7 +42,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 from . import borcherds, repnums, weilrep
@@ -65,10 +68,8 @@ from .lattice import discriminant_form
 from .repnums import count, count_gauss, count_naive
 
 
-@dataclass(frozen=True)
-class Config:
-    lattice: str = ""
-    cache_dir: str = ""
+class Config(namedtuple("Config", "lattice cache_dir", defaults=("", ""))):
+    __slots__ = ()
 
 
 _ENV_KEYS = {"VVEIS_LATTICE": "lattice", "VVEIS_CACHE_DIR": "cache_dir"}
@@ -79,7 +80,7 @@ def load_config(path=None, env=None):
     values = {}
     if path:
         doc = _read_json(path)
-        known = {f.name for f in fields(Config)}
+        known = set(Config._fields)
         if not isinstance(doc, dict):
             raise PreconditionError("config must be a JSON object")
         unknown = sorted(set(doc) - known)

@@ -18,9 +18,7 @@ chi) = S(n) / d_mu^(2(k-1)) for the int S(n) = sum_{d | n} chi(d)
 (n/d)^(k-1), and the local product stays a pair of ints.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -50,16 +48,14 @@ from .lattice import admissibility, bad_primes, disc_of, discriminant_form
 from .qseries import VVQSeries
 
 
-@dataclass(frozen=True)
-class EisensteinContext:
-    lattice: object
-    disc: object
-    kappa: Fraction
-    b_minus: int
-    primes: tuple  # primes dividing 2N
-    hecke_boundary: bool  # kappa == 2: constant term needs the Hecke trick
-    chi: object  # even rank: the character of (-1)^kappa det; None in odd rank
-    scale: Fraction  # the factor of every coefficient free of m (see context)
+class EisensteinContext(namedtuple("EisensteinContext", [
+        "lattice", "disc", "kappa", "b_minus",
+        "primes",  # primes dividing 2N
+        "hecke_boundary",  # kappa == 2: constant term needs the Hecke trick
+        "chi",  # even rank: the character of (-1)^kappa det; None in odd rank
+        "scale",  # the Fraction factor of every coefficient free of m (see context)
+])):
+    __slots__ = ()
 
 
 def context(lattice):
@@ -244,21 +240,20 @@ def eis_expansion(lattice, trunc, disc=None):
                      hecke_flag=ctx.hecke_boundary)
 
 
-@dataclass(frozen=True)
-class LowerBoundRow:
-    m: Fraction
-    mu: tuple
-    coefficient: Fraction
-    ratio: float
-    ratio_exact: object  # Fraction for integer kappa, None otherwise
+class LowerBoundRow(namedtuple("LowerBoundRow", [
+        "m", "mu", "coefficient", "ratio",
+        "ratio_exact",  # Fraction for integer kappa, None otherwise
+])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
-    kappa: Fraction
-    exponent: Fraction  # kappa - 1, or kappa - 1 - eps at the boundary
-    rows: tuple
-    running_min: tuple  # prefix minima of the float ratios
+class LowerBoundReport(namedtuple("LowerBoundReport", [
+        "kappa",
+        "exponent",  # kappa - 1, or kappa - 1 - eps at the boundary
+        "rows",
+        "running_min",  # prefix minima of the float ratios
+])):
+    __slots__ = ()
 
     @property
     def all_positive(self):

@@ -1,11 +1,13 @@
 """Lossless JSON interchange for lattices, q-series, and principal parts.
 
 Every rational travels as a string produced by ``str(Fraction(...))``
-("240", "-3/4"), never as a float, so payloads survive arbitrary
-magnitudes and denominators.  Dumps are canonical: fixed key sets, sorted
-keys, coefficient lists in the containers' own deterministic order, and a
-trailing newline.  Two dumps of equal values are byte-identical, which is
-what makes content-addressed caching and battery byte-comparison sound.
+("240", "-3/4"), never as a float, so payloads keep every digit.  A parsed
+rational may have up to ``MAX_DIGITS`` digits in its numerator and in its
+denominator; longer ones are refused from the text, before ``Fraction``
+builds them.  Dumps are canonical: fixed key sets, sorted keys, coefficient
+lists in the containers' own deterministic order, and a trailing newline.
+Two dumps of equal values are byte-identical, which is what makes
+content-addressed caching and battery byte-comparison sound.
 
 Document shapes:
 
@@ -43,10 +45,39 @@ def is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# the most digits a parsed numerator or denominator may have; the bound is
+# read off the text, since Fraction("1e99999999") builds 10^99999999 before
+# anything could look at it, and ints past 4300 digits cannot be printed
+MAX_DIGITS = 1000
+
+
+def _digits(text):
+    """The most digits Fraction(text) can give its numerator or denominator,
+    counting the digits as written and a decimal exponent e as |e| more."""
+    def count(s):
+        return sum(c.isdigit() for c in s)
+
+    head, slash, tail = text.partition("/")
+    if slash:
+        return max(count(head), count(tail))
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    n = count(whole) + count(frac)
+    try:
+        e = int(exponent or 0) - count(frac)  # the value is int(whole frac) * 10^e
+    except ValueError:  # no exponent, or one past int's digit limit
+        return n + count(exponent)
+    return max(n, n + e, 1 - e)
+
+
 def parse_rational(value, what="value"):
     if isinstance(value, bool) or isinstance(value, float):
         raise PreconditionError(
             f"{what} must be an integer or a 'p/q' string, got {value!r}")
+    if ((isinstance(value, int) and abs(value) >= 10 ** MAX_DIGITS)
+            or (isinstance(value, str) and _digits(value) > MAX_DIGITS)):
+        raise PreconditionError(
+            f"{what} has a numerator or denominator of more than {MAX_DIGITS} digits")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as err:

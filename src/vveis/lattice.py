@@ -17,10 +17,8 @@ M. Pohst, Math. Comp. 44 (1985); H. Cohen, GTM 138, 2.7).  A definite coset quer
 is one walk, to the certified radius or to the widest box under its cap.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -780,10 +778,8 @@ def t_max(lattice):
     return max(t_mu(lattice, mu) for mu in discriminant_form(lattice).elements())
 
 
-@dataclass(frozen=True)
-class WittReport:
-    lower_bound: int
-    exact: bool
+class WittReport(namedtuple("WittReport", "lower_bound exact")):
+    __slots__ = ()
 
 
 def witt_rank_bounded(lattice, radius=2, cap=2 * 10 ** 6):

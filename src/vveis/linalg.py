@@ -16,8 +16,6 @@ the content of the new basis column (``sym_combine``), so the basechange
 stays an integer matrix with a p-unit determinant.
 """
 
-from __future__ import annotations
-
 from math import gcd, lcm
 
 from .errors import Singular

@@ -9,8 +9,6 @@ integer b, comes from one recurrence: Euler's pentagonal series raised to
 the power 24b by J. C. P. Miller's recurrence, in Python ints.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import ceil, lcm
 

@@ -16,11 +16,9 @@ count() and local_counts() then compare both paths on every prime power,
 at the deepest level whose residues count_naive can afford.
 """
 
-from __future__ import annotations
-
 import itertools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf
@@ -53,17 +51,13 @@ def w_p(m, d_mu, p):
     return 1 + 2 * v
 
 
-@dataclass(frozen=True)
-class RepCount:
-    m: Fraction
-    mu: tuple
-    a: int
-    count: int
-    method: str
+class RepCount(namedtuple("RepCount", "m mu a count method")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.count < 0:
-            raise ConsistencyError(f"negative representation count {self.count}")
+    def __new__(cls, m, mu, a, count, method):
+        if count < 0:
+            raise ConsistencyError(f"negative representation count {count}")
+        return super().__new__(cls, m, mu, a, count, method)
 
 
 def count_naive(lattice, m, mu, a, cap=10 ** 8):

@@ -19,11 +19,8 @@ On <2048> + U + U (|L'/L| = 2048) the whole ``vveis weil`` process takes
 shared 2-vCPU VM).
 """
 
-from __future__ import annotations
-
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -233,22 +230,19 @@ def _sqrt_prime(p, order):
     return g * Cyclotomic.root(order, -(order // 4))  # -i * g
 
 
-@dataclass(frozen=True)
-class WeilMatrices:
+class WeilMatrices(namedtuple("WeilMatrices", [
+        "disc", "sig_pos", "sig_neg", "order",
+        "t",  # T[i] = zeta_order^t[i]
+        "c",  # S[0][0], a Cyclotomic
+])):
     """The Weil representation on C[L'/L], held as its quadratic module.
 
     T = diag(zeta_M^t[i]) and S[i][j] = c * zeta_M^-B(i, j), with B(i, j) =
     t[i+j] - t[i] - t[j] mod M and M = ``order``: the int exponents ``t``
     and the prefactor ``c`` are the data.  The dense ``t_mat`` and ``s_mat``
-    are views, built when first read; ``s_entry`` gives one entry of S.
+    are views, built when first read and kept in the instance dict (the
+    class declares no ``__slots__``); ``s_entry`` gives one entry of S.
     """
-
-    disc: object
-    sig_pos: int
-    sig_neg: int
-    order: int
-    t: tuple  # T[i] = zeta_order^t[i]
-    c: Cyclotomic  # S[0][0]
 
     def pairing(self, i, j):
         """B(i, j) = t[i+j] - t[i] - t[j] mod M, so S[i][j] = c * zeta_M^-B(i, j).

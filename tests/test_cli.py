@@ -6,9 +6,9 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -169,6 +169,32 @@ class TestExitCodes:
         assert proc.stderr.startswith("error (budget): ")
 
     @pytest.mark.parametrize("argv", [
+        ["eis", "fixture.json", "--max-exp", "1e99999999"],
+        ["repnum", "fixture.json", "-m", "1e5000", "-a", "4"],
+        ["decompose", "fixture.json", "--pp", "huge_pp.json",
+         "--provider", "w19.json"],
+    ], ids=["eis", "repnum", "decompose"])
+    def test_huge_rational_refused(self, tmp_path, argv):
+        # the digit bound is read off the text: Fraction('1e99999999') ran
+        # until killed, and a 5001-digit m or exponent passed Fraction but
+        # raised ValueError past int's 4300-digit printing limit
+        acceptance._battery_files(tmp_path)
+        pp = json.loads((tmp_path / "mixed_pp.json").read_text())
+        pp["principal_part"]["coeffs"][0]["exp"] = "-1e5000"
+        (tmp_path / "huge_pp.json").write_text(json.dumps(pp))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run([sys.executable, "-m", "vveis.cli", *argv],
+                              capture_output=True, text=True, timeout=10,
+                              cwd=tmp_path, env=child_env())
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error (precondition): ")
+        assert "more than 1000 digits" in proc.stderr
+        cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+        assert cpu < 1, f"{cpu:.2f} s of CPU"
+
+    @pytest.mark.parametrize("argv", [
         ["decompose", "--pp", ""],
         ["h-series", "-b", "1", "--trunc", "2", "--provider", ""],
     ], ids=["required", "optional"])
@@ -240,7 +266,54 @@ def layer_states(steps, cache_dir=None):
     return json.loads(proc.stdout)
 
 
+# stdlib modules no vveis process imports: the records are namedtuples, so
+# nothing loads dataclasses, or inspect with it
+UNUSED_STDLIB = ("dataclasses", "inspect")
+
+
+def imported_modules(args, cwd=None, cache_dir=None):
+    """Every module a fresh ``python -X importtime *args`` imports, read off
+    its import-time report; one that is never imported is never in
+    sys.modules."""
+    env = child_env()
+    if cache_dir is not None:
+        env["VVEIS_CACHE_DIR"] = str(cache_dir)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=cwd, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 class TestImports:
+    @pytest.mark.parametrize("args", [
+        ["-c", "import vveis.cli"],
+        ["-m", "vveis.cli", "battery", "--criteria", "1"],
+        ["-c", "import vveis.borcherds, vveis.weilrep\n"
+               "vveis.borcherds.build_h, vveis.weilrep.weil_matrices"],
+    ], ids=["import", "battery", "layers"])
+    def test_no_unused_stdlib(self, args):
+        modules = imported_modules(args)
+        assert "vveis.eisenstein" in modules
+        assert not modules & set(UNUSED_STDLIB)
+
+    def test_no_unused_stdlib_in_pipeline_children(self, tmp_path):
+        # each cli-pipeline invocation as the benchmark starts it, on an
+        # empty cache and then on the entry that run wrote
+        work = tmp_path / "work"
+        work.mkdir()
+        state = WORKLOADS.CliPipeline().setup(1, 1, work)
+        cache = tmp_path / "cache"
+        loaded = {}
+        for name, argv in WORKLOADS._invocations(state):
+            for phase in ("miss", "hit"):
+                modules = imported_modules(["-m", "vveis.cli", *argv],
+                                           cwd=work, cache_dir=cache)
+                loaded[f"{name} {phase}"] = sorted(modules & set(UNUSED_STDLIB))
+        assert len(loaded) == 16
+        assert loaded == {key: [] for key in loaded}
+
     def test_star_import_resolves_all(self):
         namespace = {}
         exec("from vveis import *", namespace)
@@ -325,7 +398,7 @@ class TestImports:
 class TestConfig:
     def test_defaults(self):
         # the two file locations are the CLI's only settings
-        assert [f.name for f in fields(cli.Config)] == ["lattice", "cache_dir"]
+        assert cli.Config._fields == ("lattice", "cache_dir")
         assert cli.load_config(env={}) == cli.Config("", "")
 
     def test_file_and_env_layering(self, tmp_path):

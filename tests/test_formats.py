@@ -65,6 +65,31 @@ class TestRationals:
             with pytest.raises(PreconditionError):
                 parse_rational(bad)
 
+    @pytest.mark.parametrize("value,want", [
+        ("1e999", Fraction(10 ** 999)),
+        ("-1e-999", Fraction(-1, 10 ** 999)),
+        ("1.5e998", Fraction(15 * 10 ** 997)),
+        ("9" * 1000 + "/" + "7" * 1000, Fraction(int("9" * 1000), int("7" * 1000))),
+        (10 ** 1000 - 1, Fraction(10 ** 1000 - 1)),
+    ], ids=["exponent", "negative-exponent", "decimal", "quotient", "int"])
+    def test_widest_rationals_parse(self, value, want):
+        assert parse_rational(value) == want
+
+    @pytest.mark.parametrize("value", [
+        "1e1000", "1e-1000", "1.5e1000", "1e99999999", "0e99999999", "-1e5000",
+        "1" * 1001, "1/" + "1" * 1001, "1e" + "9" * 5000, 10 ** 1000, -10 ** 1000,
+    ], ids=["exponent", "negative-exponent", "decimal", "huge-exponent",
+            "zero-mantissa", "negative", "digits", "denominator",
+            "exponent-past-int-limit", "int", "negative-int"])
+    def test_too_many_digits_refused_before_fraction(self, value, monkeypatch):
+        # Fraction("1e99999999") would build 10^99999999: the bound is read
+        # off the text, and Fraction never sees it
+        def no_fraction(*args):
+            raise AssertionError("Fraction reached")
+        monkeypatch.setattr("vveis.formats.Fraction", no_fraction)
+        with pytest.raises(PreconditionError, match="more than 1000 digits"):
+            parse_rational(value, "m")
+
 
 class TestLatticeDoc:
     def test_round_trip(self):

@@ -1,6 +1,5 @@
 """Cyclotomic arithmetic and Weil representation matrices."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -74,12 +73,12 @@ def perturbations(w, rng):
     zeta = Cyclotomic.root(m, rng.randrange(1, m))
     return [
         ("none", w),
-        ("t_entry", dataclasses.replace(w, t=tuple(t))),
-        ("t_conj", dataclasses.replace(w, t=tuple(-x % m for x in w.t))),
+        ("t_entry", w._replace(t=tuple(t))),
+        ("t_conj", w._replace(t=tuple(-x % m for x in w.t))),
         # the complex conjugate representation: T and S both conjugated
-        ("conj", dataclasses.replace(w, t=tuple(-x % m for x in w.t), c=w.c.conj())),
-        ("c_rotated", dataclasses.replace(w, c=w.c * zeta)),
-        ("sig_neg", dataclasses.replace(w, sig_neg=w.sig_neg + 1)),
+        ("conj", w._replace(t=tuple(-x % m for x in w.t), c=w.c.conj())),
+        ("c_rotated", w._replace(c=w.c * zeta)),
+        ("sig_neg", w._replace(sig_neg=w.sig_neg + 1)),
     ]
 
 
@@ -172,27 +171,27 @@ def module_damages(w):
     disc = w.disc
     els = disc.elements()
     # the Weil module, S scaled off unitarity
-    out = [("c_doubled", dataclasses.replace(w, c=w.c * 2))]
+    out = [("c_doubled", w._replace(c=w.c * 2))]
     if n > 1:
         # the zero form, which is degenerate
-        out.append(("zero_form", dataclasses.replace(w, t=(0,) * n)))
+        out.append(("zero_form", w._replace(t=(0,) * n)))
         # t changed at one pair +-mu: B is not bilinear
         bent = list(w.t)
         for k in {1, disc.negs[1]}:
             bent[k] += 1
-        out.append(("t_not_bilinear", dataclasses.replace(w, t=tuple(bent))))
+        out.append(("t_not_bilinear", w._replace(t=tuple(bent))))
     for k, d in enumerate(disc.orders):
         if d > 2:
             # t plus a character of order d: B is unchanged, t_-mu != t_mu
-            out.append(("t_plus_character", dataclasses.replace(
-                w, t=tuple(x + mu[k] * (m // d) for x, mu in zip(w.t, els)))))
+            out.append(("t_plus_character", w._replace(
+                t=tuple(x + mu[k] * (m // d) for x, mu in zip(w.t, els)))))
             break
     for i, mu in enumerate(els):
         if i and disc.neg(mu) == mu and w.t[i]:
             # t relabelled 0 <-> mu: t_0 != 0
             t = list(w.t)
             t[0], t[i] = t[i], t[0]
-            out.append(("relabelled", dataclasses.replace(w, t=tuple(t))))
+            out.append(("relabelled", w._replace(t=tuple(t))))
             break
     return out
 
